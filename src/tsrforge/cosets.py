@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import ScaleExceeded
-from .factorint import euler_phi, factor_integer
+from .factorint import euler_phi
 from .fields import make_field, subfield_maps
 from .guards import check_field
 from .polys import Polynomial
@@ -50,77 +50,15 @@ class ConjugateClassSummary:
     quadratics: tuple[Polynomial, ...]
 
 
-# raw GF(2)[X] arithmetic on bitmasks, bit i = coefficient of X^i
-
-
-def _poly_mul_gf2(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def _poly_mod_gf2(a: int, mod: int) -> int:
-    dm = mod.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= mod << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _poly_powmod_gf2(base: int, e: int, mod: int) -> int:
-    out = 1
-    base = _poly_mod_gf2(base, mod)
-    while e:
-        if e & 1:
-            out = _poly_mod_gf2(_poly_mul_gf2(out, base), mod)
-        base = _poly_mod_gf2(_poly_mul_gf2(base, base), mod)
-        e >>= 1
-    return out
-
-
-def _gcd_gf2(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_mod_gf2(a, b)
-    return a
-
-
-def _is_irreducible_gf2(mod: int, k: int) -> bool:
-    x = 2
-    cur = x
-    for _ in range(k):
-        cur = _poly_mod_gf2(_poly_mul_gf2(cur, cur), mod)
-    if cur != x:
-        return False
-    for p in factor_integer(k).primes:
-        cur = x
-        for _ in range(k // p):
-            cur = _poly_mod_gf2(_poly_mul_gf2(cur, cur), mod)
-        if _gcd_gf2(cur ^ x, mod) != 1:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _primitive_mask_modulus(k: int) -> int:
-    """Least degree-k binary modulus (bitmask encoding) with X primitive."""
-    group = (1 << k) - 1
-    prime_divs = factor_integer(group).primes
-    for low in range(1, 1 << k, 2):
-        mod = (1 << k) | low
-        if not _is_irreducible_gf2(mod, k):
-            continue
-        if all(_poly_powmod_gf2(2, group // p, mod) != 1 for p in prime_divs):
-            return mod
-    raise ScaleExceeded(f"no primitive modulus of degree {k}")
-
-
 @lru_cache(maxsize=None)
 def _exp_table(k: int) -> array:
-    """exp[i] = bitmask of x^i in F_{2^k}, i = 0 .. 2^k - 2."""
-    mod = _primitive_mask_modulus(k)
+    """exp[i] = bitmask of x^i in F_{2^k}, i = 0 .. 2^k - 2.
+
+    The modulus is the one make_field picks for F_{2^k}; it is primitive, so
+    x generates the units.  r and the element tally do not depend on which
+    primitive modulus is used.
+    """
+    mod = sum(c << i for i, c in enumerate(make_field(2 ** k).modulus_coeffs))
     group = (1 << k) - 1
     table = array("I", bytes(4 * group))
     cur = 1

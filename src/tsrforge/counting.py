@@ -7,7 +7,7 @@ the other.
 
 from .errors import BadDegree, FiberSizeViolation, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
-from .fields import Field, make_field, subfield_maps
+from .fields import Field, base_digits, make_field, prime_power, subfield_maps
 from .guards import check_custom, check_enumeration, guard_bits
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
@@ -68,14 +68,8 @@ def count_matrices_with_charpoly(p: Polynomial, m: int) -> int:
     check_custom(q ** (m * m), 20, "matrix space")
     elems = list(field.elements())
     count = 0
-    total = q ** (m * m)
-    for enc in range(total):
-        v = enc
-        entries = []
-        for _ in range(m * m):
-            entries.append(elems[v % q])
-            v //= q
-        M = Matrix(field, m, m, tuple(entries))
+    for enc in range(q ** (m * m)):
+        M = Matrix(field, m, m, tuple(elems[d] for d in base_digits(enc, q, m * m)))
         if matrix_charpoly(M) == p:
             count += 1
     return count
@@ -95,6 +89,7 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     """
     if form not in ("P_qmn", "P_mnq"):
         raise UnknownKind(f"unknown enumeration form {form!r}")
+    check_shape(m, n)
     # guard before the primitive-element scan; phi counts that scan's output
     space = q ** (n - 1) * euler_phi(q ** m - 1)
     check_custom(space, guard_bits("field"), "candidate space")
@@ -103,11 +98,7 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     prims = primitive_elements(big)
     candidates = []
     for enc in range(q ** (n - 1)):
-        digits = []
-        v = enc
-        for _ in range(n - 1):
-            digits.append(v % q)
-            v //= q
+        digits = base_digits(enc, q, n - 1)
         if form == "P_qmn":
             # embedded g with constant term 1, degree <= n-1
             g_emb = [big.one()] + [embed(base.element(d)) for d in digits]
@@ -131,33 +122,33 @@ def gl_matrices(field: Field, m: int):
     q = field.order
     elems = list(field.elements())
     for enc in range(q ** (m * m)):
-        v = enc
-        entries = []
-        for _ in range(m * m):
-            entries.append(elems[v % q])
-            v //= q
-        M = Matrix(field, m, m, tuple(entries))
+        M = Matrix(field, m, m, tuple(elems[d] for d in base_digits(enc, q, m * m)))
         if matrix_is_invertible(M):
             yield M
 
 
 def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[TsrSpec]:
     """All primitive registers at (q, m, n), scanning (taps, B) ascending."""
+    check_shape(m, n)
     field = make_field(q)
     space = q ** (n - 1) * gl_order(q, m)
     check_enumeration(space)
     mats = list(gl_matrices(field, m))
     candidates = []
     for enc in range(q ** (n - 1)):
-        v = enc
-        c = []
-        for _ in range(n - 1):
-            c.append(field.element(v % q))
-            v //= q
+        c = tuple(field.element(d) for d in base_digits(enc, q, n - 1))
         for B in mats:
-            candidates.append(TsrSpec(field, m, n, tuple(c), B))
+            candidates.append(TsrSpec(field, m, n, c, B))
     flags = deterministic_map(is_primitive_tsr, candidates, threads)
     return [s for s, ok in zip(candidates, flags) if ok]
+
+
+def check_shape(m: int, n: int) -> None:
+    """BadDegree naming m or n when a register shape has a side below 1."""
+    if m < 1:
+        raise BadDegree(f"block size m = {m} must be >= 1")
+    if n < 1:
+        raise BadDegree(f"register length n = {n} must be >= 1")
 
 
 def tsrp_count_theorem(q: int, m: int, n: int, p_count: int) -> int:
@@ -176,11 +167,10 @@ def tsrp_upper_bound(q: int, m: int, n: int) -> int:
     order divides n(q^m - 1) < q^{mn} - 1.  For n = 1 the only tap polynomial
     is X, and X + lambda is primitive for every primitive lambda, so taps = 1
     and the bound is exact: it equals closed_form_count("tsr_order1", q, m).
+    A q that is not a prime power, or m or n below 1, is refused.
     """
-    if m < 1:
-        raise BadDegree(f"block size m = {m} must be >= 1")
-    if n < 1:
-        raise BadDegree(f"register length n = {n} must be >= 1")
+    prime_power(q)
+    check_shape(m, n)
     taps = 1 if n == 1 else q ** (n - 1) - 1
     return taps * _exact_div(euler_phi(q ** m - 1), m) \
         * _exact_div(gl_order(q, m), q ** m - 1)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FactorizationOverflow
-from .fields import is_prime_int
 
 _LIMIT = 1 << 64
 _TRIAL_BOUND = 10**6
@@ -43,6 +42,31 @@ class Factorization:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
+
+
+def is_prime_int(n: int) -> bool:
+    """Deterministic primality for any n below 3.3e24 (Miller-Rabin base set)."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _brent_rho(n: int, seed: int) -> int:

@@ -19,6 +19,7 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
+from .factorint import factor_integer, is_prime_int
 
 # Conway polynomials, little-endian coefficient tuples over F_p.  Each entry
 # was verified primitive (order test) and norm-compatible with its subfield
@@ -53,29 +54,21 @@ CONWAY_POLYNOMIALS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def is_prime_int(n: int) -> bool:
-    """Deterministic primality for any n below 3.3e24 (Miller-Rabin base set)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def base_digits(v: int, base: int, k: int) -> list[int]:
+    """The k little-endian base-`base` digits of v: the canonical decoding."""
+    digits = []
+    for _ in range(k):
+        digits.append(v % base)
+        v //= base
+    return digits
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a prime p; CompositeCharacteristic otherwise."""
+    factors = factor_integer(q).factors if q >= 2 else ()
+    if len(factors) != 1:
+        raise CompositeCharacteristic(f"{q} is not a prime power")
+    return factors[0]
 
 
 # --- base-field coefficient-vector arithmetic (lists of ints mod p) ---
@@ -149,21 +142,6 @@ def _vec_egcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], li
     return r0, u0
 
 
-def _small_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division; modulus-search scale only."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _vec_is_irreducible(f: Sequence[int], p: int) -> bool:
     k = len(f) - 1
     if k < 1:
@@ -171,7 +149,7 @@ def _vec_is_irreducible(f: Sequence[int], p: int) -> bool:
     x = [0, 1]
     if _vec_modpow(x, p ** k, f, p) != _vec_divmod(x, f, p)[1]:
         return False
-    for ell in _small_factors(k):
+    for ell in factor_integer(k).primes:
         t = _vec_modpow(x, p ** (k // ell), f, p)
         t = _vec_add(t, [0, p - 1], p)
         if len(_vec_egcd(t, f, p)[0]) - 1 != 0:
@@ -184,7 +162,7 @@ def _vec_is_primitive(f: Sequence[int], p: int) -> bool:
     if f[0] == 0 or not _vec_is_irreducible(f, p):
         return False
     order = p ** k - 1
-    for ell in _small_factors(order):
+    for ell in factor_integer(order).primes:
         if _vec_modpow([0, 1], order // ell, f, p) == [1]:
             return False
     return True
@@ -194,12 +172,7 @@ def _vec_is_primitive(f: Sequence[int], p: int) -> bool:
 def _fallback_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least primitive monic polynomial of degree k over F_p."""
     for v in range(p ** k):
-        coeffs = []
-        t = v
-        for _ in range(k):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+        coeffs = base_digits(v, p, k) + [1]
         if coeffs[0] != 0 and _vec_is_primitive(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no primitive polynomial found; unreachable for prime p")
@@ -324,12 +297,7 @@ class Field:
         p = self.characteristic
         k = self.extension_degree
         if isinstance(value, int):
-            v = value % self.order if 0 <= value < self.order else value % self.order
-            coeffs = []
-            for _ in range(k):
-                coeffs.append(v % p)
-                v //= p
-            return FieldElement(self, tuple(coeffs))
+            return FieldElement(self, tuple(base_digits(value % self.order, p, k)))
         coeffs = [int(c) % p for c in value]
         if len(coeffs) > k:
             raise ValueError("coefficient vector too long")
@@ -407,22 +375,7 @@ def make_extension_field(p: int, k: int, modulus: Optional[Sequence[int]] = None
 
 def make_field(order: int) -> Field:
     """F_q for a prime power q, with the default (Conway/fallback) modulus."""
-    if order < 2:
-        raise CompositeCharacteristic(f"{order} is not a prime power")
-    p = order
-    d = 2
-    while d * d <= order:
-        if order % d == 0:
-            p = d
-            break
-        d += 1
-    k = 0
-    t = order
-    while t % p == 0:
-        t //= p
-        k += 1
-    if t != 1:
-        raise CompositeCharacteristic(f"{order} is not a prime power")
+    p, k = prime_power(order)
     return make_extension_field(p, k) if k > 1 else make_prime_field(p)
 
 

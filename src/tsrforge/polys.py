@@ -141,7 +141,7 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial.make(
             self.field,
-            [self.coeffs[i] * self.field.element(i) for i in range(1, len(self.coeffs))],
+            [self.coeffs[i].scale_int(i) for i in range(1, len(self.coeffs))],
         )
 
     def int_encoding(self) -> int:

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 from .errors import (BadDegree, BudgetExhausted, ExistenceViolation,
                      InvalidParity, ZeroConstantTerm)
-from .fields import Field, is_prime_int, make_extension_field, make_field, subfield_maps
+from .counting import check_shape
+from .factorint import is_prime_int
+from .fields import Field, base_digits, make_extension_field, make_field, subfield_maps
 from .guards import check_field
 from .matrices import Matrix
 from .matrices import companion_matrix as _companion
@@ -87,25 +89,15 @@ def _monic_scan(field: Field, degree: int, zero_constant: bool):
     q = field.order
     elems = list(field.elements())
     free = degree - 1 if zero_constant else degree
+    head = [field.zero()] if zero_constant else []
     for enc in range(q ** free):
-        v = enc
-        coeffs = [field.zero()] if zero_constant else []
-        for _ in range(free):
-            coeffs.append(elems[v % q])
-            v //= q
-        coeffs.append(field.one())
-        yield Polynomial.make(field, coeffs)
+        mids = [elems[d] for d in base_digits(enc, q, free)]
+        yield Polynomial.make(field, head + mids + [field.one()])
 
 
 def primitive_polys(field: Field, degree: int) -> list[Polynomial]:
     """Monic primitive polynomials of the given degree, ascending."""
-    out = []
-    for f in _monic_scan(field, degree, zero_constant=False):
-        if f.constant_term.is_zero():
-            continue
-        if is_primitive_poly(f)[0]:
-            out.append(f)
-    return out
+    return list(_iter_primitive(field, degree))
 
 
 def _alpha_field(q: int, m: int, f: Polynomial):
@@ -135,6 +127,7 @@ def _alpha_field(q: int, m: int, f: Polynomial):
 def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
                          allow_even_n: bool = False, threads: int = 1) -> SearchResult:
     """First (f, g) hit in scan order, assembled into a primitive register."""
+    check_shape(m, n)
     if q >= 3 and n % 2 == 0 and not allow_even_n:
         raise InvalidParity(f"n = {n} even is out of scope for q = {q} >= 3")
     check_field(q ** m, "block field")
@@ -219,11 +212,7 @@ def _direct_candidates(q: int, m: int, n: int):
     nonzero = [e for e in base.elements() if not e.is_zero()]
     elems = list(base.elements())
     for enc in range(q ** (n - 1)):
-        v = enc
-        mids = []
-        for _ in range(n - 1):
-            mids.append(elems[v % q])
-            v //= q
+        mids = [elems[d] for d in base_digits(enc, q, n - 1)]
         for lead in nonzero:
             g = Polynomial.make(base, [base.zero()] + mids + [lead])
             g_big = Polynomial.make(big, [embed(c) for c in g.coeffs])

@@ -10,9 +10,8 @@ choice, so a non-member entry may reflect a different generator rather than
 an arithmetic disagreement; counts do not depend on the generator.
 """
 
-from .counting import UnknownKind
 from .cosets import count_trace_one_classes
-from .errors import TsrforgeError
+from .errors import TsrforgeError, UnknownKind
 from .fields import make_field, subfield_maps
 from .parallel import deterministic_map
 from .polys import Polynomial, format_poly, parse_poly
@@ -186,10 +185,7 @@ def membership_report(table_id: str, threads: int = 1) -> list[tuple]:
         for text in texts:
             try:
                 p = parse_poly(text, big)
-            except TsrforgeError as exc:
-                report.append((key, text, False, f"parse failed: {exc}"))
-                continue
-            except ValueError as exc:
+            except (TsrforgeError, ValueError) as exc:
                 report.append((key, text, False, f"parse failed: {exc}"))
                 continue
             if p in census:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BadDegree, DimensionMismatch, SingularB, ZeroConstantTerm
 from .factorint import factor_integer, merged_factorization, multiplicative_order_from
-from .fields import Field, FieldElement, make_field
+from .fields import Field, FieldElement, base_digits, make_field
 from .guards import check_field
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .polys import Polynomial, poly_gcd, poly_modpow
@@ -221,12 +221,7 @@ def mn_decompose(f: Polynomial, m: int, n: int):
     q = field.order
     one = field.one()
     for enc in range(q ** (n - 1)):
-        digits = []
-        v = enc
-        for _ in range(n - 1):
-            digits.append(v % q)
-            v //= q
-        g = Polynomial.make(field, [one] + [field.element(d) for d in digits])
+        g = Polynomial.make(field, [one] + [field.element(d) for d in base_digits(enc, q, n - 1)])
         dec = _peel(f, g, m, n)
         if dec is not None:
             return dec

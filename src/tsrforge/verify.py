@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .cosets import count_trace_one_classes, primitive_trace_one_count, trace_one_class_summaries
 from .counting import (closed_form_count, count_matrices_with_charpoly,
                        enumerate_special_primitives, enumerate_tsrp_bruteforce,
-                       tsrp_count_theorem, tsrp_upper_bound)
+                       gl_matrices, tsrp_count_theorem, tsrp_upper_bound)
 from .errors import ScaleExceeded
 from .factorint import euler_phi, factor_integer
 from .fields import make_field, subfield_maps
@@ -123,12 +123,9 @@ def _check_special_enumerations():
 def _check_tsr_charpoly():
     import random
     rng = random.Random(20260815)
-    big = make_field(4)
     for _ in range(6):
         q, m, n = rng.choice([(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
         f = make_field(q)
-        mats = None
-        from .counting import gl_matrices
         Bs = list(gl_matrices(f, m))
         B = Bs[rng.randrange(len(Bs))]
         c = tuple(f.element(rng.randrange(q)) for _ in range(n - 1))
@@ -248,8 +245,6 @@ def _check_composition_gap():
 
 
 def _check_tables_full():
-    accepted = {tid: sum(1 for _, _, ok, _ in membership_report(tid))
-                for tid in ("t1", "t4", "t5")}
     sizes = {tid: len(membership_report(tid)) for tid in ("t1", "t4", "t5")}
     assert sizes == {"t1": 16, "t4": 45, "t5": 34}, sizes
     counts = {"t1": row_counts("t1"), "t4": row_counts("t4"), "t5": row_counts("t5")}

@@ -249,8 +249,22 @@ def test_bound_includes_class_count_only_for_q2(capsys):
 
 
 def test_bound_rejects_bad_shape(capsys):
-    for argv, name in ((("2", "2", "0"), "n = 0"), (("2", "0", "2"), "m = 0")):
+    for argv, name in ((("2", "2", "0"), "n = 0"), (("2", "0", "2"), "m = 0"),
+                       (("6", "2", "2"), "6 is not a prime power"),
+                       (("-3", "2", "2"), "-3 is not a prime power"),
+                       (("1", "2", "2"), "1 is not a prime power")):
         code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 2
+        assert out == ""
+        assert "bad arguments" in err and name in err
+
+
+def test_search_and_enumerate_reject_bad_shape(capsys):
+    for argv, name in ((("search-tsr", "2", "2", "-1"), "n = -1"),
+                       (("search-tsr", "2", "-1", "3"), "m = -1"),
+                       (("enumerate", "tsrp", "2", "2", "-1"), "n = -1"),
+                       (("enumerate", "P_mnq", "2", "0", "3"), "m = 0")):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "bad arguments" in err and name in err

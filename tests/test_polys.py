@@ -83,6 +83,16 @@ def test_compose():
     assert format_poly(f.compose(g)) == "x^2 + x + 2"
 
 
+def test_derivative_multiplies_by_the_exponent_mod_p():
+    # coefficient i is scaled by the integer i mod p, not by the element encoded as i
+    f4 = make_field(4)
+    assert parse_poly("x^3 + x^2", f4).derivative() == parse_poly("x^2", f4)
+    f9 = make_field(9)
+    assert parse_poly("x^4 + x^3 + a", f9).derivative() == parse_poly("x^3", f9)
+    assert parse_poly("ax^5 + x^3 + x^2 + x", f9).derivative() == \
+        parse_poly("2ax^4 + 2x + 1", f9)
+
+
 def test_monic_and_scale():
     f5 = make_field(5)
     p = parse_poly("3x^2 + x + 4", f5)

@@ -162,6 +162,13 @@ def test_period_known_nonprimitive():
     assert period < 15
 
 
+def test_period_with_repeated_charpoly_factor_over_f8():
+    # charpoly (X^2 + X + 1)^2 is not squarefree; T = C (x) I with C of order 3
+    spec = _spec(8, 2, 2, [1], [[1, 0], [0, 1]])
+    assert tsr_period(spec) == 3
+    assert build_transition_matrix(spec).power(3) == Matrix.identity(spec.field, 4)
+
+
 def test_period_equals_orbit_walk():
     rng = random.Random(73)
     for q, m, n in ((2, 2, 2), (3, 1, 2), (2, 1, 4), (3, 2, 1)):
