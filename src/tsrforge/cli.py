@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments or guard
-violation (the offending bound is printed), 3 budget exhausted.  All JSON
-output is one object per line; CSV and JSON output are byte-identical across
-runs and across --threads values.
+Exit codes: 0 success, 1 verification failure, 2 bad arguments, a guard
+violation or the 2^64 factorization bound (the offending bound is printed),
+3 budget exhausted.  All JSON output is one object per line; CSV and JSON
+output are byte-identical across runs and across --threads values.
 """
 
 import argparse
@@ -14,9 +14,10 @@ import sys
 from .counting import (closed_form_count, enumerate_special_primitives,
                        enumerate_tsrp_bruteforce, tsrp_upper_bound)
 from .errors import (BadDegree, BaseNotSubfield, BudgetExhausted,
-                     CompositeCharacteristic, DimensionMismatch, InvalidParity,
-                     NonSquareMatrix, ReducibleModulus, ScaleExceeded,
-                     TsrforgeError, UnknownKind, ZeroConstantTerm, ZeroElement)
+                     CompositeCharacteristic, DimensionMismatch,
+                     FactorizationOverflow, InvalidParity, NonSquareMatrix,
+                     ReducibleModulus, ScaleExceeded, TsrforgeError,
+                     UnknownKind, ZeroConstantTerm, ZeroElement)
 from .factorint import euler_phi
 from .fields import format_element, make_field, make_prime_field
 from .guards import ENV_VAR
@@ -39,6 +40,7 @@ _BAD_INPUT = (BadDegree, ZeroConstantTerm, UnknownKind, InvalidParity,
 _COUNT_KINDS = ("lfsr_prim", "lfsr_irr", "sigma_prim", "sigma_irr",
                 "gl_order", "tsr_order1", "tsr_m1")
 _ENUM_KINDS = _COUNT_KINDS + ("P_qmn", "P_mnq", "tsrp")
+_THREADS_HELP = "accepted for compatibility; work runs serially and output never changes"
 
 
 def _emit(obj) -> None:
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate ceiling; exit 3 when exhausted")
     p.add_argument("--allow-even-n", action="store_true",
                    help="permit even n for odd q (the search may be hopeless)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--emit", choices=("result", "provenance"), default="result",
                    help="also emit the construction trace")
     p.set_defaults(fn=cmd_search_tsr)
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int, nargs="?", default=None)
     p.add_argument("n", type=int, nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="emit each member, one per line")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("count-r", help="trace-one conjugacy class counts over F_{2^m}")
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", choices=TABLE_IDS)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.add_argument("--deep", action="store_true", help="r_table only: extend to m = 12")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--report", action="store_true",
                    help="also re-validate each bundled entry, one JSON line each")
     p.set_defaults(fn=cmd_tables)
@@ -242,12 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = os.environ.get(ENV_VAR)
     if args.guard_bits is not None:
         os.environ[ENV_VAR] = str(args.guard_bits)
     try:
         return args.fn(args)
     except ScaleExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
+        return EXIT_ARGS
+    except FactorizationOverflow as exc:
+        print(f"scale limit: {exc}", file=sys.stderr)
         return EXIT_ARGS
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
@@ -258,6 +264,12 @@ def main(argv=None) -> int:
     except TsrforgeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    finally:
+        # --guard-bits holds for this call only
+        if saved is None:
+            os.environ.pop(ENV_VAR, None)
+        else:
+            os.environ[ENV_VAR] = saved
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from .guards import check_custom, check_enumeration, guard_bits
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
 from .polys import Polynomial, format_poly
-from .primitivity import is_primitive_element, is_primitive_poly
+from .primitivity import is_primitive_poly, primitive_elements
 from .tsr import TsrSpec, is_primitive_tsr
 
 
@@ -73,11 +73,6 @@ def count_matrices_with_charpoly(p: Polynomial, m: int) -> int:
         if matrix_charpoly(M) == p:
             count += 1
     return count
-
-
-def primitive_elements(field: Field) -> list:
-    """Primitive elements in ascending canonical encoding."""
-    return [x for x in field.elements() if not x.is_zero() and is_primitive_element(x)]
 
 
 def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int = 1) -> list[Polynomial]:

@@ -9,7 +9,7 @@ and valid in any characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, NonSquareMatrix
 from .fields import Field, FieldElement

@@ -1,49 +1,19 @@
-"""Deterministic fan-out helpers.
+"""Order-preserving map and first-hit scan.
 
-Work is split into contiguous index blocks; block results are consumed in
-submission order, so the output never depends on the thread count.
+threads is accepted, never changes a result, and the work runs serially:
+the scans are pure-Python CPU work, which threads cannot overlap.
 """
-
-from concurrent.futures import ThreadPoolExecutor
-
-BLOCK = 1024
 
 
 def deterministic_map(fn, items, threads: int = 1) -> list:
-    """[fn(x) for x in items], optionally fanned out block-wise."""
-    items = list(items)
-    if threads <= 1 or len(items) <= BLOCK:
-        return [fn(x) for x in items]
-    blocks = [items[i:i + BLOCK] for i in range(0, len(items), BLOCK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda blk: [fn(x) for x in blk], blocks)
-        return [y for part in parts for y in part]
+    """[fn(x) for x in items]."""
+    return [fn(x) for x in items]
 
 
 def first_hit(probe, total: int, threads: int = 1):
-    """(index, value) for the least index where probe(i) is not None, else None.
-
-    Blocks are scanned in index order; the winner is minimal in scan order
-    regardless of thread count.
-    """
-    if threads <= 1:
-        for i in range(total):
-            v = probe(i)
-            if v is not None:
-                return i, v
-        return None
-
-    def scan(lo: int):
-        hi = min(lo + BLOCK, total)
-        for i in range(lo, hi):
-            v = probe(i)
-            if v is not None:
-                return i, v
-        return None
-
-    starts = range(0, total, BLOCK)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for res in pool.map(scan, starts):
-            if res is not None:
-                return res
+    """(index, value) for the least index where probe(i) is not None, else None."""
+    for i in range(total):
+        v = probe(i)
+        if v is not None:
+            return i, v
     return None

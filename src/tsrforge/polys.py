@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly
 from .fields import Field, FieldElement, format_element

@@ -91,12 +91,9 @@ def is_primitive_element(x: FieldElement) -> bool:
     return True
 
 
-def find_primitive_element(field: Field) -> FieldElement:
-    """First primitive element in ascending canonical encoding."""
-    for x in field.elements():
-        if not x.is_zero() and is_primitive_element(x):
-            return x
-    raise ZeroElement("field has no primitive element (impossible)")
+def primitive_elements(field: Field) -> list:
+    """Primitive elements in ascending canonical encoding."""
+    return [x for x in field.elements() if not x.is_zero() and is_primitive_element(x)]
 
 
 def minimal_polynomial(x: FieldElement, base_order: int) -> Polynomial:

@@ -25,7 +25,7 @@ from .parallel import first_hit
 from .polys import Polynomial
 from .primitivity import (PrimitivityCertificate, conjugate_product,
                           is_primitive_element, is_primitive_poly,
-                          minimal_polynomial)
+                          minimal_polynomial, primitive_elements)
 from .tsr import TsrSpec, tsr_charpoly_formula
 
 
@@ -128,6 +128,7 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
                          allow_even_n: bool = False, threads: int = 1) -> SearchResult:
     """First (f, g) hit in scan order, assembled into a primitive register."""
     check_shape(m, n)
+    _check_budget(budget)
     if q >= 3 and n % 2 == 0 and not allow_even_n:
         raise InvalidParity(f"n = {n} even is out of scope for q = {q} >= 3")
     check_field(q ** m, "block field")
@@ -141,9 +142,8 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
             break
         gs = list(_monic_scan(base, n, zero_constant=True))
 
-        def probe(idx, f=f, gs=gs):
-            comp = f.compose(gs[idx])
-            return gs[idx] if is_primitive_poly(comp)[0] else None
+        def probe(idx):
+            return gs[idx] if is_primitive_poly(f.compose(gs[idx]))[0] else None
 
         hit = first_hit(probe, remaining, threads)
         if hit is None:
@@ -152,6 +152,11 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
         tried += hit[0] + 1
         return _assemble(q, m, n, base, f, hit[1])
     raise BudgetExhausted(f"no primitive register found after {tried} candidate pairs", tried)
+
+
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget = {budget} must be >= 0")
 
 
 def _iter_primitive(field: Field, degree: int):
@@ -197,6 +202,7 @@ def verify_conjecture(q: int, m: int, n: int, form: str, budget: int | None = No
     composition: some f(g(X)) is primitive of degree mn over F_q, with f
     monic primitive of degree m and g monic of degree n, g(0) = 0.
     """
+    _check_budget(budget)
     if form == "direct":
         return _verify_direct(q, m, n, budget)
     if form == "composition":
@@ -208,7 +214,7 @@ def _direct_candidates(q: int, m: int, n: int):
     base = make_field(q)
     big = make_field(q ** m)
     _, embed, _ = subfield_maps(big, q)
-    lams = [x for x in big.elements() if not x.is_zero() and is_primitive_element(x)]
+    lams = primitive_elements(big)
     nonzero = [e for e in base.elements() if not e.is_zero()]
     elems = list(base.elements())
     for enc in range(q ** (n - 1)):

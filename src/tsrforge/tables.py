@@ -15,7 +15,7 @@ from .errors import TsrforgeError, UnknownKind
 from .fields import make_field, subfield_maps
 from .parallel import deterministic_map
 from .polys import Polynomial, format_poly, parse_poly
-from .primitivity import is_primitive_element, is_primitive_poly
+from .primitivity import is_primitive_poly, primitive_elements
 
 # shapes, little-endian over F_q
 _CUBIC_111 = (0, 1, 1, 1)        # x^3 + x^2 + x
@@ -136,8 +136,7 @@ def fiber_census(q: int, ext: int, shape: tuple[int, ...], threads: int = 1) -> 
     big = make_field(q ** ext)
     _, embed, _ = subfield_maps(big, q)
     g_big = Polynomial.make(big, [embed(base.element(c)) for c in shape])
-    lams = [x for x in big.elements() if not x.is_zero() and is_primitive_element(x)]
-    cands = [g_big + Polynomial.constant(big, lam) for lam in lams]
+    cands = [g_big + Polynomial.constant(big, lam) for lam in primitive_elements(big)]
     flags = deterministic_map(lambda f: is_primitive_poly(f)[0], cands, threads)
     return [f for f, ok in zip(cands, flags) if ok]
 
@@ -159,10 +158,8 @@ def generate_table(table_id: str, deep: bool = False, threads: int = 1) -> str:
             r, p2m2 = count_trace_one_classes(m)
             lines.append(f"{m},{r},{p2m2}")
         return "\n".join(lines) + "\n"
-    if table_id not in TABLES:
-        raise UnknownKind(f"unknown table {table_id!r}")
     lines = [f"# table {table_id}", "key,count,entries"]
-    for row in TABLES[table_id]:
+    for row in _rows(table_id):
         census = regenerate_row(row, threads)
         entries = ";".join(format_poly(f) for f in census)
         lines.append(f"{row[0]},{len(census)},{entries}")
@@ -175,10 +172,8 @@ def membership_report(table_id: str, threads: int = 1) -> list[tuple]:
     An entry is accepted when it parses under our field construction and
     equals a member of the regenerated row census.
     """
-    if table_id not in TABLES:
-        raise UnknownKind(f"unknown table {table_id!r}")
     report = []
-    for row in TABLES[table_id]:
+    for row in _rows(table_id):
         key, q, ext, shapes, texts = row
         big = make_field(q ** ext)
         census = set(regenerate_row(row, threads))
@@ -197,6 +192,10 @@ def membership_report(table_id: str, threads: int = 1) -> list[tuple]:
 
 def row_counts(table_id: str, threads: int = 1) -> dict:
     """key -> regenerated census size for the named table."""
+    return {row[0]: len(regenerate_row(row, threads)) for row in _rows(table_id)}
+
+
+def _rows(table_id: str) -> tuple:
     if table_id not in TABLES:
         raise UnknownKind(f"unknown table {table_id!r}")
-    return {row[0]: len(regenerate_row(row, threads)) for row in TABLES[table_id]}
+    return TABLES[table_id]

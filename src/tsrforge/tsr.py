@@ -10,7 +10,7 @@ column (B, c_1 B, ..., c_{n-1} B).
 from dataclasses import dataclass
 
 from .errors import BadDegree, DimensionMismatch, SingularB, ZeroConstantTerm
-from .factorint import factor_integer, merged_factorization, multiplicative_order_from
+from .factorint import merged_factorization, multiplicative_order_from
 from .fields import Field, FieldElement, base_digits, make_field
 from .guards import check_field
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
@@ -91,18 +91,20 @@ class Decomposition:
     n: int
 
     def recompose(self) -> Polynomial:
-        field = self.g.field
-        acc = Polynomial.zero(field)
-        g_pow = [Polynomial.one(field)]
-        for _ in range(self.m):
-            g_pow.append(g_pow[-1] * self.g)
-        for k in range(self.m + 1):
-            hk = self.h.coeff(k)
-            if hk.is_zero():
-                continue
-            term = g_pow[self.m - k].shift(self.n * k).scale(hk)
-            acc = acc + term
-        return acc
+        return _homogenize(self.h, self.g, self.m, self.n)
+
+
+def _homogenize(h: Polynomial, g: Polynomial, m: int, n: int) -> Polynomial:
+    """g^m h(X^n / g) with denominators cleared: sum of h_k X^{nk} g^{m-k}, k = 0..m."""
+    g_pow = [Polynomial.one(g.field)]
+    for _ in range(m):
+        g_pow.append(g_pow[-1] * g)
+    acc = Polynomial.zero(g.field)
+    for k in range(m + 1):
+        hk = h.coeff(k)
+        if not hk.is_zero():
+            acc = acc + g_pow[m - k].shift(n * k).scale(hk)
+    return acc
 
 
 def build_transition_matrix(spec: TsrSpec) -> Matrix:
@@ -154,19 +156,7 @@ def tap_polynomial(spec: TsrSpec) -> Polynomial:
 
 def tsr_charpoly_formula(spec: TsrSpec) -> Polynomial:
     """Denominator-cleared g_T^m Psi_B(X^n / g_T): sum of (Psi_B)_k X^{nk} g_T^{m-k}."""
-    psi_b = matrix_charpoly(spec.B)
-    g = tap_polynomial(spec)
-    field, m, n = spec.field, spec.m, spec.n
-    g_pow = [Polynomial.one(field)]
-    for _ in range(m):
-        g_pow.append(g_pow[-1] * g)
-    acc = Polynomial.zero(field)
-    for k in range(m + 1):
-        pk = psi_b.coeff(k)
-        if pk.is_zero():
-            continue
-        acc = acc + g_pow[m - k].shift(n * k).scale(pk)
-    return acc
+    return _homogenize(matrix_charpoly(spec.B), tap_polynomial(spec), spec.m, spec.n)
 
 
 def tsr_charpoly_direct(spec: TsrSpec) -> Polynomial:

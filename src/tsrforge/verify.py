@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from .cosets import count_trace_one_classes, primitive_trace_one_count, trace_one_class_summaries
 from .counting import (closed_form_count, count_matrices_with_charpoly,
                        enumerate_special_primitives, enumerate_tsrp_bruteforce,
-                       gl_matrices, tsrp_count_theorem, tsrp_upper_bound)
+                       gl_matrices, tsrp_count_theorem)
 from .errors import ScaleExceeded
-from .factorint import euler_phi, factor_integer
+from .factorint import euler_phi
 from .fields import make_field, subfield_maps
 from .guards import check_enumeration
 from .polys import Polynomial, format_poly, parse_poly

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, JSON shape, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -119,6 +120,17 @@ def test_search_tsr_budget_exhaustion_exits_3(capsys):
                            "--allow-even-n", "--budget", "5")
     assert code == 3
     assert "budget exhausted" in err
+
+
+def test_search_tsr_rejects_negative_budget(capsys):
+    code, out, err = run_cli(capsys, "search-tsr", "2", "2", "3", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "bad arguments" in err and "budget = -1" in err
+    # a zero budget still means "try nothing"
+    code, _, err = run_cli(capsys, "search-tsr", "2", "2", "3", "--budget", "0")
+    assert code == 3
+    assert "after 0 candidate pairs" in err
 
 
 def test_search_tsr_rejects_even_n_for_odd_q(capsys):
@@ -278,6 +290,23 @@ def test_guard_bits_flag_tightens_both_guards(capsys, monkeypatch):
     assert code == 2
     assert "guard violation" in err
     assert "exceeds the 2^3 guard" in err
+
+
+def test_guard_bits_flag_leaves_the_environment_unchanged(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert run_cli(capsys, "--guard-bits", "30", "bound", "2", "2", "2")[0] == 0
+    assert ENV_VAR not in os.environ
+    monkeypatch.setenv(ENV_VAR, "24")
+    assert run_cli(capsys, "--guard-bits", "30", "bound", "2", "2", "2")[0] == 0
+    assert os.environ[ENV_VAR] == "24"
+
+
+def test_factorization_bound_exits_2(capsys):
+    # 2^65: factoring the field order runs past the 2^64 bound at once
+    code, out, err = run_cli(capsys, "field", "36893488147419103232")
+    assert code == 2
+    assert out == ""
+    assert "2^64 factorization bound" in err
 
 
 def test_guard_env_variable(capsys, monkeypatch):

@@ -29,6 +29,17 @@ def test_first_hit_skips_earlier_blocks_without_hits():
         assert first_hit(probe, 5000, threads) == (4321, 4321)
 
 
+def test_first_hit_stops_at_the_first_hit():
+    calls = []
+
+    def probe(i):
+        calls.append(i)
+        return i if i == 5 else None
+
+    assert first_hit(probe, 10000, threads=2) == (5, 5)
+    assert len(calls) <= 6
+
+
 def test_first_hit_none():
     assert first_hit(lambda i: None, 3000, 4) is None
     assert first_hit(lambda i: None, 0, 2) is None

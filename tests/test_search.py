@@ -148,6 +148,14 @@ def test_conjecture_budget():
         verify_conjecture(3, 2, 3, "direct", budget=1)
 
 
+def test_negative_budget_is_refused():
+    with pytest.raises(ValueError, match="budget = -1"):
+        search_primitive_tsr(2, 2, 3, budget=-1)
+    for form in ("direct", "composition"):
+        with pytest.raises(ValueError, match="budget = -1"):
+            verify_conjecture(3, 2, 3, form, budget=-1)
+
+
 def test_conjecture_composition_definitive_empty():
     # full exhaustion without a hit is a definitive negative, not an error
     w = verify_conjecture(3, 3, 2, "composition")
