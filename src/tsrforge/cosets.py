@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import ScaleExceeded
+from .errors import ExistenceViolation, ScaleExceeded
 from .factorint import euler_phi
 from .fields import make_field, subfield_maps
 from .guards import check_field
@@ -102,7 +102,7 @@ def count_trace_one_classes(m: int) -> tuple[int, int]:
     Walks every multiply-by-2 orbit once; a single gcd decides whether the
     orbit consists of unit exponents, and the leader's trace
     x^j + x^{j*2^m} (one table lookup each) decides membership.  Unit orbit
-    sizes and the total unit count are asserted against phi(2^{2m}-1).
+    sizes and the total unit count are checked against phi(2^{2m}-1).
     """
     if m < 1:
         raise ScaleExceeded(f"m = {m} outside supported range")
@@ -124,11 +124,13 @@ def count_trace_one_classes(m: int) -> tuple[int, int]:
             cur = cur * 2 % group
         if gcd(j, group) != 1:
             continue
-        assert size == k, f"unit coset of leader {j} has size {size}, expected {k}"
+        if size != k:
+            raise ExistenceViolation(f"unit coset of leader {j} has size {size}, expected {k}")
         units += size
         if exp[j] ^ exp[(j << m) % group] == 1:
             r += 1
-    assert units == euler_phi(group), f"unit tally {units} != phi({group})"
+    if units != euler_phi(group):
+        raise ExistenceViolation(f"unit tally {units} != phi({group})")
     return r, r * m
 
 
@@ -162,7 +164,8 @@ def conjugate_class_summary(m: int, leader: int) -> ConjugateClassSummary:
     frob = x ** (2 ** m)
     t = descend(x + frob)
     nm = descend(x * frob)
-    assert t is not None and nm is not None, "relative trace/norm must land in the base field"
+    if t is None or nm is None:
+        raise ExistenceViolation("relative trace/norm must land in the base field")
     quads = []
     ti, ni = t, nm
     for _ in range(m):

@@ -23,8 +23,25 @@ def gl_order(q: int, m: int) -> int:
     return out
 
 
+# the shape arguments each closed-form kind reads
+_KIND_ARGS = {"lfsr_prim": "n", "lfsr_irr": "n", "sigma_prim": "mn", "sigma_irr": "mn",
+              "gl_order": "m", "tsr_order1": "m", "tsr_m1": "n"}
+
+
 def closed_form_count(kind: str, q: int, m: int | None = None, n: int | None = None) -> int:
-    """Exact closed-form census for the named register family."""
+    """Exact closed-form census for the named register family.
+
+    A q that is not a prime power, or an m or n the kind reads that is
+    missing or below 1, is refused.
+    """
+    if kind not in _KIND_ARGS:
+        raise UnknownKind(f"unknown census kind {kind!r}")
+    prime_power(q)
+    needs = _KIND_ARGS[kind]
+    for name, value, label in (("m", m, "block size"), ("n", n, "register length")):
+        if name in needs and value is None:
+            raise BadDegree(f"kind {kind!r} requires the {label} {name}")
+    check_shape(m if "m" in needs else 1, n if "n" in needs else 1)
     if kind == "lfsr_prim":
         return _exact_div(euler_phi(q ** n - 1), n)
     if kind == "lfsr_irr":
@@ -40,9 +57,7 @@ def closed_form_count(kind: str, q: int, m: int | None = None, n: int | None = N
         return gl_order(q, m)
     if kind == "tsr_order1":
         return _exact_div(gl_order(q, m), q ** m - 1) * _exact_div(euler_phi(q ** m - 1), m)
-    if kind == "tsr_m1":
-        return _exact_div(euler_phi(q ** n - 1), n)
-    raise UnknownKind(f"unknown census kind {kind!r}")
+    return _exact_div(euler_phi(q ** n - 1), n)  # tsr_m1
 
 
 def _gl_tail(q: int, m: int) -> int:

@@ -10,8 +10,9 @@ encoding in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from functools import lru_cache, partial
+from operator import and_, pos, xor
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BaseNotSubfield,
@@ -71,88 +72,219 @@ def prime_power(q: int) -> tuple[int, int]:
     return factors[0]
 
 
-# --- base-field coefficient-vector arithmetic (lists of ints mod p) ---
+# --- the integer kernel: polynomials as little-endian lists of canonical ints ---
+#
+# Each loop runs over one field's FieldOps.  Over F_p the lists are the
+# coefficient vectors that the modulus search and the large-field element
+# arithmetic work on; polys.py runs the same loops over F_q[X] with F_q's ops.
+# Lists come out trimmed (no trailing zeros); the zero polynomial is [].
 
-def _vec_trim(c: list[int]) -> list[int]:
+TABLE_MAX_ORDER = 1 << 16  # extension fields up to this order multiply by exp/log tables
+
+
+class FieldOps(NamedTuple):
+    """add, neg, mul and inv on canonical encodings; inv needs a nonzero argument."""
+
+    add: Callable[[int, int], int]
+    neg: Callable[[int], int]
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]
+
+
+def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _vec_add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _vec_trim(out)
+def _encode(digits: Sequence[int], p: int) -> int:
+    """Inverse of base_digits: sum of digits[i] * p**i."""
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d
+    return v
 
 
-def _vec_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def int_poly_mul(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> list[int]:
     if not a or not b:
         return []
+    add, mul = ops.add, ops.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _vec_trim(out)
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return _trim(out)
 
 
-def _vec_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    r = list(a)
-    _vec_trim(r)
+def int_poly_divrem(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> tuple[list[int], list[int]]:
+    """(quot, rem) with a = quot*b + rem, deg rem < deg b; b trimmed and nonzero."""
+    rem = _trim(list(a))
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1] * inv_lead % p
-        d = len(r) - 1 - db
-        q[d] = c
-        for i in range(db + 1):
-            r[d + i] = (r[d + i] - c * b[i]) % p
-        _vec_trim(r)
-    return q, r
+    if len(rem) <= db:
+        return [], rem
+    add, mul, neg = ops.add, ops.mul, ops.neg
+    inv_lead = ops.inv(b[-1])
+    tail = [mul(neg(c), inv_lead) for c in b[:-1]]  # -b_i / lead(b)
+    quot = [0] * (len(rem) - db)
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = rem[top]
+        if c:
+            quot[top - db] = mul(c, inv_lead)
+            for i, t in enumerate(tail, top - db):
+                if t:
+                    rem[i] = add(rem[i], mul(c, t))
+    del rem[db:]
+    return quot, _trim(rem)
 
 
-def _vec_modpow(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+def int_poly_modpow(base: Sequence[int], e: int, mod: Sequence[int], ops: FieldOps) -> list[int]:
+    """base^e mod mod by square-and-multiply; mod of degree >= 1."""
     result = [1]
-    acc = _vec_divmod(base, mod, p)[1]
+    acc = int_poly_divrem(base, mod, ops)[1]
     while e:
         if e & 1:
-            result = _vec_divmod(_vec_mul(result, acc, p), mod, p)[1]
+            result = int_poly_divrem(int_poly_mul(result, acc, ops), mod, ops)[1]
         e >>= 1
-        acc = _vec_divmod(_vec_mul(acc, acc, p), mod, p)[1]
+        if e:
+            acc = int_poly_divrem(int_poly_mul(acc, acc, ops), mod, ops)[1]
     return result
 
 
-def _vec_egcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Return (g, u) with u*a = g (mod b), g = gcd(a, b) normalized monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    while r1:
-        q, r = _vec_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _vec_add(u0, [(-v) % p for v in _vec_mul(q, u1, p)], p)
-    if r0:
-        inv_lead = pow(r0[-1], p - 2, p)
-        r0 = [v * inv_lead % p for v in r0]
-        u0 = [v * inv_lead % p for v in u0]
-    return r0, u0
+def int_poly_gcd(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> list[int]:
+    """Monic gcd; [] when both are zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, int_poly_divrem(a, b, ops)[1]
+    if a:
+        inv_lead = ops.inv(a[-1])
+        a = [ops.mul(c, inv_lead) for c in a]
+    return a
+
+
+@lru_cache(maxsize=None)
+def _field_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
+    """F_p by % p, F_{p^k} by exp/log tables up to TABLE_MAX_ORDER, else by vectors."""
+    if k == 1:
+        if p == 2:
+            return FieldOps(xor, pos, and_, pos)
+        return FieldOps(lambda a, b: (a + b) % p, lambda a: -a % p,
+                        lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
+    if p ** k <= TABLE_MAX_ORDER:
+        return _table_ops(p, k, modulus)
+    return _vector_ops(p, k, modulus)
+
+
+def _vector_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
+    """Ops that decode to coefficient vectors over F_p and reduce by the modulus."""
+    prime = _field_ops(p, 1, (0, 1))
+    q = p ** k
+
+    def vec(v: int) -> list[int]:
+        return _trim(base_digits(v, p, k))
+
+    def mul(a: int, b: int) -> int:
+        return _encode(int_poly_divrem(int_poly_mul(vec(a), vec(b), prime), modulus, prime)[1], p)
+
+    def inv(a: int) -> int:
+        return _encode(int_poly_modpow(vec(a), q - 2, modulus, prime), p)
+
+    if p == 2:
+        return FieldOps(xor, pos, mul, inv)
+    return FieldOps(
+        lambda a, b: _encode([(x + y) % p for x, y in zip(base_digits(a, p, k), base_digits(b, p, k))], p),
+        lambda a: _encode([-x % p for x in base_digits(a, p, k)], p),
+        mul, inv)
+
+
+def _table_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
+    """exp/log ops on a primitive element g; addition by XOR (p = 2) or a Zech table.
+
+    log[0] is a sentinel past every sum of two logs of nonzero elements, and
+    exp holds zeros from there on, so a product with 0 needs no branch.
+    exp, log and zech each have O(q) entries.
+    """
+    n = p ** k - 1
+    powers = _generator_powers(p, k, modulus)
+    zero_log = 2 * n - 1
+    log = [zero_log] * (n + 1)
+    for i, v in enumerate(powers):
+        log[v] = i
+    exp = powers + powers[:-1] + [0] * (2 * n)
+
+    def mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]]
+
+    def inv(a: int) -> int:
+        return exp[n - log[a]]
+
+    if p == 2:
+        return FieldOps(xor, pos, mul, inv)
+    half = n // 2  # g^half = -1 in odd characteristic
+    # zech[d] = log(1 + g^d); 1 + v only changes the lowest base-p digit of v.
+    # A negative d indexes zech[n + d], which is d mod n.
+    zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
+
+    def add(a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        return exp[la + zech[log[b] - la]]
+
+    def neg(a: int) -> int:
+        return exp[log[a] + half]
+
+    return FieldOps(add, neg, mul, inv)
+
+
+def _generator_powers(p: int, k: int, modulus: tuple[int, ...]) -> list[int]:
+    """g^0 .. g^(q-2) for a primitive g: x when the modulus is primitive, else the least one."""
+    q = p ** k
+    for g in [p] + [v for v in range(2, q) if v != p]:
+        step = _times_x(p, k, modulus) if g == p else partial(_vector_ops(p, k, modulus).mul, g)
+        powers = [1]
+        v = step(1)
+        while v != 1 and len(powers) < q - 1:
+            powers.append(v)
+            v = step(v)
+        if v == 1 and len(powers) == q - 1:
+            return powers
+    raise ReducibleModulus("no primitive element; the modulus is not irreducible")
+
+
+def _times_x(p: int, k: int, modulus: tuple[int, ...]) -> Callable[[int], int]:
+    """v -> v*x on canonical encodings: shift the digits up, fold x^k back by the modulus."""
+    top = p ** (k - 1)
+    if p == 2:
+        mask = _encode(modulus, 2)
+        return lambda v: (v << 1) ^ mask if v >= top else v << 1
+    # fold[t] = digits of -t * (modulus - x^k)
+    fold = [[-t * c % p for c in modulus[:-1]] for t in range(p)]
+
+    def times_x(v: int) -> int:
+        t, low = divmod(v, top)
+        shifted = base_digits(low * p, p, k)
+        return _encode([(a + b) % p for a, b in zip(shifted, fold[t])], p)
+
+    return times_x
 
 
 def _vec_is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Rabin's test on a monic coefficient vector over F_p."""
     k = len(f) - 1
     if k < 1:
         return False
+    ops = _field_ops(p, 1, (0, 1))
     x = [0, 1]
-    if _vec_modpow(x, p ** k, f, p) != _vec_divmod(x, f, p)[1]:
+    if int_poly_modpow(x, p ** k, f, ops) != int_poly_divrem(x, f, ops)[1]:
         return False
     for ell in factor_integer(k).primes:
-        t = _vec_modpow(x, p ** (k // ell), f, p)
-        t = _vec_add(t, [0, p - 1], p)
-        if len(_vec_egcd(t, f, p)[0]) - 1 != 0:
+        t = int_poly_modpow(x, p ** (k // ell), f, ops) + [0, 0]
+        t[1] = ops.add(t[1], p - 1)  # X^(p^(k/l)) - X
+        if len(int_poly_gcd(t, f, ops)) != 1:
             return False
     return True
 
@@ -161,9 +293,10 @@ def _vec_is_primitive(f: Sequence[int], p: int) -> bool:
     k = len(f) - 1
     if f[0] == 0 or not _vec_is_irreducible(f, p):
         return False
+    ops = _field_ops(p, 1, (0, 1))
     order = p ** k - 1
     for ell in factor_integer(order).primes:
-        if _vec_modpow([0, 1], order // ell, f, p) == [1]:
+        if int_poly_modpow([0, 1], order // ell, f, ops) == [1]:
             return False
     return True
 
@@ -191,11 +324,7 @@ class FieldElement:
 
     @property
     def int_value(self) -> int:
-        p = self.owner.characteristic
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * p + c
-        return v
+        return _encode(self.coeffs, self.owner.characteristic)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -223,25 +352,15 @@ class FieldElement:
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         f = self.owner
-        p = f.characteristic
         if f.extension_degree == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = _vec_mul(self.coeffs, other.coeffs, p)
-        rem = _vec_divmod(prod, f._modulus_vec, p)[1] if len(prod) >= f.extension_degree + 1 else prod
-        return f._from_vec(rem)
+            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % f.characteristic,))
+        return f.element(f.ops.mul(self.int_value, other.int_value))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroElement("zero has no multiplicative inverse")
         f = self.owner
-        p = f.characteristic
-        if f.extension_degree == 1:
-            return FieldElement(f, (pow(self.coeffs[0], p - 2, p),))
-        g, u = _vec_egcd(_vec_trim(list(self.coeffs)), list(f._modulus_vec), p)
-        if len(g) != 1:
-            raise ZeroElement("element not invertible (modulus not irreducible?)")
-        inv_g = pow(g[0], p - 2, p)
-        return f._from_vec([v * inv_g % p for v in u])
+        return f.element(f.ops.inv(self.int_value))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -282,6 +401,11 @@ class Field:
         return self.characteristic ** self.extension_degree
 
     @property
+    def ops(self) -> FieldOps:
+        """add, neg, mul and inv on canonical encodings, built once per equal field."""
+        return _field_ops(self.characteristic, self.extension_degree, self._modulus_vec)
+
+    @property
     def modulus_coeffs(self) -> Optional[tuple[int, ...]]:
         """Little-endian F_p coefficients of the modulus, or None for prime fields."""
         if self.extension_degree == 1:
@@ -302,11 +426,6 @@ class Field:
         if len(coeffs) > k:
             raise ValueError("coefficient vector too long")
         coeffs += [0] * (k - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
-
-    def _from_vec(self, vec: Sequence[int]) -> FieldElement:
-        k = self.extension_degree
-        coeffs = list(vec[:k]) + [0] * (k - len(vec))
         return FieldElement(self, tuple(coeffs))
 
     def zero(self) -> FieldElement:

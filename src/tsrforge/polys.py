@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly
-from .fields import Field, FieldElement, format_element
+from .fields import (Field, FieldElement, format_element, int_poly_divrem,
+                     int_poly_gcd, int_poly_modpow, int_poly_mul)
 
 NEG_INF = float("-inf")
 
@@ -86,16 +87,8 @@ class Polynomial:
         return Polynomial(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return Polynomial.make(self.field, out)
+        field = _common_field(self, other)
+        return _from_ints(field, int_poly_mul(_ints(self), _ints(other), field.ops))
 
     def scale(self, c: FieldElement) -> "Polynomial":
         return Polynomial.make(self.field, [a * c for a in self.coeffs])
@@ -156,26 +149,31 @@ class Polynomial:
         return f"Polynomial({format_poly(self)!r} over {self.field!r})"
 
 
+# Polynomial.__mul__, poly_divrem, poly_modpow and poly_gcd convert at the
+# edge and run the integer kernel of fields.py on canonical encodings.
+
+def _ints(p: Polynomial) -> list[int]:
+    return [c.int_value for c in p.coeffs]
+
+
+def _from_ints(field: Field, coeffs: list[int]) -> Polynomial:
+    """The polynomial of a trimmed list of canonical encodings."""
+    return Polynomial(field, tuple(map(field.element, coeffs)))
+
+
+def _common_field(a: Polynomial, b: Polynomial) -> Field:
+    if a.field is not b.field and a.field != b.field:
+        raise ValueError("elements belong to different fields")
+    return a.field
+
+
 def poly_divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """(quot, rem) with a = quot*b + rem, deg rem < deg b."""
     if b.is_zero():
         raise DivisionByZeroPoly("division by the zero polynomial")
-    field = a.field
-    if a.degree < b.degree:
-        return Polynomial.zero(field), a
-    inv_lead = b.leading.inverse()
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    quot = [field.zero()] * (len(rem) - db)
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = rem[top]
-        if c.is_zero():
-            continue
-        c = c * inv_lead
-        quot[top - db] = c
-        for i, bc in enumerate(b.coeffs):
-            rem[top - db + i] = rem[top - db + i] - c * bc
-    return Polynomial.make(field, quot), Polynomial.make(field, rem)
+    field = _common_field(a, b)
+    quot, rem = int_poly_divrem(_ints(a), _ints(b), field.ops)
+    return _from_ints(field, quot), _from_ints(field, rem)
 
 
 def poly_mod(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -186,20 +184,14 @@ def poly_modpow(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     """base^e mod modulus by square-and-multiply."""
     if modulus.degree < 1:
         raise DivisionByZeroPoly("modulus must have degree >= 1")
-    result = Polynomial.one(base.field)
-    acc = poly_mod(base, modulus)
-    while e:
-        if e & 1:
-            result = poly_mod(result * acc, modulus)
-        e >>= 1
-        acc = poly_mod(acc * acc, modulus)
-    return result
+    field = _common_field(base, modulus)
+    return _from_ints(field, int_poly_modpow(_ints(base), e, _ints(modulus), field.ops))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        a, b = b, poly_mod(a, b)
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd; zero when both are zero."""
+    field = _common_field(a, b)
+    return _from_ints(field, int_poly_gcd(_ints(a), _ints(b), field.ops))
 
 
 # --- canonical text format ---

@@ -86,13 +86,16 @@ def _monic_scan(field: Field, degree: int, zero_constant: bool):
 
     zero_constant pins the constant term to 0 and scans the middle digits.
     """
-    q = field.order
-    elems = list(field.elements())
     free = degree - 1 if zero_constant else degree
-    head = [field.zero()] if zero_constant else []
-    for enc in range(q ** free):
-        mids = [elems[d] for d in base_digits(enc, q, free)]
-        yield Polynomial.make(field, head + mids + [field.one()])
+    for enc in range(field.order ** free):
+        yield _monic_poly(field, degree, zero_constant, enc)
+
+
+def _monic_poly(field: Field, degree: int, zero_constant: bool, enc: int) -> Polynomial:
+    """The polynomial at position enc of _monic_scan(field, degree, zero_constant)."""
+    free = degree - 1 if zero_constant else degree
+    head = [0] if zero_constant else []
+    return Polynomial.make(field, head + base_digits(enc, field.order, free) + [1])
 
 
 def primitive_polys(field: Field, degree: int) -> list[Polynomial]:
@@ -140,10 +143,11 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
         remaining = g_total if budget is None else min(g_total, budget - tried)
         if remaining <= 0:
             break
-        gs = list(_monic_scan(base, n, zero_constant=True))
 
         def probe(idx):
-            return gs[idx] if is_primitive_poly(f.compose(gs[idx]))[0] else None
+            # g is built when probed: the scan usually hits long before g_total
+            g = _monic_poly(base, n, True, idx)
+            return g if is_primitive_poly(f.compose(g))[0] else None
 
         hit = first_hit(probe, remaining, threads)
         if hit is None:
@@ -178,11 +182,13 @@ def _assemble(q: int, m: int, n: int, base: Field, f: Polynomial, g: Polynomial)
     spec = TsrSpec(base, m, n, taps, A)
     charpoly = tsr_charpoly_formula(spec)
     step8 = _over(conjugate_product(step5, q), base)
-    assert step8 == charpoly, "conjugate-product replay must reproduce the characteristic polynomial"
-    assert reciprocal(f.compose(g), m * n) == charpoly, \
-        "characteristic polynomial must be the monic reciprocal of f(g(X))"
+    if step8 != charpoly:
+        raise ExistenceViolation("conjugate-product replay must reproduce the characteristic polynomial")
+    if reciprocal(f.compose(g), m * n) != charpoly:
+        raise ExistenceViolation("characteristic polynomial must be the monic reciprocal of f(g(X))")
     ok, cert = is_primitive_poly(charpoly)
-    assert ok, "accepted composition must yield a primitive characteristic polynomial"
+    if not ok:
+        raise ExistenceViolation("accepted composition must yield a primitive characteristic polynomial")
     prov = SearchProvenance(f, g, alpha, lam, step5, h, A, step8)
     return SearchResult(spec, charpoly, cert, prov)
 

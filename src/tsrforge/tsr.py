@@ -9,7 +9,8 @@ column (B, c_1 B, ..., c_{n-1} B).
 
 from dataclasses import dataclass
 
-from .errors import BadDegree, DimensionMismatch, SingularB, ZeroConstantTerm
+from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB,
+                     ZeroConstantTerm)
 from .factorint import merged_factorization, multiplicative_order_from
 from .fields import Field, FieldElement, base_digits, make_field
 from .guards import check_field
@@ -178,7 +179,8 @@ def tsr_period(spec: TsrSpec) -> int:
         X = Polynomial.x(spec.field)
         one = Polynomial.one(spec.field)
         pow_fn = lambda e: poly_modpow(X, e, psi)
-        assert pow_fn(exponent) == one, "exponent bound must annihilate X mod psi"
+        if pow_fn(exponent) != one:
+            raise ExistenceViolation("exponent bound must annihilate X mod psi")
         return multiplicative_order_from(pow_fn, one, exponent, exp_factors)
     # repeated factors: order the matrix itself, exponent padded by the
     # characteristic part covering unipotent blocks
@@ -195,7 +197,8 @@ def tsr_period(spec: TsrSpec) -> int:
     T = build_transition_matrix(spec)
     ident = Matrix.identity(spec.field, mn)
     pow_fn = lambda e: T.power(e)
-    assert pow_fn(exponent) == ident, "exponent bound must annihilate T"
+    if pow_fn(exponent) != ident:
+        raise ExistenceViolation("exponent bound must annihilate T")
     return multiplicative_order_from(pow_fn, ident, exponent, factors)
 
 

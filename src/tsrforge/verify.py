@@ -29,15 +29,21 @@ class CheckResult:
     detail: str
 
 
+def _require(cond, detail="") -> None:
+    """A check that still runs under python -O, reported like a failed assert."""
+    if not cond:
+        raise AssertionError(detail)
+
+
 def _check_field_arithmetic():
     for q in (8, 9, 25):
         f = make_field(q)
         g = f.gen()
-        assert g ** (q - 1) == f.one(), f"gen order defect in F_{q}"
+        _require(g ** (q - 1) == f.one(), f"gen order defect in F_{q}")
         xs = list(f.elements())
         a, b, c = xs[1], xs[q // 2], xs[q - 1]
-        assert a * (b + c) == a * b + a * c, f"distributivity defect in F_{q}"
-        assert (a * b) * c == a * (b * c), f"associativity defect in F_{q}"
+        _require(a * (b + c) == a * b + a * c, f"distributivity defect in F_{q}")
+        _require((a * b) * c == a * (b * c), f"associativity defect in F_{q}")
     return "F_8, F_9, F_25 arithmetic laws hold"
 
 
@@ -47,10 +53,10 @@ def _check_subfield_maps():
     xs = list(base.elements())
     for a in xs:
         for b in xs:
-            assert embed(a) * embed(b) == embed(a * b), "embedding breaks products"
-            assert embed(a) + embed(b) == embed(a + b), "embedding breaks sums"
+            _require(embed(a) * embed(b) == embed(a * b), "embedding breaks products")
+            _require(embed(a) + embed(b) == embed(a + b), "embedding breaks sums")
             got = descend(embed(a))
-            assert got == a, "descend does not invert embed"
+            _require(got == a, "descend does not invert embed")
     return "F_4 -> F_64 embedding is a field homomorphism with exact descent"
 
 
@@ -58,10 +64,10 @@ def _check_primitivity_known():
     f2 = make_field(2)
     notp = parse_poly("x^4 + x^3 + x^2 + x + 1", f2)
     ok, _ = is_primitive_poly(notp)
-    assert not ok, "order-5 quartic accepted as primitive"
+    _require(not ok, "order-5 quartic accepted as primitive")
     isp = parse_poly("x^4 + x + 1", f2)
     ok, cert = is_primitive_poly(isp)
-    assert ok and cert.group_order == 15, "known primitive quartic rejected"
+    _require(ok and cert.group_order == 15, "known primitive quartic rejected")
     return "classic degree-4 primitive / non-primitive pair classified correctly"
 
 
@@ -69,12 +75,12 @@ def _check_minimal_polynomial():
     big = make_field(16)
     g = big.gen()
     mp = minimal_polynomial(g, 2)
-    assert mp.degree == 4, "generator minimal polynomial has wrong degree"
+    _require(mp.degree == 4, "generator minimal polynomial has wrong degree")
     ok, _ = is_primitive_poly(mp)
-    assert ok, "generator minimal polynomial not primitive"
+    _require(ok, "generator minimal polynomial not primitive")
     lifted = Polynomial.make(big, [big.element(int(c.int_value)) for c in mp.coeffs])
     val = sum((lifted.coeff(i) * g ** i for i in range(1, 5)), lifted.coeff(0) * big.one())
-    assert val.is_zero(), "generator does not satisfy its minimal polynomial"
+    _require(val.is_zero(), "generator does not satisfy its minimal polynomial")
     return "F_16 generator minimal polynomial: degree 4, primitive, annihilating"
 
 
@@ -82,41 +88,41 @@ def _check_conjugate_product():
     big = make_field(9)
     p = parse_poly("x^2 + x + a", big)
     down = conjugate_product(p, 3)
-    assert down.field.order == 3 and down.degree == 4, "conjugate product shape defect"
+    _require(down.field.order == 3 and down.degree == 4, "conjugate product shape defect")
     _, embed, _ = subfield_maps(big, 3)
     lifted = Polynomial.make(big, [embed(c) for c in down.coeffs])
     from .polys import poly_divrem
     _, rem = poly_divrem(lifted, p)
-    assert rem.is_zero(), "original does not divide its conjugate product"
+    _require(rem.is_zero(), "original does not divide its conjugate product")
     return "conjugate product over F_9 lands in F_3[x] and is divisible by the input"
 
 
 def _check_closed_form_counts():
-    assert closed_form_count("lfsr_prim", 2, n=4) == 2
-    assert closed_form_count("lfsr_irr", 2, n=4) == 3
-    assert closed_form_count("lfsr_prim", 3, n=2) == euler_phi(8) // 2
-    assert closed_form_count("gl_order", 2, m=2) == 6
+    _require(closed_form_count("lfsr_prim", 2, n=4) == 2)
+    _require(closed_form_count("lfsr_irr", 2, n=4) == 3)
+    _require(closed_form_count("lfsr_prim", 3, n=2) == euler_phi(8) // 2)
+    _require(closed_form_count("gl_order", 2, m=2) == 6)
     return "closed-form polynomial and GL counts match hand values"
 
 
 def _check_matrix_census():
     f2 = make_field(2)
     p2 = parse_poly("x^2 + x + 1", f2)
-    assert count_matrices_with_charpoly(p2, 2) == 2
+    _require(count_matrices_with_charpoly(p2, 2) == 2)
     f3 = make_field(3)
     p3 = parse_poly("x^2 + x + 2", f3)
-    assert count_matrices_with_charpoly(p3, 2) == 6
+    _require(count_matrices_with_charpoly(p3, 2) == 6)
     return "matrix censuses for the two reference characteristic polynomials"
 
 
 def _check_special_enumerations():
     got = enumerate_special_primitives(2, 2, 3, "P_mnq")
     texts = sorted(format_poly(p) for p in got)
-    assert texts == ["x^3 + x^2 + x + (a+1)", "x^3 + x^2 + x + a"], texts
+    _require(texts == ["x^3 + x^2 + x + (a+1)", "x^3 + x^2 + x + a"], texts)
     other = enumerate_special_primitives(2, 2, 3, "P_qmn")
-    assert len(other) == len(got), "reciprocal families differ in size"
+    _require(len(other) == len(got), "reciprocal families differ in size")
     recips = {format_poly(reciprocal(p, p.degree)) for p in got}
-    assert recips == {format_poly(p) for p in other}, "reciprocal bijection defect"
+    _require(recips == {format_poly(p) for p in other}, "reciprocal bijection defect")
     return "P(2,2,3) census and its reciprocal bijection"
 
 
@@ -130,23 +136,23 @@ def _check_tsr_charpoly():
         B = Bs[rng.randrange(len(Bs))]
         c = tuple(f.element(rng.randrange(q)) for _ in range(n - 1))
         spec = TsrSpec(f, m, n, c, B)
-        assert tsr_charpoly_formula(spec) == tsr_charpoly_direct(spec), "formula/direct mismatch"
+        _require(tsr_charpoly_formula(spec) == tsr_charpoly_direct(spec), "formula/direct mismatch")
     return "resultant formula equals direct block-matrix characteristic polynomial"
 
 
 def _check_search_small():
     res = search_primitive_tsr(2, 2, 3)
-    assert tsr_period(res.spec) == 2 ** 6 - 1, "search result is not full-period"
+    _require(tsr_period(res.spec) == 2 ** 6 - 1, "search result is not full-period")
     res2 = search_primitive_tsr(3, 2, 3)
-    assert tsr_period(res2.spec) == 3 ** 6 - 1, "base-3 search result is not full-period"
+    _require(tsr_period(res2.spec) == 3 ** 6 - 1, "base-3 search result is not full-period")
     return "searched TSRs at (2,2,3) and (3,2,3) reach full period"
 
 
 def _check_conjecture_smoke():
     w = verify_conjecture(2, 2, 2, "direct")
-    assert w.found and w.conversion_ok, "direct witness at (2,2,2) missing or unconvertible"
+    _require(w.found and w.conversion_ok, "direct witness at (2,2,2) missing or unconvertible")
     w2 = verify_conjecture(2, 2, 2, "composition")
-    assert w2.found and w2.conversion_ok, "composition witness at (2,2,2) missing or unconvertible"
+    _require(w2.found and w2.conversion_ok, "composition witness at (2,2,2) missing or unconvertible")
     return "both witness forms exist and cross-convert at (2,2,2)"
 
 
@@ -154,36 +160,36 @@ def _check_r_small():
     want = {2: (1, 2), 3: (1, 3), 4: (1, 4), 5: (2, 10), 6: (3, 18), 7: (6, 42)}
     for m, pair in want.items():
         got = count_trace_one_classes(m)
-        assert got == pair, f"m={m}: {got} != {pair}"
+        _require(got == pair, f"m={m}: {got} != {pair}")
     return "class counts r and class-size products for m = 2..7"
 
 
 def _check_element_tally():
     for m in range(2, 7):
         r, _ = count_trace_one_classes(m)
-        assert primitive_trace_one_count(m) == 2 * r * m, f"element tally defect at m={m}"
+        _require(primitive_trace_one_count(m) == 2 * r * m, f"element tally defect at m={m}")
     return "element-level tally equals 2rm for m = 2..6"
 
 
 def _check_quadratic_census():
     summaries = trace_one_class_summaries(2)
     quads = {format_poly(qd) for s in summaries for qd in s.quadratics}
-    assert quads == {"x^2 + x + a", "x^2 + x + (a+1)"}, quads
+    _require(quads == {"x^2 + x + a", "x^2 + x + (a+1)"}, quads)
     return "m=2 trace-one quadratics equal the degree-2 census over F_4"
 
 
 def _check_r_bound():
     for m in range(2, 9):
         r, _ = count_trace_one_classes(m)
-        assert r * m <= euler_phi(2 ** m - 1), f"class bound violated at m={m}"
+        _require(r * m <= euler_phi(2 ** m - 1), f"class bound violated at m={m}")
     return "r <= phi(2^m - 1)/m for m = 2..8"
 
 
 def _check_tables_quick():
-    assert row_counts("t1")[2] == 2
-    assert row_counts("t3") == {4: 2, 5: 2, 6: 2, 7: 28}
+    _require(row_counts("t1")[2] == 2)
+    _require(row_counts("t3") == {4: 2, 5: 2, 6: 2, 7: 28})
     rep = membership_report("t2")
-    assert all(ok for _, _, ok, _ in rep), "a bundled degree-3 entry failed re-validation"
+    _require(all(ok for _, _, ok, _ in rep), "a bundled degree-3 entry failed re-validation")
     return "base-2 table rows regenerate with every bundled entry re-validated"
 
 
@@ -200,24 +206,24 @@ def _check_bruteforce_theorem():
         brute = len(enumerate_tsrp_bruteforce(q, m, n))
         p_count = len(enumerate_special_primitives(q, m, n, "P_mnq"))
         theo = tsrp_count_theorem(q, m, n, p_count)
-        assert brute == theo, f"({q},{m},{n}): brute {brute} != theorem {theo}"
+        _require(brute == theo, f"({q},{m},{n}): brute {brute} != theorem {theo}")
     return "brute-force census equals fibration count at (2,2,2) and (3,2,1)"
 
 
 def _check_r_deep():
-    assert count_trace_one_classes(11) == (57, 627)
-    assert count_trace_one_classes(12) == (68, 816)
+    _require(count_trace_one_classes(11) == (57, 627))
+    _require(count_trace_one_classes(12) == (68, 816))
     return "deep class counts at m = 11, 12"
 
 
 def _check_base3_enumerations():
     brute = enumerate_tsrp_bruteforce(3, 2, 1)
-    assert len(brute) == 12
+    _require(len(brute) == 12)
     p_count = len(enumerate_special_primitives(3, 2, 3, "P_mnq"))
     theo = tsrp_count_theorem(3, 2, 3, p_count)
     brute33 = len(enumerate_tsrp_bruteforce(3, 2, 3))
-    assert brute33 == theo, f"(3,2,3): brute {brute33} != theorem {theo}"
-    assert closed_form_count("tsr_order1", 3, m=2) == 12
+    _require(brute33 == theo, f"(3,2,3): brute {brute33} != theorem {theo}")
+    _require(closed_form_count("tsr_order1", 3, m=2) == 12)
     return "base-3 brute-force enumerations match the fibration counts"
 
 
@@ -232,25 +238,25 @@ def _check_conjecture_grid():
                     w = verify_conjecture(q, m, n, form)
                     if not (w.found and w.conversion_ok):
                         bad.append((q, m, n, form))
-    assert not bad, f"witness or conversion missing at {bad}"
+    _require(not bad, f"witness or conversion missing at {bad}")
     return "11-point grid: witnesses found in both forms, all cross-convert"
 
 
 def _check_composition_gap():
     w = verify_conjecture(3, 3, 2, "composition")
-    assert not w.found, "composition witness unexpectedly exists at (3,3,2)"
+    _require(not w.found, "composition witness unexpectedly exists at (3,3,2)")
     d = verify_conjecture(3, 3, 2, "direct")
-    assert d.found and not d.conversion_ok, "(3,3,2) direct behavior changed"
+    _require(d.found and not d.conversion_ok, "(3,3,2) direct behavior changed")
     return "(3,3,2): direct witness exists, composition family provably empty"
 
 
 def _check_tables_full():
     sizes = {tid: len(membership_report(tid)) for tid in ("t1", "t4", "t5")}
-    assert sizes == {"t1": 16, "t4": 45, "t5": 34}, sizes
+    _require(sizes == {"t1": 16, "t4": 45, "t5": 34}, sizes)
     counts = {"t1": row_counts("t1"), "t4": row_counts("t4"), "t5": row_counts("t5")}
-    assert counts["t1"] == {2: 2, 3: 0, 5: 4, 7: 2, 11: 6}, counts["t1"]
-    assert counts["t4"] == {3: 0, 4: 24}, counts["t4"]
-    assert counts["t5"] == {2: 2, 3: 0, 5: 4, 7: 2, 11: 14, 13: 10}, counts["t5"]
+    _require(counts["t1"] == {2: 2, 3: 0, 5: 4, 7: 2, 11: 6}, counts["t1"])
+    _require(counts["t4"] == {3: 0, 4: 24}, counts["t4"])
+    _require(counts["t5"] == {2: 2, 3: 0, 5: 4, 7: 2, 11: 14, 13: 10}, counts["t5"])
     return "regenerated row counts stable for the odd-characteristic tables"
 
 

@@ -314,3 +314,17 @@ def test_guard_env_variable(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enumerate", "P_qmn", "2", "4", "3")
     assert code == 2
     assert "guard violation" in err
+
+
+def test_enumerate_closed_forms_refuse_bad_arguments(capsys):
+    for argv, name in ((("lfsr_prim", "2"), "requires the register length n"),
+                       (("lfsr_prim", "6", "4"), "6 is not a prime power"),
+                       (("lfsr_prim", "6", "1", "4"), "6 is not a prime power"),
+                       (("gl_order", "2", "0"), "m = 0"),
+                       (("sigma_prim", "2", "2"), "requires the register length n"),
+                       (("tsr_order1", "2"), "requires the block size m"),
+                       (("tsr_m1", "2", "1", "0"), "n = 0")):
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        assert code == 2
+        assert out == ""
+        assert "bad arguments" in err and name in err

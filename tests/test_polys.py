@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tsrforge.errors import DivisionByZeroPoly
-from tsrforge.fields import make_field
+from tsrforge.fields import make_extension_field, make_field
 from tsrforge.polys import (Polynomial, format_poly, parse_poly, poly_divrem,
                             poly_gcd, poly_mod, poly_modpow)
 
@@ -157,3 +157,109 @@ def test_canonical_format_has_no_commas():
         for _ in range(30):
             p = _rand_poly(rng, field, 4)
             assert "," not in format_poly(p)
+
+
+# --- differential test: the integer kernel against a FieldElement schoolbook ---
+
+def _digit_product(field, x, y):
+    """x*y from coefficient vectors over F_p reduced by the modulus, without the field's ops."""
+    p, k = field.characteristic, field.extension_degree
+    mod = field.modulus_coeffs or (0, 1)
+    prod = [0] * (2 * k - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            prod[i + j] += a * b
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top] % p
+        for i in range(k + 1):
+            prod[top - k + i] -= c * mod[i]
+    return field.element([c % p for c in prod[:k]])
+
+
+def _school_trim(c):
+    while c and c[-1].is_zero():
+        c.pop()
+    return c
+
+
+def _school_mul(a, b, field):
+    if not a or not b:
+        return []
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _school_trim(out)
+
+
+def _school_divrem(a, b, field):
+    rem = list(a)
+    quot = [field.zero()] * max(len(a) - len(b) + 1, 0)
+    inv = b[-1].inverse()
+    while len(rem) >= len(b):
+        c = rem[-1] * inv
+        d = len(rem) - len(b)
+        quot[d] = c
+        for i, y in enumerate(b):
+            rem[d + i] = rem[d + i] - c * y
+        _school_trim(rem)
+    return _school_trim(quot), rem
+
+
+def _school_gcd(a, b, field):
+    while b:
+        a, b = b, _school_divrem(a, b, field)[1]
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+def _school_modpow(base, e, mod, field):
+    result = [field.one()]
+    acc = _school_divrem(base, mod, field)[1]
+    while e:
+        if e & 1:
+            result = _school_divrem(_school_mul(result, acc, field), mod, field)[1]
+        e >>= 1
+        acc = _school_divrem(_school_mul(acc, acc, field), mod, field)[1]
+    return result
+
+
+DIFFERENTIAL_FIELDS = [make_field(q) for q in (2, 3, 4, 8, 9, 13, 25)] + [
+    make_extension_field(2, 4, modulus=(1, 1, 1, 1, 1)),  # irreducible, X of order 5
+    make_field(2 ** 17),  # above the exp/log table bound
+    make_field(65537),  # prime field above 2^16
+]
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=(
+    "F2", "F3", "F4", "F8", "F9", "F13", "F25", "F16_x_of_order_5", "F2^17", "F65537"))
+def test_kernel_matches_field_element_schoolbook(field):
+    rng = random.Random(field.order)
+    xs = [field.element(rng.randrange(field.order)) for _ in range(6)] + [field.zero(), field.one()]
+    for x in xs:
+        for y in xs:
+            assert x * y == _digit_product(field, x, y)
+
+    def rand(deg):
+        lead = field.element(rng.randrange(1, field.order))
+        return Polynomial.make(field, [rng.randrange(field.order) for _ in range(deg)] + [lead])
+
+    polys = [Polynomial.zero(field), Polynomial.one(field), rand(0), rand(1),
+             rand(3), rand(3), rand(5)]
+    for a in polys:
+        for b in polys:
+            ca, cb = list(a.coeffs), list(b.coeffs)
+            assert list((a * b).coeffs) == _school_mul(ca, cb, field)
+            assert list(poly_gcd(a, b).coeffs) == _school_gcd(ca, cb, field)
+            if b.is_zero():
+                continue
+            quo, rem = poly_divrem(a, b)
+            assert (list(quo.coeffs), list(rem.coeffs)) == _school_divrem(ca, cb, field)
+    # rand() leads with a random unit, so most moduli are not monic
+    for mod in polys[3:]:
+        for base in polys[::2]:
+            for e in (0, 1, 2, 7, field.order + 1, rng.randrange(1 << 20)):
+                got = poly_modpow(base, e, mod)
+                assert list(got.coeffs) == _school_modpow(list(base.coeffs), e, list(mod.coeffs), field)

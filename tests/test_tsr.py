@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import tsrforge
 from tsrforge.errors import DimensionMismatch, SingularB
 from tsrforge.fields import make_field
 from tsrforge.matrices import Matrix, matrix_charpoly
@@ -232,3 +237,27 @@ def test_mn_decompose_none_when_impossible():
     # x^4 + x^3 + x^2 + x + 1 is irreducible, so no (g, h) with m = n = 2 exists
     p = parse_poly("x^4 + x^3 + x^2 + x + 1", f2)
     assert mn_decompose(p, 2, 2) is None
+
+
+def test_period_cross_check_survives_python_O():
+    # python -O strips assert statements; the annihilation check must still raise
+    code = textwrap.dedent("""
+        import tsrforge.tsr as tsr
+        from tsrforge.errors import ExistenceViolation
+        from tsrforge.fields import make_field
+        from tsrforge.matrices import Matrix
+
+        field = make_field(2)
+        spec = tsr.TsrSpec(field, 2, 3, (field.one(), field.one()),
+                           Matrix.from_rows(field, [[0, 1], [1, 1]]))
+        tsr.poly_modpow = lambda base, e, mod: base  # a wrong power
+        try:
+            tsr.tsr_period(spec)
+        except ExistenceViolation as exc:
+            print(__debug__, exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsrforge.__file__)))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False exponent bound must annihilate X mod psi"

@@ -1,7 +1,13 @@
 """Build-invariant runner: check registry, failure capture, ordering."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import tsrforge
 from tsrforge import verify
 from tsrforge.verify import CheckResult, first_failure, run_checks
 
@@ -76,3 +82,21 @@ def test_check_failures_are_captured_not_raised(monkeypatch):
 def test_first_failure_none_when_green():
     results = [CheckResult("x", True, ""), CheckResult("y", True, "")]
     assert first_failure(results) is None
+
+
+def test_checks_fail_under_python_O():
+    # python -O strips assert statements; a broken primitivity test must still be caught
+    code = textwrap.dedent("""
+        from tsrforge import cli, verify
+
+        verify.is_primitive_poly = lambda f: (True, None)  # accepts everything
+        print("exit", cli.main(["verify"]), __debug__)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsrforge.__file__)))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "FAIL primitivity_known - order-5 quartic accepted as primitive" in lines
+    assert "first broken invariant: primitivity_known" in lines
+    assert lines[-1] == "exit 1 False"
