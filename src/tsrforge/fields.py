@@ -1,16 +1,16 @@
 """Prime and extension finite fields with exact element arithmetic.
 
 Elements of F_{p^k} are coefficient vectors of length k over F_p in the power
-basis of the modulus root, little-endian (index i multiplies a^i).  The
-canonical integer encoding of an element is sum(coeffs[i] * p**i); element
-iteration and "lexicographic" tie-breaking throughout the package follow this
-encoding in ascending order.
+basis of the modulus root, little-endian (index i multiplies a^i).  An element
+is stored as its canonical integer encoding sum(coeffs[i] * p**i), and its
+field's ops are its only arithmetic; element iteration and "lexicographic"
+tie-breaking throughout the package follow this encoding in ascending order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from operator import and_, pos, xor
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -75,8 +75,8 @@ def prime_power(q: int) -> tuple[int, int]:
 # --- the integer kernel: polynomials as little-endian lists of canonical ints ---
 #
 # Each loop runs over one field's FieldOps.  Over F_p the lists are the
-# coefficient vectors that the modulus search and the large-field element
-# arithmetic work on; polys.py runs the same loops over F_q[X] with F_q's ops.
+# coefficient vectors that the large-field element arithmetic works on;
+# polys.py runs the same loops over F_q[X] with F_q's ops.
 # Lists come out trimmed (no trailing zeros); the zero polynomial is [].
 
 TABLE_MAX_ORDER = 1 << 16  # extension fields up to this order multiply by exp/log tables
@@ -140,7 +140,9 @@ def int_poly_divrem(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> tuple[
 
 
 def int_poly_modpow(base: Sequence[int], e: int, mod: Sequence[int], ops: FieldOps) -> list[int]:
-    """base^e mod mod by square-and-multiply; mod of degree >= 1."""
+    """base^e mod mod by square-and-multiply; e >= 0, mod of degree >= 1."""
+    if e < 0:
+        raise ValueError(f"exponent e = {e} must be >= 0")
     result = [1]
     acc = int_poly_divrem(base, mod, ops)[1]
     while e:
@@ -272,95 +274,69 @@ def _times_x(p: int, k: int, modulus: tuple[int, ...]) -> Callable[[int], int]:
     return times_x
 
 
-def _vec_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's test on a monic coefficient vector over F_p."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    ops = _field_ops(p, 1, (0, 1))
-    x = [0, 1]
-    if int_poly_modpow(x, p ** k, f, ops) != int_poly_divrem(x, f, ops)[1]:
-        return False
-    for ell in factor_integer(k).primes:
-        t = int_poly_modpow(x, p ** (k // ell), f, ops) + [0, 0]
-        t[1] = ops.add(t[1], p - 1)  # X^(p^(k/l)) - X
-        if len(int_poly_gcd(t, f, ops)) != 1:
-            return False
-    return True
-
-
-def _vec_is_primitive(f: Sequence[int], p: int) -> bool:
-    k = len(f) - 1
-    if f[0] == 0 or not _vec_is_irreducible(f, p):
-        return False
-    ops = _field_ops(p, 1, (0, 1))
-    order = p ** k - 1
-    for ell in factor_integer(order).primes:
-        if int_poly_modpow([0, 1], order // ell, f, ops) == [1]:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _fallback_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least primitive monic polynomial of degree k over F_p."""
+    from .polys import Polynomial
+    from .primitivity import is_primitive_poly
+
+    prime = make_prime_field(p)
     for v in range(p ** k):
         coeffs = base_digits(v, p, k) + [1]
-        if coeffs[0] != 0 and _vec_is_primitive(coeffs, p):
+        if coeffs[0] != 0 and is_primitive_poly(Polynomial.make(prime, coeffs))[0]:
             return tuple(coeffs)
     raise AssertionError("no primitive polynomial found; unreachable for prime p")
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of a Field: immutable little-endian coefficient tuple over F_p."""
+    """Element of a Field, stored as its canonical integer encoding."""
 
     owner: "Field"
-    coeffs: tuple[int, ...]
+    int_value: int
 
     def __post_init__(self):
-        if len(self.coeffs) != self.owner.extension_degree:
-            raise ValueError("coefficient vector length must equal the extension degree")
+        if not 0 <= self.int_value < self.owner.order:
+            raise ValueError(f"encoding {self.int_value} is outside GF({self.owner.order})")
 
     @property
-    def int_value(self) -> int:
-        return _encode(self.coeffs, self.owner.characteristic)
+    def coeffs(self) -> tuple[int, ...]:
+        """Little-endian coefficient vector over F_p."""
+        f = self.owner
+        return tuple(base_digits(self.int_value, f.characteristic, f.extension_degree))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.int_value
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        p = self.owner.characteristic
-        return FieldElement(self.owner, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.owner
+        return FieldElement(f, f.ops.add(self.int_value, other.int_value))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        p = self.owner.characteristic
-        return FieldElement(self.owner, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ops = self.owner.ops
+        return FieldElement(self.owner, ops.add(self.int_value, ops.neg(other.int_value)))
 
     def __neg__(self) -> "FieldElement":
-        p = self.owner.characteristic
-        return FieldElement(self.owner, tuple((-a) % p for a in self.coeffs))
+        f = self.owner
+        return FieldElement(f, f.ops.neg(self.int_value))
 
     def scale_int(self, c: int) -> "FieldElement":
         """Multiple by an integer scalar (acting through F_p)."""
-        p = self.owner.characteristic
-        c %= p
-        return FieldElement(self.owner, tuple((a * c) % p for a in self.coeffs))
+        f = self.owner
+        return FieldElement(f, f.ops.mul(self.int_value, c % f.characteristic))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         f = self.owner
-        if f.extension_degree == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % f.characteristic,))
-        return f.element(f.ops.mul(self.int_value, other.int_value))
+        return FieldElement(f, f.ops.mul(self.int_value, other.int_value))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroElement("zero has no multiplicative inverse")
         f = self.owner
-        return f.element(f.ops.inv(self.int_value))
+        return FieldElement(f, f.ops.inv(self.int_value))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -378,7 +354,7 @@ class FieldElement:
         return result
 
     def _check(self, other: "FieldElement") -> None:
-        if self.owner != other.owner:
+        if self.owner is not other.owner and self.owner != other.owner:
             raise ValueError("elements belong to different fields")
 
     def __str__(self) -> str:
@@ -396,11 +372,11 @@ class Field:
     extension_degree: int
     _modulus_vec: tuple[int, ...]  # length k+1, monic; (0, 1) placeholder for k=1
 
-    @property
+    @cached_property
     def order(self) -> int:
         return self.characteristic ** self.extension_degree
 
-    @property
+    @cached_property
     def ops(self) -> FieldOps:
         """add, neg, mul and inv on canonical encodings, built once per equal field."""
         return _field_ops(self.characteristic, self.extension_degree, self._modulus_vec)
@@ -421,12 +397,11 @@ class Field:
         p = self.characteristic
         k = self.extension_degree
         if isinstance(value, int):
-            return FieldElement(self, tuple(base_digits(value % self.order, p, k)))
+            return FieldElement(self, value % self.order)
         coeffs = [int(c) % p for c in value]
         if len(coeffs) > k:
             raise ValueError("coefficient vector too long")
-        coeffs += [0] * (k - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, _encode(coeffs, p))
 
     def zero(self) -> FieldElement:
         return self.element(0)
@@ -487,7 +462,10 @@ def make_extension_field(p: int, k: int, modulus: Optional[Sequence[int]] = None
         vec = tuple(int(c) % p for c in modulus)
         if len(vec) != k + 1 or vec[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _vec_is_irreducible(vec, p):
+        from .polys import Polynomial
+        from .primitivity import is_irreducible
+
+        if not is_irreducible(Polynomial.make(make_prime_field(p), vec)):
             raise ReducibleModulus("supplied modulus is reducible")
     return Field(p, k, vec)
 
@@ -538,13 +516,14 @@ def subfield_maps(field: Field, base_order: int):
     if j == 1:
         base = make_prime_field(p)
 
+        # a prime-field scalar is an encoding below p in every extension
         def embed1(c: FieldElement) -> FieldElement:
-            return field.element([c.coeffs[0]])
+            return field.element(c.int_value)
 
         def descend1(x: FieldElement) -> FieldElement:
-            if any(x.coeffs[1:]):
+            if x.int_value >= p:
                 raise BaseNotSubfield(f"{x.coeffs} is not a prime-field scalar")
-            return base.element([x.coeffs[0]])
+            return base.element(x.int_value)
 
         return base, embed1, descend1
 
@@ -640,9 +619,10 @@ def _solve_mod_p(cols, target, p: int, k: int, j: int):
 
 def format_element(x: FieldElement, gen_symbol: str = "a") -> str:
     """Render in the generator symbol, e.g. '2a^2+a+1', '0', '3'."""
+    coeffs = x.coeffs
     terms = []
-    for i in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c == 0:
             continue
         if i == 0:

@@ -122,6 +122,8 @@ class Polynomial:
         return acc
 
     def pow(self, e: int) -> "Polynomial":
+        if e < 0:
+            raise ValueError(f"exponent e = {e} must be >= 0")
         result = Polynomial.one(self.field)
         acc = self
         while e:

@@ -19,8 +19,7 @@ from .counting import check_shape
 from .factorint import is_prime_int
 from .fields import Field, base_digits, make_extension_field, make_field, subfield_maps
 from .guards import check_field
-from .matrices import Matrix
-from .matrices import companion_matrix as _companion
+from .matrices import Matrix, companion_matrix
 from .parallel import first_hit
 from .polys import Polynomial
 from .primitivity import (PrimitivityCertificate, conjugate_product,
@@ -62,13 +61,6 @@ class ConjectureWitness:
     form: str
     converted: object = None
     conversion_ok: bool = False
-
-
-def companion_matrix(h: Polynomial) -> Matrix:
-    """Companion matrix of a monic h with h(0) != 0 (hence invertible)."""
-    if h.constant_term.is_zero():
-        raise ZeroConstantTerm("companion matrix of a register block needs h(0) != 0")
-    return _companion(h)
 
 
 def reciprocal(k: Polynomial, degree_hint: int) -> Polynomial:
@@ -115,7 +107,7 @@ def _alpha_field(q: int, m: int, f: Polynomial):
         alpha = -f.constant_term
         return field, alpha, (lambda e: e)
     if is_prime_int(q):
-        field = make_extension_field(q, m, modulus=tuple(int(c.int_value) for c in f.coeffs))
+        field = make_extension_field(q, m, modulus=tuple(c.int_value for c in f.coeffs))
         _, embed, _ = subfield_maps(field, q)
         return field, field.gen(), embed
     field = make_field(q ** m)
@@ -176,12 +168,12 @@ def _assemble(q: int, m: int, n: int, base: Field, f: Polynomial, g: Polynomial)
     k = g_big - Polynomial.constant(big, alpha)
     step5 = reciprocal(k, n)
     h = minimal_polynomial(lam, q)
-    A = companion_matrix(_over(h, base))
+    A = companion_matrix(h)
     # taps read from L = X^n g(1/X): L_i = g_{n-i}, L_0 = 1 since g is monic
     taps = tuple(g.coeff(n - i) for i in range(1, n))
     spec = TsrSpec(base, m, n, taps, A)
     charpoly = tsr_charpoly_formula(spec)
-    step8 = _over(conjugate_product(step5, q), base)
+    step8 = conjugate_product(step5, q)
     if step8 != charpoly:
         raise ExistenceViolation("conjugate-product replay must reproduce the characteristic polynomial")
     if reciprocal(f.compose(g), m * n) != charpoly:
@@ -191,13 +183,6 @@ def _assemble(q: int, m: int, n: int, base: Field, f: Polynomial, g: Polynomial)
         raise ExistenceViolation("accepted composition must yield a primitive characteristic polynomial")
     prov = SearchProvenance(f, g, alpha, lam, step5, h, A, step8)
     return SearchResult(spec, charpoly, cert, prov)
-
-
-def _over(p: Polynomial, field: Field) -> Polynomial:
-    """Rebase a polynomial onto an equal field object."""
-    if p.field == field:
-        return Polynomial.make(field, [field.element(int(c.int_value)) for c in p.coeffs])
-    raise BadDegree(f"polynomial lives over GF({p.field.order}), expected GF({field.order})")
 
 
 def verify_conjecture(q: int, m: int, n: int, form: str, budget: int | None = None) -> ConjectureWitness:
@@ -276,7 +261,6 @@ def _direct_to_composition(q, m, n, g, lam):
     to land back in the conjecture's domain, and that can genuinely fail.
     """
     big = lam.owner
-    base = make_field(q)
     _, embed, descend = subfield_maps(big, q)
     c = g.leading
     c_big = embed(c)
@@ -287,10 +271,8 @@ def _direct_to_composition(q, m, n, g, lam):
     if f2.degree != m:
         return None, False
     g2 = g.scale(c.inverse())
-    f2b = _over(f2, base)
-    g2b = _over(g2, base)
-    ok = is_primitive_poly(f2b.compose(g2b))[0]
-    return (f2b, g2b), ok
+    ok = is_primitive_poly(f2.compose(g2))[0]
+    return (f2, g2), ok
 
 
 def find_trace_one_quadratic(m: int) -> Polynomial:

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from tsrforge.errors import BaseNotSubfield, CompositeCharacteristic
-from tsrforge.fields import (format_element, make_extension_field, make_field,
-                             make_prime_field, subfield_degree, subfield_maps)
+from tsrforge.fields import (FieldElement, format_element, make_extension_field,
+                             make_field, make_prime_field, subfield_degree,
+                             subfield_maps)
 
 
 def test_prime_field_arithmetic():
@@ -30,6 +31,17 @@ def test_int_encoding_round_trip():
         assert f.element(v).int_value == v
     # elements() ascends in canonical encoding
     assert [x.int_value for x in f.elements()] == list(range(27))
+
+
+def test_encoding_is_validated():
+    f9 = make_field(9)
+    for bad in (9, -1):
+        with pytest.raises(ValueError):
+            FieldElement(f9, bad)
+    assert f9.element(10).int_value == 1  # ints reduce mod q
+    assert f9.element([1, 2]).coeffs == (1, 2)
+    with pytest.raises(ValueError):
+        f9.element([1, 2, 0])
 
 
 def test_standard_moduli():

@@ -75,6 +75,15 @@ def test_modpow_matches_repeated_multiplication():
         acc = acc * base
 
 
+def test_negative_exponent_is_refused():
+    f2 = make_field(2)
+    x, mod = Polynomial.x(f2), parse_poly("x^3 + x + 1", f2)
+    with pytest.raises(ValueError, match="e = -1"):
+        poly_modpow(x, -1, mod)
+    with pytest.raises(ValueError, match="e = -1"):
+        x.pow(-1)
+
+
 def test_compose():
     f3 = make_field(3)
     f = parse_poly("x^2 + 1", f3)
@@ -160,6 +169,9 @@ def test_canonical_format_has_no_commas():
 
 
 # --- differential test: the integer kernel against a FieldElement schoolbook ---
+#
+# Element sums and products are also checked against digit-level references
+# that never touch the field's ops, so the Zech and vector ops stay covered.
 
 def _digit_product(field, x, y):
     """x*y from coefficient vectors over F_p reduced by the modulus, without the field's ops."""
@@ -174,6 +186,12 @@ def _digit_product(field, x, y):
         for i in range(k + 1):
             prod[top - k + i] -= c * mod[i]
     return field.element([c % p for c in prod[:k]])
+
+
+def _digit_sum(field, x, y, sign=1):
+    """x + sign*y coefficient by coefficient mod p, without the field's ops."""
+    p = field.characteristic
+    return field.element([(a + sign * b) % p for a, b in zip(x.coeffs, y.coeffs)])
 
 
 def _school_trim(c):
@@ -239,8 +257,11 @@ def test_kernel_matches_field_element_schoolbook(field):
     rng = random.Random(field.order)
     xs = [field.element(rng.randrange(field.order)) for _ in range(6)] + [field.zero(), field.one()]
     for x in xs:
+        assert -x == _digit_sum(field, field.zero(), x, -1)
         for y in xs:
             assert x * y == _digit_product(field, x, y)
+            assert x + y == _digit_sum(field, x, y)
+            assert x - y == _digit_sum(field, x, y, -1)
 
     def rand(deg):
         lead = field.element(rng.randrange(1, field.order))

@@ -1,15 +1,16 @@
 import pytest
 
 from tsrforge.errors import (BadDegree, BudgetExhausted, InvalidParity,
-                             ZeroConstantTerm)
+                             SingularB, ZeroConstantTerm)
 from tsrforge.fields import make_field, subfield_maps
 from tsrforge.polys import Polynomial, format_poly, parse_poly
 from tsrforge.primitivity import (conjugate_product, is_primitive_element,
                                   is_primitive_poly)
-from tsrforge.search import (companion_matrix, find_trace_one_quadratic,
-                             primitive_polys, reciprocal, search_primitive_tsr,
-                             verify_conjecture)
-from tsrforge.tsr import (tap_polynomial, tsr_charpoly_direct, tsr_period)
+from tsrforge.matrices import companion_matrix
+from tsrforge.search import (find_trace_one_quadratic, primitive_polys,
+                             reciprocal, search_primitive_tsr, verify_conjecture)
+from tsrforge.tsr import (TsrSpec, tap_polynomial, tsr_charpoly_direct,
+                          tsr_period)
 
 
 def test_reciprocal_known():
@@ -46,9 +47,10 @@ def test_reciprocal_errors():
 
 
 def test_companion_rejects_zero_constant():
+    # the register refuses the singular companion matrix of an h with h(0) = 0
     f2 = make_field(2)
-    with pytest.raises(ZeroConstantTerm):
-        companion_matrix(parse_poly("x^2 + x", f2))
+    with pytest.raises(SingularB):
+        TsrSpec(f2, 2, 2, (f2.one(),), companion_matrix(parse_poly("x^2 + x", f2)))
 
 
 def test_primitive_polys_ascending():
