@@ -391,7 +391,7 @@ class Field:
     def element(self, value) -> FieldElement:
         """Coerce an int (canonical encoding) or coefficient sequence."""
         if isinstance(value, FieldElement):
-            if value.owner != self:
+            if value.owner is not self and value.owner != self:
                 raise ValueError("element belongs to a different field")
             return value
         p = self.characteristic

@@ -3,10 +3,10 @@ import pytest
 from tsrforge.errors import (BadDegree, BudgetExhausted, InvalidParity,
                              SingularB, ZeroConstantTerm)
 from tsrforge.fields import make_field, subfield_maps
+from tsrforge.matrices import companion_matrix
 from tsrforge.polys import Polynomial, format_poly, parse_poly
 from tsrforge.primitivity import (conjugate_product, is_primitive_element,
                                   is_primitive_poly)
-from tsrforge.matrices import companion_matrix
 from tsrforge.search import (find_trace_one_quadratic, primitive_polys,
                              reciprocal, search_primitive_tsr, verify_conjecture)
 from tsrforge.tsr import (TsrSpec, tap_polynomial, tsr_charpoly_direct,
