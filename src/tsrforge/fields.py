@@ -403,11 +403,16 @@ class Field:
             raise ValueError("coefficient vector too long")
         return FieldElement(self, _encode(coeffs, p))
 
+    @cached_property
+    def _zero_one(self) -> tuple[FieldElement, FieldElement]:
+        """Zero and one, built once per Field object and shared."""
+        return FieldElement(self, 0), FieldElement(self, 1)
+
     def zero(self) -> FieldElement:
-        return self.element(0)
+        return self._zero_one[0]
 
     def one(self) -> FieldElement:
-        return self.element(1)
+        return self._zero_one[1]
 
     def gen(self) -> FieldElement:
         """The residue class of x, i.e. the power-basis generator a."""

@@ -1,9 +1,11 @@
 """Dense matrices over a Field.
 
 Entries are stored row-major; all values are immutable after construction.
-The characteristic polynomial uses Hessenberg reduction with field division
-followed by the leading-principal-minor recurrence, O(d^3) field operations
-and valid in any characteristic.
+Products, powers, the determinant and the characteristic polynomial read the
+entries' canonical ints once, run on the field's ops, and wrap the result
+once.  The characteristic polynomial uses Hessenberg reduction with field
+division followed by the leading-principal-minor recurrence, O(d^3) field
+operations and valid in any characteristic.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, NonSquareMatrix
-from .fields import Field, FieldElement
-from .polys import Polynomial
+from .fields import Field, FieldElement, FieldOps, int_poly_mul
+from .polys import Polynomial, _common_field, _from_ints
 
 
 @dataclass(frozen=True)
@@ -92,26 +94,15 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols, tuple(a * c for a in self.entries))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        field = _common_field(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        zero = self.field.zero()
-        out = [zero] * (n * m)
-        for i in range(n):
-            base = i * k
-            for t in range(k):
-                a = self.entries[base + t]
-                if a.is_zero():
-                    continue
-                obase = t * m
-                rbase = i * m
-                for j in range(m):
-                    b = other.entries[obase + j]
-                    if not b.is_zero():
-                        out[rbase + j] = out[rbase + j] + a * b
-        return Matrix(self.field, n, m, tuple(out))
+        if not self.cols:
+            return Matrix.zeros(field, self.rows, other.cols)
+        return _from_int_rows(field, _int_matmul(_int_rows(self), _int_rows(other), field.ops),
+                              other.cols)
 
     def apply(self, vec: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Matrix-vector product, vec as a column."""
@@ -133,15 +124,16 @@ class Matrix:
             raise NonSquareMatrix("power of a non-square matrix")
         if e < 0:
             raise ValueError("negative matrix powers are not supported")
-        result = Matrix.identity(self.field, self.rows)
-        acc = self
+        n, ops = self.rows, self.field.ops
+        result = [[int(i == j) for j in range(n)] for i in range(n)]
+        acc = _int_rows(self)
         while e:
             if e & 1:
-                result = result * acc
+                result = _int_matmul(result, acc, ops)
             e >>= 1
             if e:
-                acc = acc * acc
-        return result
+                acc = _int_matmul(acc, acc, ops)
+        return _from_int_rows(self.field, result, n)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -163,30 +155,56 @@ class Matrix:
         return "\n".join("[" + " ".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows))
 
 
+# The kernels below work on rows of canonical ints (lists, mutated in place).
+
+def _int_rows(M: Matrix) -> list[list[int]]:
+    vals = [e.int_value for e in M.entries]
+    return [vals[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)]
+
+
+def _from_int_rows(field: Field, rows: list[list[int]], cols: int) -> Matrix:
+    return Matrix(field, len(rows), cols, tuple(FieldElement(field, v) for r in rows for v in r))
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]], ops: FieldOps) -> list[list[int]]:
+    """a * b for a nonempty b, skipping zero entries."""
+    add, mul = ops.add, ops.mul
+    out = []
+    for arow in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(arow, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = add(acc[j], mul(x, y))
+        out.append(acc)
+    return out
+
+
 def matrix_det(M: Matrix) -> FieldElement:
     """Determinant by Gaussian elimination with row swaps."""
     if not M.is_square:
         raise NonSquareMatrix("determinant of a non-square matrix")
     n = M.rows
-    field = M.field
-    a = [list(M.row(i)) for i in range(n)]
-    det = field.one()
+    add, neg, mul, inv = M.field.ops
+    a = _int_rows(M)
+    det = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            return field.zero()
+            return M.field.zero()
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            t = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] = a[r][c] - t * a[col][c]
-    return det
+            det = neg(det)
+        top = a[col]
+        det = mul(det, top[col])
+        inv_piv = inv(top[col])
+        for row in a[col + 1:]:
+            if row[col]:
+                t = neg(mul(row[col], inv_piv))
+                for c in range(col, n):
+                    row[c] = add(row[c], mul(t, top[c]))
+    return FieldElement(M.field, det)
 
 
 def matrix_is_invertible(M: Matrix) -> bool:
@@ -198,43 +216,45 @@ def matrix_charpoly(M: Matrix) -> Polynomial:
     if not M.is_square:
         raise NonSquareMatrix("characteristic polynomial of a non-square matrix")
     n = M.rows
-    field = M.field
-    if n == 0:
-        return Polynomial.one(field)
-    H = [list(M.row(i)) for i in range(n)]
+    ops = M.field.ops
+    add, neg, mul, inv = ops
+    H = _int_rows(M)
     # similarity-reduce to upper Hessenberg form
     for col in range(n - 2):
-        piv = next((r for r in range(col + 1, n) if not H[r][col].is_zero()), None)
+        piv = next((r for r in range(col + 1, n) if H[r][col]), None)
         if piv is None:
             continue
         if piv != col + 1:
             H[piv], H[col + 1] = H[col + 1], H[piv]
-            for r in range(n):
-                H[r][piv], H[r][col + 1] = H[r][col + 1], H[r][piv]
-        inv = H[col + 1][col].inverse()
+            for row in H:
+                row[piv], row[col + 1] = row[col + 1], row[piv]
+        top = H[col + 1]
+        inv_piv = inv(top[col])
         for r in range(col + 2, n):
-            if H[r][col].is_zero():
+            if not H[r][col]:
                 continue
-            t = H[r][col] * inv
+            t = mul(H[r][col], inv_piv)
+            nt = neg(t)
+            row = H[r]
             for c in range(col, n):
-                H[r][c] = H[r][c] - t * H[col + 1][c]
-            for rr in range(n):
-                H[rr][col + 1] = H[rr][col + 1] + t * H[rr][r]
-    # p_m(X) = charpoly of the leading m x m block of H
-    X = Polynomial.x(field)
-    p = [Polynomial.one(field)]
+                row[c] = add(row[c], mul(nt, top[c]))
+            for rr in H:
+                rr[col + 1] = add(rr[col + 1], mul(t, rr[r]))
+    # p_m(X) = charpoly of the leading m x m block of H, as a monic int list
+    p = [[1]]
     for m in range(1, n + 1):
-        t = (X - Polynomial.constant(field, H[m - 1][m - 1])) * p[m - 1]
-        prod = field.one()
+        t = int_poly_mul([neg(H[m - 1][m - 1]), 1], p[m - 1], ops)
+        prod = 1
         for i in range(1, m):
-            prod = prod * H[m - i][m - i - 1]
-            if prod.is_zero():
+            prod = mul(prod, H[m - i][m - i - 1])
+            if not prod:
                 break
-            coef = H[m - 1 - i][m - 1] * prod
-            if not coef.is_zero():
-                t = t - Polynomial.constant(field, coef) * p[m - 1 - i]
+            coef = neg(mul(H[m - 1 - i][m - 1], prod))
+            if coef:
+                for j, y in enumerate(p[m - 1 - i]):
+                    t[j] = add(t[j], mul(coef, y))
         p.append(t)
-    return p[n]
+    return _from_ints(M.field, p[n])
 
 
 def companion_matrix(f: Polynomial) -> Matrix:

@@ -160,10 +160,11 @@ def _ints(p: Polynomial) -> list[int]:
 
 def _from_ints(field: Field, coeffs: list[int]) -> Polynomial:
     """The polynomial of a trimmed list of canonical encodings."""
-    return Polynomial(field, tuple(map(field.element, coeffs)))
+    return Polynomial(field, tuple([FieldElement(field, v) for v in coeffs]))
 
 
-def _common_field(a: Polynomial, b: Polynomial) -> Field:
+def _common_field(a, b) -> Field:
+    """The field of two polynomials (or matrices); ValueError if they differ."""
     if a.field is not b.field and a.field != b.field:
         raise ValueError("elements belong to different fields")
     return a.field

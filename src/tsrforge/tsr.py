@@ -8,14 +8,16 @@ column (B, c_1 B, ..., c_{n-1} B).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB,
                      ZeroConstantTerm)
 from .factorint import merged_factorization, multiplicative_order_from
-from .fields import Field, FieldElement, base_digits, make_field
+from .fields import Field, FieldElement, _trim, base_digits, int_poly_mul, make_field
 from .guards import check_field
-from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
-from .polys import Polynomial, poly_gcd, poly_modpow
+from .matrices import Matrix, _int_rows, matrix_charpoly, matrix_is_invertible
+from .polys import (Polynomial, _common_field, _from_ints, _ints, poly_gcd,
+                    poly_modpow)
 from .primitivity import is_primitive_poly
 
 
@@ -45,6 +47,14 @@ class TsrSpec:
     def q(self) -> int:
         return self.field.order
 
+    @cached_property
+    def _tap_rows(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """(j, rows of c_j B as canonical ints) for each nonzero tap, c_0 = 1."""
+        mul = self.field.ops.mul
+        taps = (1,) + tuple(ci.int_value for ci in self.c)
+        return tuple((j, tuple(tuple(mul(cj, b) for b in row) for row in _int_rows(self.B)))
+                     for j, cj in enumerate(taps) if cj)
+
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -58,8 +68,8 @@ class TsrSpec:
     def from_json(doc: dict) -> "TsrSpec":
         field = make_field(int(doc["q"]))
         m, n = int(doc["m"]), int(doc["n"])
-        c = tuple(field.element(int(v)) for v in doc["c"])
-        B = Matrix.from_rows(field, [[field.element(int(v)) for v in row] for row in doc["B"]])
+        c = tuple(FieldElement(field, int(v)) for v in doc["c"])
+        B = Matrix.from_rows(field, [[FieldElement(field, int(v)) for v in row] for row in doc["B"]])
         return TsrSpec(field, m, n, c, B)
 
 
@@ -75,7 +85,7 @@ class TsrState:
 
     @staticmethod
     def from_ints(spec: TsrSpec, values) -> "TsrState":
-        vals = [spec.field.element(int(v)) for v in values]
+        vals = [FieldElement(spec.field, int(v)) for v in values]
         if len(vals) != spec.m * spec.n:
             raise DimensionMismatch("state needs m*n entries")
         blocks = tuple(tuple(vals[i * spec.m:(i + 1) * spec.m]) for i in range(spec.n))
@@ -97,15 +107,17 @@ class Decomposition:
 
 def _homogenize(h: Polynomial, g: Polynomial, m: int, n: int) -> Polynomial:
     """g^m h(X^n / g) with denominators cleared: sum of h_k X^{nk} g^{m-k}, k = 0..m."""
-    g_pow = [Polynomial.one(g.field)]
+    field = _common_field(h, g)
+    ops = field.ops
+    g_ints, g_pow = _ints(g), [[1]]
     for _ in range(m):
-        g_pow.append(g_pow[-1] * g)
-    acc = Polynomial.zero(g.field)
-    for k in range(m + 1):
-        hk = h.coeff(k)
-        if not hk.is_zero():
-            acc = acc + g_pow[m - k].shift(n * k).scale(hk)
-    return acc
+        g_pow.append(int_poly_mul(g_pow[-1], g_ints, ops))
+    terms = [(n * k, hk, g_pow[m - k]) for k, hk in enumerate(_ints(h)[:m + 1]) if hk]
+    acc = [0] * max((shift + len(gp) for shift, _, gp in terms), default=0)
+    for shift, hk, gp in terms:
+        for i, y in enumerate(gp, shift):
+            acc[i] = ops.add(acc[i], ops.mul(hk, y))
+    return _from_ints(field, _trim(acc))
 
 
 def build_transition_matrix(spec: TsrSpec) -> Matrix:
@@ -128,26 +140,25 @@ def build_transition_matrix(spec: TsrSpec) -> Matrix:
 
 
 def tsr_step(spec: TsrSpec, state: TsrState) -> TsrState:
-    field, m, n = spec.field, spec.m, spec.n
-    if len(state.blocks) != n or any(len(b) != m for b in state.blocks):
+    field, m, blocks = spec.field, spec.m, state.blocks
+    if len(blocks) != spec.n or any(len(b) != m for b in blocks):
         raise DimensionMismatch("state shape does not match the spec")
-    taps = (field.one(),) + spec.c
-    new_last = [field.zero()] * m
-    for j in range(n):
-        cj = taps[j]
-        if cj.is_zero():
-            continue
-        block = state.blocks[j]
-        for t in range(m):
-            acc = field.zero()
-            for s in range(m):
-                bs = block[s]
-                if not bs.is_zero():
-                    acc = acc + bs * spec.B.at(s, t)
-            if not acc.is_zero():
-                new_last[t] = new_last[t] + acc * cj
-    blocks = state.blocks[1:] + (tuple(new_last),)
-    return TsrState(blocks, state.step_index + 1)
+    for block in blocks:
+        for e in block:
+            if e.owner is not field and e.owner != field:
+                raise ValueError("elements belong to different fields")
+    add, _, mul, _ = field.ops
+    # new last block = sum over j of block_j (c_j B)
+    new_last = [0] * m
+    for j, rows in spec._tap_rows:
+        for e, row in zip(blocks[j], rows):
+            x = e.int_value
+            if x:
+                for t, y in enumerate(row):
+                    if y:
+                        new_last[t] = add(new_last[t], mul(x, y))
+    new_block = tuple([FieldElement(field, v) for v in new_last])
+    return TsrState(blocks[1:] + (new_block,), state.step_index + 1)
 
 
 def tap_polynomial(spec: TsrSpec) -> Polynomial:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tsrforge.errors import DimensionMismatch, NonSquareMatrix, ZeroConstantTerm
-from tsrforge.fields import make_field
+from tsrforge.fields import make_extension_field, make_field
 from tsrforge.matrices import (Matrix, companion_matrix, matrix_charpoly,
                                matrix_det, matrix_is_invertible)
 from tsrforge.polys import Polynomial, format_poly, parse_poly
@@ -118,3 +118,78 @@ def test_shape_errors():
         matrix_charpoly(B)
     with pytest.raises(NonSquareMatrix):
         matrix_det(B)
+
+
+DIFFERENTIAL_FIELDS = [make_field(q) for q in (2, 3, 4, 9, 25)] + [
+    make_extension_field(2, 4, modulus=(1, 1, 1, 1, 1)),  # irreducible, X of order 5
+    make_field(2 ** 17),  # above the exp/log table bound
+    make_field(65537),  # prime field above 2^16
+]
+FIELD_IDS = ("F2", "F3", "F4", "F9", "F25", "F16_x_of_order_5", "F2^17", "F65537")
+
+
+def _sparse_matrix(rng, field, n):
+    """Random n x n matrix with about half its entries zero."""
+    return Matrix.from_rows(field, [[rng.randrange(field.order) if rng.random() < 0.5 else 0
+                                     for _ in range(n)] for _ in range(n)])
+
+
+def _schoolbook(A, B):
+    """A * B with FieldElement * and +, outside the int kernel."""
+    field = A.field
+    rows = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = field.zero()
+            for t in range(A.cols):
+                acc = acc + A.at(i, t) * B.at(t, j)
+            row.append(acc)
+        rows.append(row)
+    return Matrix.from_rows(field, rows)
+
+
+def _cofactor_det(A):
+    """Laplace expansion along the first row, with FieldElement arithmetic."""
+    field = A.field
+    acc = field.one() if A.rows == 0 else field.zero()
+    for j in range(A.cols):
+        minor = Matrix.from_rows(field, [[A.at(i, k) for k in range(A.cols) if k != j]
+                                         for i in range(1, A.rows)])
+        term = A.at(0, j) * _cofactor_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=FIELD_IDS)
+def test_int_kernels_match_field_element_arithmetic(field):
+    rng = random.Random(field.order)
+    for n in range(1, 5):
+        for make in (_rand_matrix, _sparse_matrix, _sparse_matrix):
+            A, B = make(rng, field, n), make(rng, field, n)
+            det = _cofactor_det(A)
+            assert matrix_det(A) == det
+            chi = matrix_charpoly(A)
+            assert chi.degree == n and chi.is_monic()
+            assert chi.coeff(n - 1) == -A.trace()
+            assert chi.coeff(0) == (det if n % 2 == 0 else -det)
+            # Cayley-Hamilton: chi(A) = 0, by Horner on schoolbook products
+            I = Matrix.identity(field, n)
+            acc = Matrix.zeros(field, n, n)
+            for c in reversed(chi.coeffs):
+                acc = _schoolbook(acc, A) + I.scale(c)
+            assert acc == Matrix.zeros(field, n, n)
+            assert A * B == _schoolbook(A, B)
+            power = I
+            for e in range(6):
+                assert A.power(e) == power
+                power = _schoolbook(power, A)
+
+
+def test_product_over_different_fields_is_refused():
+    # zero matrices have no nonzero product to trip an element-level check
+    f2, f4 = make_field(2), make_field(4)
+    with pytest.raises(ValueError, match="different fields"):
+        _ = Matrix.zeros(f2, 2, 2) * Matrix.zeros(f4, 2, 2)
+    with pytest.raises(ValueError, match="different fields"):
+        _ = Matrix.identity(f4, 2) * Matrix.identity(f2, 2)

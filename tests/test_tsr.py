@@ -8,7 +8,7 @@ import pytest
 
 import tsrforge
 from tsrforge.errors import DimensionMismatch, SingularB
-from tsrforge.fields import make_field
+from tsrforge.fields import FieldElement, make_extension_field, make_field
 from tsrforge.matrices import Matrix, matrix_charpoly
 from tsrforge.polys import Polynomial, format_poly, parse_poly
 from tsrforge.primitivity import is_primitive_poly
@@ -31,7 +31,11 @@ def _fib_spec():
 
 
 def _random_spec(rng, q, m, n):
-    field = make_field(q)
+    return _random_spec_over(rng, make_field(q), m, n)
+
+
+def _random_spec_over(rng, field, m, n):
+    q = field.order
     from tsrforge.matrices import matrix_is_invertible
     while True:
         B = Matrix.from_rows(field, [[field.element(rng.randrange(q))
@@ -106,6 +110,53 @@ def test_step_agrees_with_transition_matrix():
             vec = _row_times(vec, T)
             assert state.flatten() == vec
         assert state.step_index == 8
+
+
+DIFFERENTIAL_FIELDS = [make_field(q) for q in (2, 3, 4, 9, 25)] + [
+    make_extension_field(2, 4, modulus=(1, 1, 1, 1, 1)),  # irreducible, X of order 5
+    make_field(2 ** 17),  # above the exp/log table bound
+    make_field(65537),  # prime field above 2^16
+]
+FIELD_IDS = ("F2", "F3", "F4", "F9", "F25", "F16_x_of_order_5", "F2^17", "F65537")
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=FIELD_IDS)
+def test_step_matches_field_element_row_times_matrix(field):
+    # _row_times multiplies with FieldElement * and +, outside the int kernel
+    rng = random.Random(field.order)
+    max_m = 3 if field.order <= 1 << 16 else 1
+    for m in range(1, max_m + 1):
+        for n in range(1, 4):
+            spec = _random_spec_over(rng, field, m, n)
+            T = build_transition_matrix(spec)
+            state = TsrState.from_ints(spec, [rng.randrange(field.order) for _ in range(m * n)])
+            vec = state.flatten()
+            for _ in range(4):
+                state = tsr_step(spec, state)
+                vec = _row_times(vec, T)
+                assert state.flatten() == vec
+
+
+def test_step_refuses_state_over_another_field():
+    # same order, different modulus; the foreign entry sits in a block whose tap is zero
+    spec = _spec(16, 1, 2, [0], [[3]])
+    other = make_extension_field(2, 4, modulus=(1, 1, 1, 1, 1))
+    state = TsrState(((spec.field.one(),), (FieldElement(other, 1),)))
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        tsr_step(spec, state)
+
+
+def test_out_of_range_encodings_are_refused():
+    with pytest.raises(ValueError, match=r"encoding 5 is outside GF\(4\)"):
+        TsrSpec.from_json({"q": 4, "m": 1, "n": 2, "c": [5], "B": [[3]]})
+    with pytest.raises(ValueError, match=r"encoding 7 is outside GF\(4\)"):
+        TsrSpec.from_json({"q": 4, "m": 1, "n": 2, "c": [1], "B": [[7]]})
+    spec = _spec(4, 1, 2, [1], [[3]])
+    with pytest.raises(ValueError, match=r"encoding 9 is outside GF\(4\)"):
+        TsrState.from_ints(spec, [9, 1])
+    with pytest.raises(ValueError, match=r"encoding -1 is outside GF\(4\)"):
+        TsrState.from_ints(spec, [1, -1])
+    assert TsrSpec.from_json(spec.to_json()) == spec
 
 
 def test_step_fibonacci_bit_sequence():
@@ -239,9 +290,18 @@ def test_mn_decompose_none_when_impossible():
     assert mn_decompose(p, 2, 2) is None
 
 
+def _run_optimized(code):
+    """stdout of `code` run by python -O, which strips assert statements."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsrforge.__file__)))
+    res = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
 def test_period_cross_check_survives_python_O():
-    # python -O strips assert statements; the annihilation check must still raise
-    code = textwrap.dedent("""
+    # the annihilation check must still raise without assert statements
+    out = _run_optimized("""
         import tsrforge.tsr as tsr
         from tsrforge.errors import ExistenceViolation
         from tsrforge.fields import make_field
@@ -256,8 +316,28 @@ def test_period_cross_check_survives_python_O():
         except ExistenceViolation as exc:
             print(__debug__, exc)
     """)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsrforge.__file__)))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                         text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False exponent bound must annihilate X mod psi"
+    assert out == "False exponent bound must annihilate X mod psi"
+
+
+def test_field_refusals_survive_python_O():
+    out = _run_optimized("""
+        from tsrforge.fields import FieldElement, make_extension_field, make_field
+        from tsrforge.matrices import Matrix
+        from tsrforge.tsr import TsrSpec, TsrState, tsr_step
+
+        spec = TsrSpec.from_json({"q": 16, "m": 1, "n": 2, "c": [1], "B": [[1]]})
+        other = make_extension_field(2, 4, modulus=(1, 1, 1, 1, 1))
+        attempts = [
+            lambda: Matrix.zeros(make_field(2), 2, 2) * Matrix.zeros(make_field(4), 2, 2),
+            lambda: tsr_step(spec, TsrState(((FieldElement(other, 1),), (FieldElement(other, 0),)))),
+            lambda: TsrState.from_ints(spec, [1, 16]),
+        ]
+        for attempt in attempts:
+            try:
+                attempt()
+            except ValueError as exc:
+                print(__debug__, exc)
+    """)
+    assert out.splitlines() == ["False elements belong to different fields",
+                                "False elements belong to different fields",
+                                "False encoding 16 is outside GF(16)"]
