@@ -1,11 +1,16 @@
-"""Cyclotomic cosets of exponents modulo 2^{2m} - 1 and trace-one classes.
+"""Trace-one classes of primitive elements of F_{2^{2m}} and the quadratic census.
 
-The census driver: r counts conjugate classes of primitive elements of
-F_{2^{2m}} whose relative trace over F_{2^m} equals 1, and r*m is the number
-of primitive quadratics X^2 + X + c over F_{2^m}.  The counting path works on
-raw integer encodings (field elements as bitmasks, one exp table per field)
-so m = 12 stays inside the time budget; the class-summary path goes through
-the structured field layer and is meant for small m.
+r counts conjugate classes of primitive elements x of F_{2^{2m}} whose
+relative trace x + x^{2^m} over F_{2^m} equals 1.  Such an x has minimal
+polynomial X^2 + X + N(x) over F_{2^m}, and the 2m conjugates of x give the m
+Frobenius images of N(x), so r*m is the number of c in F_{2^m} with
+X^2 + X + c primitive.  count_trace_one_classes counts those c, one squaring
+orbit of F_{2^m} at a time, in O(2^m) field operations.
+
+primitive_trace_one_count is the independent O(4^m) cross-check: it walks
+every unit exponent of F_{2^{2m}} over an exp table of raw bitmasks.  The
+class-summary path goes through the structured field layer and is meant for
+small m.
 
 A class is counted when its trace t equals 1.  The squaring orbit of t
 contains 1 exactly when t = 1 (t^{2^i} = 1 forces (t-1)^{2^i} = 0), so
@@ -15,14 +20,13 @@ tripwire in the test suite.
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .errors import ExistenceViolation, ScaleExceeded
-from .factorint import euler_phi
 from .fields import make_field, subfield_maps
 from .guards import check_field
 from .polys import Polynomial
+from .primitivity import is_primitive_poly
 
 MAX_PARTITION_M = 14
 
@@ -50,13 +54,12 @@ class ConjugateClassSummary:
     quadratics: tuple[Polynomial, ...]
 
 
-@lru_cache(maxsize=None)
 def _exp_table(k: int) -> array:
     """exp[i] = bitmask of x^i in F_{2^k}, i = 0 .. 2^k - 2.
 
     The modulus is the one make_field picks for F_{2^k}; it is primitive, so
-    x generates the units.  r and the element tally do not depend on which
-    primitive modulus is used.
+    x generates the units.  The element tally does not depend on which
+    primitive modulus is used.  Not cached: at k = 24 the table is 64 MB.
     """
     mod = sum(c << i for i, c in enumerate(make_field(2 ** k).modulus_coeffs))
     group = (1 << k) - 1
@@ -99,38 +102,41 @@ def cyclotomic_partition(m: int) -> CosetPartition:
 def count_trace_one_classes(m: int) -> tuple[int, int]:
     """(r, r*m): conjugate classes of primitive elements with trace one.
 
-    Walks every multiply-by-2 orbit once; a single gcd decides whether the
-    orbit consists of unit exponents, and the leader's trace
-    x^j + x^{j*2^m} (one table lookup each) decides membership.  Unit orbit
-    sizes and the total unit count are checked against phi(2^{2m}-1).
+    Walks F_{2^m} once by squaring orbits; r is the number of orbits whose
+    leader c makes X^2 + X + c primitive.  Only orbits of size m (a primitive
+    element's norm is primitive) with absolute trace Tr(c) = 1 (X^2 + X + c
+    is irreducible exactly then) reach the primitivity test.  Every orbit
+    size must divide m, and exactly 2^{m-1} elements must have trace one.
     """
     if m < 1:
         raise ScaleExceeded(f"m = {m} outside supported range")
-    k = 2 * m
-    group = (1 << k) - 1
-    check_field(group, "coset exponent space")
-    exp = _exp_table(k)
-    visited = bytearray(group)
+    check_field((1 << (2 * m)) - 1, "coset exponent space")
+    field = make_field(1 << m)
+    mul = field.ops.mul
+    seen = bytearray(field.order)
     r = 0
-    units = 0
-    for j in range(1, group):
-        if visited[j]:
+    trace_one = 0
+    for c in range(1, field.order):
+        if seen[c]:
             continue
         size = 0
-        cur = j
-        while not visited[cur]:
-            visited[cur] = 1
+        total = 0
+        cur = c
+        while not seen[cur]:
+            seen[cur] = 1
             size += 1
-            cur = cur * 2 % group
-        if gcd(j, group) != 1:
-            continue
-        if size != k:
-            raise ExistenceViolation(f"unit coset of leader {j} has size {size}, expected {k}")
-        units += size
-        if exp[j] ^ exp[(j << m) % group] == 1:
-            r += 1
-    if units != euler_phi(group):
-        raise ExistenceViolation(f"unit tally {units} != phi({group})")
+            total ^= cur
+            cur = mul(cur, cur)
+        if cur != c or m % size:
+            raise ExistenceViolation(
+                f"squaring orbit of {c} does not close after a divisor of {m} steps ({size} taken)")
+        # Tr(c) is the orbit sum taken m/size times: the sum when m/size is odd
+        if (m // size) % 2 and total == 1:
+            trace_one += size
+            if size == m and is_primitive_poly(Polynomial.make(field, [c, 1, 1]))[0]:
+                r += 1
+    if trace_one != field.order // 2:
+        raise ExistenceViolation(f"trace-one tally {trace_one} != {field.order // 2}")
     return r, r * m
 
 

@@ -34,13 +34,15 @@ class Matrix:
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
+        """Build from rows of FieldElements or canonical ints in [0, q) (not reduced mod q)."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         entries = []
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-            entries.extend(field.element(v) for v in r)
+            entries.extend(FieldElement(field, int(v)) if isinstance(v, int) else field.element(v)
+                           for v in r)
         return Matrix(field, nrows, ncols, tuple(entries))
 
     @staticmethod

@@ -30,8 +30,13 @@ class Polynomial:
 
     @staticmethod
     def make(field: Field, coeffs: Iterable) -> "Polynomial":
-        """Build from little-endian coefficients (ints or FieldElements), trimming."""
-        elems = [field.element(c) for c in coeffs]
+        """Build from little-endian coefficients (ints or FieldElements), trimming.
+
+        An int is a canonical encoding: one outside [0, q) raises ValueError
+        rather than being reduced mod q as Field.element(int) does.
+        """
+        elems = [FieldElement(field, int(c)) if isinstance(c, int) else field.element(c)
+                 for c in coeffs]
         while elems and elems[-1].is_zero():
             elems.pop()
         return Polynomial(field, tuple(elems))

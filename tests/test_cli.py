@@ -193,6 +193,23 @@ def test_count_r_csv(capsys):
     assert [int(r[2]) for r in rows] == [2, 3, 4, 10, 18, 42, 56, 144, 250]
 
 
+def test_count_r_deep_stdout_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "count-r", "--deep")
+    assert code == 0
+    assert err == ""
+    assert out == ("# table r_table\nm,r,P2m2\n"
+                   "2,1,2\n3,1,3\n4,1,4\n5,2,10\n6,3,18\n7,6,42\n8,7,56\n"
+                   "9,16,144\n10,25,250\n11,57,627\n12,68,816\n")
+
+
+def test_count_r_guard_refusal(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "24")
+    code, out, err = run_cli(capsys, "--guard-bits", "16", "count-r")
+    assert code == 2
+    assert out == ""
+    assert err == "guard violation: coset exponent space of 262143 exceeds the 2^16 guard\n"
+
+
 def test_tables_out_file_matches_stdout_and_threads(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "tables", "t2")
     assert code == 0

@@ -1,16 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from tsrforge import cosets
 from tsrforge.cosets import (ConjugateClassSummary, CosetPartition,
                              conjugate_class_summary, count_trace_one_classes,
                              cyclotomic_partition, primitive_trace_one_count,
                              trace_one_class_summaries)
-from tsrforge.errors import ScaleExceeded
+from tsrforge.errors import ExistenceViolation, ScaleExceeded
 from tsrforge.factorint import euler_phi
 from tsrforge.fields import make_field, subfield_maps
-from tsrforge.polys import format_poly
-from tsrforge.primitivity import is_primitive_element
+from tsrforge.polys import Polynomial, format_poly
+from tsrforge.primitivity import is_primitive_element, is_primitive_poly
+from tsrforge.tables import generate_table
 
 
 def test_partition_m1():
@@ -61,6 +64,42 @@ def test_count_reference_values():
             7: (6, 42), 8: (7, 56), 9: (16, 144), 10: (25, 250)}
     for m, pair in want.items():
         assert count_trace_one_classes(m) == pair, m
+
+
+def test_count_equals_unfiltered_quadratic_census():
+    # r*m counts every nonzero c with X^2 + X + c primitive over F_{2^m}; no
+    # orbit-size or trace filter here, so this checks both filters
+    for m in range(1, 9):
+        base = make_field(2 ** m)
+        hits = sum(1 for c in range(1, base.order)
+                   if is_primitive_poly(Polynomial.make(base, [c, 1, 1]))[0])
+        r, rm = count_trace_one_classes(m)
+        assert rm == r * m == hits, m
+
+
+def test_counting_path_never_builds_the_exp_table(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"_exp_table({k}) called")
+
+    monkeypatch.setattr(cosets, "_exp_table", refuse)
+    assert count_trace_one_classes(10) == (25, 250)
+    assert generate_table("r_table").splitlines()[-1] == "10,25,250"
+    with pytest.raises(AssertionError):
+        primitive_trace_one_count(2)
+
+
+def test_count_refuses_a_broken_squaring_map(monkeypatch):
+    def fake_field(mul):
+        return lambda order: SimpleNamespace(order=order, ops=SimpleNamespace(mul=mul))
+
+    # squaring that is not a permutation: the orbit of 2 runs into that of 1
+    monkeypatch.setattr(cosets, "make_field", fake_field(lambda a, b: 1))
+    with pytest.raises(ExistenceViolation, match="squaring orbit of 2"):
+        count_trace_one_classes(3)
+    # identity "squaring": every orbit has size 1 and only c = 1 has trace one
+    monkeypatch.setattr(cosets, "make_field", fake_field(lambda a, b: a))
+    with pytest.raises(ExistenceViolation, match="trace-one tally 1 != 4"):
+        count_trace_one_classes(3)
 
 
 def test_count_equals_partition_trace_filter():

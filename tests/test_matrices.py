@@ -120,6 +120,16 @@ def test_shape_errors():
         matrix_det(B)
 
 
+def test_from_rows_refuses_out_of_range_encodings():
+    # an int entry is a canonical encoding; it is not reduced mod q
+    f4 = make_field(4)
+    for bad in ([[7, 1]], [[0, -1]], [[1, 0], [0, 4]]):
+        with pytest.raises(ValueError, match="outside GF\\(4\\)"):
+            Matrix.from_rows(f4, bad)
+    A = Matrix.from_rows(f4, [[3, 0], [f4.element([1, 1]), 2]])
+    assert [e.int_value for e in A.entries] == [3, 0, 3, 2]
+
+
 DIFFERENTIAL_FIELDS = [make_field(q) for q in (2, 3, 4, 9, 25)] + [
     make_extension_field(2, 4, modulus=(1, 1, 1, 1, 1)),  # irreducible, X of order 5
     make_field(2 ** 17),  # above the exp/log table bound

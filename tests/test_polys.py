@@ -24,6 +24,16 @@ def test_degree_and_normalization():
     assert Polynomial.x(f3).degree == 1
 
 
+def test_make_refuses_out_of_range_encodings():
+    # an int coefficient is a canonical encoding; it is not reduced mod q
+    f4 = make_field(4)
+    for bad in ([5, 9], [0, 1, 4], [-1, 1]):
+        with pytest.raises(ValueError, match="outside GF\\(4\\)"):
+            Polynomial.make(f4, bad)
+    p = Polynomial.make(f4, [3, f4.element([0, 1]), 1, 0])
+    assert [c.int_value for c in p.coeffs] == [3, 2, 1]
+
+
 def test_arithmetic_known_values():
     f2 = make_field(2)
     a = parse_poly("x^2 + x + 1", f2)
