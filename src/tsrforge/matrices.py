@@ -1,11 +1,11 @@
 """Dense matrices over a Field.
 
 Entries are stored row-major; all values are immutable after construction.
-Products, powers, the determinant and the characteristic polynomial read the
-entries' canonical ints once, run on the field's ops, and wrap the result
-once.  The characteristic polynomial uses Hessenberg reduction with field
-division followed by the leading-principal-minor recurrence, O(d^3) field
-operations and valid in any characteristic.
+Products, powers, the determinant and the characteristic and minimal
+polynomials read the entries' canonical ints once, run on the field's ops,
+and wrap the result once.  The characteristic polynomial uses Hessenberg
+reduction with field division followed by the leading-principal-minor
+recurrence, O(d^3) field operations and valid in any characteristic.
 """
 
 from __future__ import annotations
@@ -257,6 +257,32 @@ def matrix_charpoly(M: Matrix) -> Polynomial:
                     t[j] = add(t[j], mul(coef, y))
         p.append(t)
     return _from_ints(M.field, p[n])
+
+
+def matrix_minpoly(M: Matrix) -> Polynomial:
+    """Monic minimal polynomial: the first dependency among I, M, M^2, ... (k <= n).
+
+    Each power M^k is flattened to ints and tagged with X^k in n + 1 extra slots; the
+    first power that elimination reduces to zero leaves the dependency in its tag.
+    """
+    if not M.is_square:
+        raise NonSquareMatrix("minimal polynomial of a non-square matrix")
+    n, size, ops = M.rows, M.rows ** 2, M.field.ops
+    add, neg, mul, inv = ops
+    rows, power = _int_rows(M), [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = []  # (pivot, tagged row scaled to 1 at the pivot)
+    for k in range(n + 1):
+        vec = [x for r in power for x in r] + [0] * k + [1] + [0] * (n - k)
+        for piv, brow in basis:
+            t = neg(vec[piv])
+            if t:
+                vec = [add(x, mul(t, y)) for x, y in zip(vec, brow)]
+        piv = next((j for j in range(size) if vec[j]), None)
+        if piv is None:
+            return _from_ints(M.field, vec[size:size + k + 1])
+        s = inv(vec[piv])
+        basis.append((piv, [mul(s, y) for y in vec]))
+        power = _int_matmul(power, rows, ops)
 
 
 def companion_matrix(f: Polynomial) -> Matrix:

@@ -240,6 +240,8 @@ def _parse_coefficient(text: str, field: Field, gen_symbol: str) -> FieldElement
         return field.one()
     if text == "-":
         return -field.one()
+    if text[-1] in "+-":
+        raise ValueError(f"sign with no term after it in coefficient {text!r}")
     total = field.zero()
     for sign, term in re.findall(r"([+-]?)([^+-]+)", text):
         neg = sign == "-"
@@ -292,8 +294,9 @@ def parse_poly(text: str, field: Field, var: str = "x", gen_symbol: str = "a") -
             cur += ch
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in {text!r}")
-    if cur:
-        chunks.append((neg, cur))
+    if not cur:
+        raise ValueError(f"sign with no term after it in {text!r}")
+    chunks.append((neg, cur))
     coeff_acc: dict[int, FieldElement] = {}
 
     def add(i: int, c: FieldElement, negate: bool) -> None:

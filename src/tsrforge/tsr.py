@@ -9,15 +9,16 @@ column (B, c_1 B, ..., c_{n-1} B).
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB,
                      ZeroConstantTerm)
 from .factorint import merged_factorization, multiplicative_order_from
 from .fields import Field, FieldElement, _trim, base_digits, int_poly_mul, make_field
 from .guards import check_field
-from .matrices import Matrix, _int_rows, matrix_charpoly, matrix_is_invertible
-from .polys import (Polynomial, _common_field, _from_ints, _ints, poly_gcd,
-                    poly_modpow)
+from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
+                       matrix_minpoly)
+from .polys import Polynomial, _common_field, _from_ints, _ints, poly_modpow
 from .primitivity import is_primitive_poly
 
 
@@ -176,41 +177,26 @@ def tsr_charpoly_direct(spec: TsrSpec) -> Polynomial:
 
 
 def tsr_period(spec: TsrSpec) -> int:
-    """Multiplicative order of the transition matrix."""
-    q, mn = spec.q, spec.m * spec.n
+    """Order of the transition matrix: the order of X mod mu_T = g_T^d mu_B(X^n / g_T).
+
+    d = deg mu_B.  X annihilates E = lcm(q^i - 1, i = 1..mn) if mu_T is squarefree;
+    else E takes one more factor p at a time, up to the first p^t >= mn: a factor of
+    multiplicity b <= mn needs p^t >= b (Lidl & Niederreiter, Thm 3.8).
+    """
+    q, mn, p = spec.q, spec.m * spec.n, spec.field.characteristic
     check_field(q ** mn)
-    psi = tsr_charpoly_formula(spec)
-    dpsi = psi.derivative()
-    squarefree = (not dpsi.is_zero()) and poly_gcd(psi, dpsi).degree == 0
-    exp_factors = merged_factorization(q ** d - 1 for d in range(1, mn + 1))
-    exponent = 1
-    for prime, mult in exp_factors.items():
-        exponent *= prime ** mult
-    if squarefree:
-        X = Polynomial.x(spec.field)
-        one = Polynomial.one(spec.field)
-        pow_fn = lambda e: poly_modpow(X, e, psi)
-        if pow_fn(exponent) != one:
+    mu_B = matrix_minpoly(spec.B)
+    mu = _homogenize(mu_B, tap_polynomial(spec), mu_B.degree, spec.n)
+    factors = merged_factorization(q ** i - 1 for i in range(1, mn + 1))
+    exponent = prod(prime ** mult for prime, mult in factors.items())
+    X, one = Polynomial.x(spec.field), Polynomial.one(spec.field)
+    pow_fn = lambda e: poly_modpow(X, e, mu)
+    while pow_fn(exponent) != one:  # p divides no q^i - 1, so factors[p] counts the padding
+        if p ** factors.get(p, 0) >= mn:
             raise ExistenceViolation("exponent bound must annihilate X mod psi")
-        return multiplicative_order_from(pow_fn, one, exponent, exp_factors)
-    # repeated factors: order the matrix itself, exponent padded by the
-    # characteristic part covering unipotent blocks
-    p = spec.field.characteristic
-    pk = 1
-    ppart = 0
-    while pk < mn:
-        pk *= p
-        ppart += 1
-    factors = dict(exp_factors)
-    if ppart:
-        factors[p] = factors.get(p, 0) + ppart
-        exponent *= p ** ppart
-    T = build_transition_matrix(spec)
-    ident = Matrix.identity(spec.field, mn)
-    pow_fn = lambda e: T.power(e)
-    if pow_fn(exponent) != ident:
-        raise ExistenceViolation("exponent bound must annihilate T")
-    return multiplicative_order_from(pow_fn, ident, exponent, factors)
+        exponent *= p
+        factors[p] = factors.get(p, 0) + 1
+    return multiplicative_order_from(pow_fn, one, exponent, factors)
 
 
 def mn_decompose(f: Polynomial, m: int, n: int):

@@ -88,6 +88,13 @@ def test_test_primitive_rejects_garbage_text(capsys):
     assert "bad arguments" in err
 
 
+def test_test_primitive_refuses_a_trailing_sign(capsys):
+    for q, text in (("2", "x^4+x+1+"), ("4", "x^2+(a+)x+1")):
+        code, out, err = run_cli(capsys, "test-primitive", q, text)
+        assert (code, out) == (2, "")
+        assert "bad arguments" in err and "sign with no term after it" in err
+
+
 def test_search_tsr_result_is_verifiable(capsys):
     code, out, _ = run_cli(capsys, "search-tsr", "2", "2", "3")
     assert code == 0

@@ -5,8 +5,8 @@ import pytest
 from tsrforge.errors import DimensionMismatch, NonSquareMatrix, ZeroConstantTerm
 from tsrforge.fields import make_extension_field, make_field
 from tsrforge.matrices import (Matrix, companion_matrix, matrix_charpoly,
-                               matrix_det, matrix_is_invertible)
-from tsrforge.polys import Polynomial, format_poly, parse_poly
+                               matrix_det, matrix_is_invertible, matrix_minpoly)
+from tsrforge.polys import Polynomial, format_poly, parse_poly, poly_mod
 
 
 def _rand_matrix(rng, field, n):
@@ -118,6 +118,8 @@ def test_shape_errors():
         matrix_charpoly(B)
     with pytest.raises(NonSquareMatrix):
         matrix_det(B)
+    with pytest.raises(NonSquareMatrix):
+        matrix_minpoly(B)
 
 
 def test_from_rows_refuses_out_of_range_encodings():
@@ -189,11 +191,38 @@ def test_int_kernels_match_field_element_arithmetic(field):
             for c in reversed(chi.coeffs):
                 acc = _schoolbook(acc, A) + I.scale(c)
             assert acc == Matrix.zeros(field, n, n)
+            # mu(A) = 0 the same way; mu is monic, divides chi, and chi divides mu^n
+            mu = matrix_minpoly(A)
+            assert mu.is_monic() and 1 <= mu.degree <= n
+            acc = Matrix.zeros(field, n, n)
+            for c in reversed(mu.coeffs):
+                acc = _schoolbook(acc, A) + I.scale(c)
+            assert acc == Matrix.zeros(field, n, n)
+            assert poly_mod(chi, mu).is_zero() and poly_mod(mu.pow(n), chi).is_zero()
             assert A * B == _schoolbook(A, B)
             power = I
             for e in range(6):
                 assert A.power(e) == power
                 power = _schoolbook(power, A)
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=FIELD_IDS)
+def test_minpoly_pinned_cases(field):
+    rng = random.Random(field.order + 1)
+    x = Polynomial.x(field)
+    for _ in range(3):
+        lam = field.element(rng.randrange(field.order))
+        x_minus_lam = x - Polynomial.constant(field, lam)
+        for k in range(1, 5):
+            # lam I -> X - lam; the k x k Jordan block J_k(lam) -> (X - lam)^k
+            scalar = Matrix.from_rows(field, [[lam if i == j else 0 for j in range(k)]
+                                              for i in range(k)])
+            assert matrix_minpoly(scalar) == x_minus_lam
+            jordan = Matrix.from_rows(field, [[lam if i == j else int(j == i + 1)
+                                               for j in range(k)] for i in range(k)])
+            assert matrix_minpoly(jordan) == x_minus_lam.pow(k)
+        f = Polynomial.make(field, [rng.randrange(field.order) for _ in range(4)] + [1])
+        assert matrix_minpoly(companion_matrix(f)) == f
 
 
 def test_product_over_different_fields_is_refused():

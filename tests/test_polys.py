@@ -169,6 +169,19 @@ def test_parse_rejects_garbage():
             parse_poly(text, f4)
 
 
+def test_parse_refuses_a_sign_with_no_term_after_it():
+    f2, f3, f4 = make_field(2), make_field(3), make_field(4)
+    for text, field in (("x^4+x+1+", f2), ("x^4 + x + 1 -", f2), ("+", f2),
+                        ("x^2+(a+)x+1", f4), ("x^2 + (a -)", f4)):
+        with pytest.raises(ValueError, match="sign with no term after it"):
+            parse_poly(text, field)
+    # leading signs and a sign before a negative term still parse
+    assert format_poly(parse_poly("-x^2 + 1", f3)) == "2x^2 + 1"
+    assert format_poly(parse_poly("+x^4+x+1", f2)) == "x^4 + x + 1"
+    assert format_poly(parse_poly("x^2 + -1", f3)) == "x^2 + 2"
+    assert format_poly(parse_poly("x^2 + (-a+1)x", f4)) == "x^2 + (a+1)x"
+
+
 def test_canonical_format_has_no_commas():
     rng = random.Random(47)
     for q in (9, 49, 169):

@@ -3,14 +3,16 @@ import random
 import subprocess
 import sys
 import textwrap
+from math import prod
 
 import pytest
 
 import tsrforge
 from tsrforge.errors import DimensionMismatch, SingularB
+from tsrforge.factorint import merged_factorization, multiplicative_order_from
 from tsrforge.fields import FieldElement, make_extension_field, make_field
 from tsrforge.matrices import Matrix, matrix_charpoly
-from tsrforge.polys import Polynomial, format_poly, parse_poly
+from tsrforge.polys import Polynomial, format_poly, parse_poly, poly_gcd
 from tsrforge.primitivity import is_primitive_poly
 from tsrforge.tsr import (TsrSpec, TsrState, build_transition_matrix,
                           is_primitive_tsr, mn_decompose, tap_polynomial,
@@ -223,6 +225,49 @@ def test_period_with_repeated_charpoly_factor_over_f8():
     spec = _spec(8, 2, 2, [1], [[1, 0], [0, 1]])
     assert tsr_period(spec) == 3
     assert build_transition_matrix(spec).power(3) == Matrix.identity(spec.field, 4)
+
+
+def _matrix_route_period(spec):
+    """Order of T by matrix powers, the exponent padded by the first p^t >= mn."""
+    q, mn, p = spec.q, spec.m * spec.n, spec.field.characteristic
+    factors = merged_factorization(q ** d - 1 for d in range(1, mn + 1))
+    while p ** factors.get(p, 0) < mn:
+        factors[p] = factors.get(p, 0) + 1
+    exponent = prod(prime ** mult for prime, mult in factors.items())
+    T, ident = build_transition_matrix(spec), Matrix.identity(spec.field, mn)
+    assert T.power(exponent) == ident
+    return multiplicative_order_from(T.power, ident, exponent, factors)
+
+
+def _repeated_factor_registers():
+    """Scalar and Jordan B with n = 1, 2, 3, and m = 1 with n = p, over F_2..F_9."""
+    for q in (2, 3, 4, 8, 9):
+        field = make_field(q)
+        p = field.characteristic
+        for lam in sorted({1, q - 1, (q + 1) // 2}):
+            for k in (2, 3):
+                for jordan in (False, True):
+                    B = Matrix.from_rows(field, [[lam if i == j else int(jordan and j == i + 1)
+                                                  for j in range(k)] for i in range(k)])
+                    for n, c in ((1, ()), (2, (1,)), (2, (q - 1,)), (3, (0, 1))):
+                        if k * n <= 6:
+                            yield TsrSpec(field, k, n, tuple(field.element(v) for v in c), B)
+            yield TsrSpec(field, 1, p, (field.zero(),) * (p - 1), Matrix.from_rows(field, [[lam]]))
+
+
+def test_period_with_repeated_factors_matches_the_matrix_route():
+    periods = []
+    for spec in _repeated_factor_registers():
+        psi = tsr_charpoly_formula(spec)
+        assert poly_gcd(psi, psi.derivative()).degree > 0
+        period = tsr_period(spec)
+        assert period == _matrix_route_period(spec)
+        periods.append((spec.field.characteristic, period))
+    # the p-padding is exercised in both characteristics
+    assert {p for p, period in periods if period % p == 0} == {2, 3}
+    # Jordan B = [[1, 1], [0, 1]]: period p over F_3 at n = 1, 2p over F_2 at n = 2, c = (1)
+    assert tsr_period(_spec(3, 2, 1, [], [[1, 1], [0, 1]])) == 3
+    assert tsr_period(_spec(2, 2, 2, [1], [[1, 1], [0, 1]])) == 6
 
 
 def test_period_equals_orbit_walk():
