@@ -11,9 +11,9 @@ from .fields import Field, base_digits, make_field, prime_power, subfield_maps
 from .guards import check_custom, check_enumeration, guard_bits
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
-from .polys import Polynomial, format_poly
+from .polys import Polynomial, _ints, format_poly
 from .primitivity import is_primitive_poly, primitive_elements
-from .tsr import TsrSpec, is_primitive_tsr
+from .tsr import TsrSpec, _homogenize
 
 
 def gl_order(q: int, m: int) -> int:
@@ -138,19 +138,32 @@ def gl_matrices(field: Field, m: int):
 
 
 def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[TsrSpec]:
-    """All primitive registers at (q, m, n), scanning (taps, B) ascending."""
+    """All primitive registers at (q, m, n), scanning (taps, B) ascending.
+
+    A register's charpoly g^m Psi_B(X^n / g) depends on B only through Psi_B,
+    so each distinct charpoly is tested once.
+    """
     check_shape(m, n)
     field = make_field(q)
     space = q ** (n - 1) * gl_order(q, m)
     check_enumeration(space)
     mats = list(gl_matrices(field, m))
-    candidates = []
-    for enc in range(q ** (n - 1)):
-        c = tuple(field.element(d) for d in base_digits(enc, q, n - 1))
-        for B in mats:
-            candidates.append(TsrSpec(field, m, n, c, B))
-    flags = deterministic_map(is_primitive_tsr, candidates, threads)
-    return [s for s, ok in zip(candidates, flags) if ok]
+    psi_keys = [tuple(_ints(matrix_charpoly(B))) for B in mats]
+    psis = {key: Polynomial.make(field, key) for key in psi_keys}  # the distinct Psi_B
+    taps = [tuple(field.element(d) for d in base_digits(enc, q, n - 1))
+            for enc in range(q ** (n - 1))]
+    charpolys: dict[tuple, Polynomial] = {}  # the distinct charpolys, keyed by their ints
+    key_of = {}  # (tap index, Psi_B key) -> charpoly key
+    for t, c in enumerate(taps):
+        g = Polynomial.make(field, (field.one(),) + c)
+        for psi_key, psi in psis.items():
+            f = _homogenize(psi, g, m, n)
+            key_of[t, psi_key] = key = tuple(_ints(f))
+            charpolys.setdefault(key, f)
+    flags = deterministic_map(lambda f: is_primitive_poly(f)[0], list(charpolys.values()), threads)
+    primitive = dict(zip(charpolys, flags))
+    return [TsrSpec(field, m, n, c, B) for t, c in enumerate(taps)
+            for B, psi_key in zip(mats, psi_keys) if primitive[key_of[t, psi_key]]]
 
 
 def check_shape(m: int, n: int) -> None:

@@ -105,6 +105,18 @@ def _encode(digits: Sequence[int], p: int) -> int:
     return v
 
 
+def int_pow(a: int, e: int, ops: FieldOps) -> int:
+    """a^e on canonical encodings by square-and-multiply; e >= 0."""
+    mul, result = ops.mul, 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return result
+
+
 def int_poly_mul(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> list[int]:
     if not a or not b:
         return []
@@ -344,14 +356,8 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.owner.one()
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            acc = acc * acc
-        return result
+        f = self.owner
+        return FieldElement(f, int_pow(self.int_value, e, f.ops))
 
     def _check(self, other: "FieldElement") -> None:
         if self.owner is not other.owner and self.owner != other.owner:

@@ -179,20 +179,23 @@ def tsr_charpoly_direct(spec: TsrSpec) -> Polynomial:
 def tsr_period(spec: TsrSpec) -> int:
     """Order of the transition matrix: the order of X mod mu_T = g_T^d mu_B(X^n / g_T).
 
-    d = deg mu_B.  X annihilates E = lcm(q^i - 1, i = 1..mn) if mu_T is squarefree;
-    else E takes one more factor p at a time, up to the first p^t >= mn: a factor of
-    multiplicity b <= mn needs p^t >= b (Lidl & Niederreiter, Thm 3.8).
+    d = deg mu_B and D = deg mu_T.  Every irreducible factor of mu_T has degree
+    and multiplicity at most D, so X annihilates E = lcm(q^i - 1, i = 1..D) if
+    mu_T is squarefree; else E takes one more factor p at a time, up to the first
+    p^t >= D: a factor of multiplicity b needs p^t >= b (Lidl & Niederreiter,
+    Thm 3.8).
     """
     q, mn, p = spec.q, spec.m * spec.n, spec.field.characteristic
     check_field(q ** mn)
     mu_B = matrix_minpoly(spec.B)
     mu = _homogenize(mu_B, tap_polynomial(spec), mu_B.degree, spec.n)
-    factors = merged_factorization(q ** i - 1 for i in range(1, mn + 1))
+    D = mu.degree
+    factors = merged_factorization(q ** i - 1 for i in range(1, D + 1))
     exponent = prod(prime ** mult for prime, mult in factors.items())
     X, one = Polynomial.x(spec.field), Polynomial.one(spec.field)
     pow_fn = lambda e: poly_modpow(X, e, mu)
     while pow_fn(exponent) != one:  # p divides no q^i - 1, so factors[p] counts the padding
-        if p ** factors.get(p, 0) >= mn:
+        if p ** factors.get(p, 0) >= D:
             raise ExistenceViolation("exponent bound must annihilate X mod psi")
         exponent *= p
         factors[p] = factors.get(p, 0) + 1

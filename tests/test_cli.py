@@ -82,6 +82,20 @@ def test_test_primitive_rejects_irreducible_non_primitive(capsys):
     assert rec["certificate"] is None
 
 
+def test_test_primitive_norm_decides_past_the_factorization_bound(capsys):
+    # x^41 + 2x + 2 is irreducible over F_3 and 3^41 - 1 > 2^64, but its norm
+    # (-1)^41 * 2 = 1 is not primitive in F_3, so no factorization is needed
+    code, out, err = run_cli(capsys, "test-primitive", "3", "x^41 + 2x + 2")
+    assert (code, err) == (1, "")
+    assert json_lines(out) == [{"certificate": None, "field_order": 3,
+                                "poly": "x^41 + 2x + 2", "primitive": False}]
+    # over F_2 the norm is always 1: these still need 2^n - 1 factored
+    for text in ("x^89 + x^38 + 1", "x^65 + x^18 + 1"):
+        code, out, err = run_cli(capsys, "test-primitive", "2", text)
+        assert (code, out) == (2, "")
+        assert "scale limit" in err and "2^64 factorization bound" in err
+
+
 def test_test_primitive_rejects_garbage_text(capsys):
     code, _, err = run_cli(capsys, "test-primitive", "2", "x^^2 +")
     assert code == 2

@@ -147,6 +147,24 @@ def test_tsrp_bruteforce_small():
     assert len(enumerate_tsrp_bruteforce(3, 2, 1)) == 12
 
 
+def test_tsrp_bruteforce_tests_each_charpoly_once(monkeypatch):
+    from tsrforge import counting
+    from tsrforge.fields import base_digits
+    from tsrforge.tsr import TsrSpec, tsr_charpoly_formula
+    for q, m, n in ((2, 2, 3), (3, 2, 2), (2, 3, 2), (4, 2, 1)):
+        field = make_field(q)
+        taps = [tuple(field.element(d) for d in base_digits(enc, q, n - 1))
+                for enc in range(q ** (n - 1))]
+        specs = [TsrSpec(field, m, n, c, B) for c in taps for B in gl_matrices(field, m)]
+        tested = []
+        monkeypatch.setattr(counting, "is_primitive_poly",
+                            lambda f: tested.append(f) or is_primitive_poly(f))
+        # the same registers in the same (taps, B) order as one test per register
+        assert enumerate_tsrp_bruteforce(q, m, n) == [s for s in specs if is_primitive_tsr(s)]
+        assert len(tested) == len(set(tested)) == len({tsr_charpoly_formula(s) for s in specs})
+        monkeypatch.undo()
+
+
 def test_tsrp_theorem_consistency():
     p_count = len(enumerate_special_primitives(2, 2, 2, "P_mnq"))
     assert tsrp_count_theorem(2, 2, 2, p_count) == len(enumerate_tsrp_bruteforce(2, 2, 2))

@@ -1,14 +1,22 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import tsrforge
+from tsrforge import primitivity
 from tsrforge.errors import BadDegree, ZeroConstantTerm
-from tsrforge.factorint import euler_phi
-from tsrforge.fields import make_field, subfield_maps
-from tsrforge.polys import Polynomial, format_poly, parse_poly, poly_divrem
-from tsrforge.primitivity import (conjugate_product, is_irreducible,
+from tsrforge.factorint import euler_phi, factor_integer
+from tsrforge.fields import base_digits, make_field, subfield_maps
+from tsrforge.polys import (Polynomial, format_poly, parse_poly, poly_divrem, poly_gcd,
+                            poly_modpow)
+from tsrforge.primitivity import (PrimitivityCertificate, conjugate_product, is_irreducible,
                                   is_primitive_element, is_primitive_poly,
-                                  minimal_polynomial)
+                                  minimal_polynomial, primitive_elements)
 
 
 def test_irreducibility_known():
@@ -158,3 +166,151 @@ def test_conjugate_product_of_descended_is_power():
     p3 = parse_poly("x^2 + 1", f3)
     lifted = Polynomial.make(big, [embed(c) for c in p3.coeffs])
     assert conjugate_product(lifted, 3) == p3 * p3
+
+
+# --- the staged test against the plain route ---------------------------------
+
+def _reference_route(f):
+    """(irreducible, primitive, certificate JSON) by the plain route.
+
+    Rabin's test with each X^(q^k) by square-and-multiply, then
+    X^((q^n-1)/l) != 1 mod f for every prime l | q^n - 1.
+    """
+    field, n = f.field, f.degree
+    q = field.order
+    fm = f.monic()
+    X, one = Polynomial.x(field), Polynomial.one(field)
+    irreducible = n == 1 or (
+        all(poly_gcd(poly_modpow(X, q ** (n // l), fm) - X, fm).degree == 0
+            for l in factor_integer(n).primes)
+        and poly_modpow(X, q ** n, fm) == X)
+    if not irreducible:
+        return False, False, None
+    group_order = q ** n - 1
+    factors = factor_integer(group_order)
+    witnesses = tuple((l, poly_modpow(X, group_order // l, fm)) for l in factors.primes)
+    if any(w == one for _, w in witnesses):
+        return True, False, None
+    return True, True, PrimitivityCertificate(f, group_order, factors, witnesses).to_json()
+
+
+def _staged_route(f):
+    ok, cert = is_primitive_poly(f)
+    return is_irreducible(f), ok, cert.to_json() if cert else None
+
+
+def _monic_nonzero_constant_polys(q, max_degree):
+    """Every monic polynomial of degree 1..max_degree with f(0) != 0."""
+    field = make_field(q)
+    for n in range(1, max_degree + 1):
+        for v in range(q ** n):
+            digits = base_digits(v, q, n)
+            if digits[0]:
+                yield Polynomial.make(field, digits + [1])
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 10), (3, 6), (4, 4), (5, 4), (7, 3), (8, 3),
+                                           (9, 3), (16, 2), (25, 2), (27, 2)])
+def test_staged_test_matches_the_plain_route_exhaustively(q, max_degree):
+    leads = {1}
+    for v, f in enumerate(_monic_nonzero_constant_polys(q, max_degree)):
+        expected = _reference_route(f)
+        assert _staged_route(f) == expected, format_poly(f)
+        if q > 2:
+            # a multiple by a unit other than 1, cycling over them: the plain
+            # route works on f.monic(), so only the certificate's poly changes
+            g = f.scale(f.field.element(2 + v % (q - 2)))
+            cert = expected[2] and dict(expected[2], poly=format_poly(g))
+            assert _staged_route(g) == expected[:2] + (cert,), format_poly(g)
+            leads.add(g.leading.int_value)
+    assert len(leads) == q - 1
+
+
+def test_staged_test_matches_the_plain_route_on_random_polynomials():
+    rng = random.Random(67)
+    cases = []
+    for q in (1 << 17, 65537):
+        field = make_field(q)
+        for n in (1, 2, 3):
+            for _ in range(3):
+                cases.append(Polynomial.make(field, [rng.randrange(1, q)]
+                                             + [rng.randrange(q) for _ in range(n - 1)]
+                                             + [rng.randrange(1, q)]))
+    f2 = make_field(2)
+    for n in (40, 52, 64):
+        cases.append(Polynomial.make(f2, [1] + [rng.randrange(2) for _ in range(n - 1)] + [1]))
+    # published primitive trinomials, so the accept path runs at high degree too
+    cases += [parse_poly(text, f2) for text in ("x^41 + x^3 + 1", "x^63 + x + 1")]
+    verdicts = []
+    for f in cases:
+        staged = _staged_route(f)
+        assert staged == _reference_route(f), format_poly(f)
+        verdicts.append(staged[1])
+    assert verdicts[-2:] == [True, True]
+
+
+def test_norm_stage_rejects_without_polynomial_arithmetic(monkeypatch):
+    # x^2 + x + 1 over F_5 is irreducible and X^3 = 1; its norm 1 is not primitive
+    f = parse_poly("x^2 + x + 1", make_field(5))
+    assert is_irreducible(f)
+    assert poly_modpow(Polynomial.x(f.field), 3, f) == Polynomial.one(f.field)
+
+    def not_reached(_):
+        raise AssertionError("stage 1 should have decided")
+
+    monkeypatch.setattr(primitivity, "is_irreducible", not_reached)
+    monkeypatch.setattr(primitivity, "int_poly_modpow", not_reached)
+    assert is_primitive_poly(f) == (False, None)
+
+
+def _order_by_walk(x):
+    """Multiplicative order of x by repeated multiplication."""
+    y, order = x, 1
+    while y != x.owner.one():
+        y, order = y * x, order + 1
+    return order
+
+
+def test_primitive_elements_match_the_order_walk():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 121, 125, 128, 256):
+        field = make_field(q)
+        expected = [x for x in field.elements() if not x.is_zero() and _order_by_walk(x) == q - 1]
+        assert primitive_elements(field) == expected, q
+        assert len(expected) == euler_phi(q - 1)
+
+
+def _run_optimized(code):
+    """stdout of `code` run by python -O, which strips assert statements."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsrforge.__file__)))
+    res = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+# (q, text): primitive, irreducible of low order, reducible, over prime and
+# extension fields; the last is irreducible with 3^41 - 1 past 2^64
+_O_CASES = ((2, "x^6 + x + 1"), (2, "x^4 + x^3 + x^2 + x + 1"), (2, "x^4 + x^2 + 1"),
+            (3, "x^2 + x + 2"), (5, "x^2 + x + 1"), (4, "x^2 + x + a"), (9, "2x^2 + a"),
+            (3, "x^41 + 2x + 2"))
+
+
+def test_verdicts_survive_python_O():
+    out = _run_optimized(f"""
+        import json
+        from tsrforge.fields import make_field
+        from tsrforge.polys import parse_poly
+        from tsrforge.primitivity import is_irreducible, is_primitive_poly
+
+        rows = []
+        for q, text in {_O_CASES!r}:
+            f = parse_poly(text, make_field(q))
+            ok, cert = is_primitive_poly(f)
+            rows.append([is_irreducible(f), ok, cert.to_json() if cert else None])
+        print(json.dumps([__debug__, rows]))
+    """)
+    debug, rows = json.loads(out)
+    assert debug is False
+    expected = [_reference_route(parse_poly(text, make_field(q))) for q, text in _O_CASES[:-1]]
+    assert rows[:-1] == json.loads(json.dumps(expected))
+    assert rows[-1] == [True, False, None]  # the norm decides

@@ -8,6 +8,7 @@ from math import prod
 import pytest
 
 import tsrforge
+import tsrforge.tsr as tsr
 from tsrforge.errors import DimensionMismatch, SingularB
 from tsrforge.factorint import merged_factorization, multiplicative_order_from
 from tsrforge.fields import FieldElement, make_extension_field, make_field
@@ -268,6 +269,19 @@ def test_period_with_repeated_factors_matches_the_matrix_route():
     # Jordan B = [[1, 1], [0, 1]]: period p over F_3 at n = 1, 2p over F_2 at n = 2, c = (1)
     assert tsr_period(_spec(3, 2, 1, [], [[1, 1], [0, 1]])) == 3
     assert tsr_period(_spec(2, 2, 2, [1], [[1, 1], [0, 1]])) == 6
+
+
+def test_period_exponent_is_bounded_by_the_minimal_polynomial(monkeypatch):
+    # B = I_4 over F_2 and 2 I_3 over F_3 at n = 2, c = (1): mu_T = X^2 + X + 1 has
+    # degree 2, so lcm(q - 1, q^2 - 1) already annihilates X (or does after one p)
+    calls = []
+    modpow = tsr.poly_modpow
+    monkeypatch.setattr(tsr, "poly_modpow", lambda *args: calls.append(args) or modpow(*args))
+    for q, m, lam, modpows in ((2, 4, 1, 2), (3, 3, 2, 6)):
+        calls.clear()
+        B = [[lam if i == j else 0 for j in range(m)] for i in range(m)]
+        assert tsr_period(_spec(q, m, 2, [1], B)) == 3
+        assert len(calls) == modpows
 
 
 def test_period_equals_orbit_walk():
