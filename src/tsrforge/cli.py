@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .counting import (closed_form_count, enumerate_special_primitives,
                        enumerate_tsrp_bruteforce, tsrp_upper_bound)
@@ -176,7 +177,9 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call (about a millisecond) and shared after."""
     parser = argparse.ArgumentParser(
         prog="tsrforge",
         description="Primitive transformation shift registers over finite fields.")
@@ -242,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     saved = os.environ.get(ENV_VAR)
     if args.guard_bits is not None:
         os.environ[ENV_VAR] = str(args.guard_bits)

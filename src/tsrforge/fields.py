@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import and_, pos, xor
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BaseNotSubfield,
@@ -21,6 +21,7 @@ from .errors import (
     ZeroElement,
 )
 from .factorint import factor_integer, is_prime_int
+from .kernel import FieldOps, ListKernel, PackedKernel
 
 # Conway polynomials, little-endian coefficient tuples over F_p.  Each entry
 # was verified primitive (order test) and norm-compatible with its subfield
@@ -72,29 +73,7 @@ def prime_power(q: int) -> tuple[int, int]:
     return factors[0]
 
 
-# --- the integer kernel: polynomials as little-endian lists of canonical ints ---
-#
-# Each loop runs over one field's FieldOps.  Over F_p the lists are the
-# coefficient vectors that the large-field element arithmetic works on;
-# polys.py runs the same loops over F_q[X] with F_q's ops.
-# Lists come out trimmed (no trailing zeros); the zero polynomial is [].
-
 TABLE_MAX_ORDER = 1 << 16  # extension fields up to this order multiply by exp/log tables
-
-
-class FieldOps(NamedTuple):
-    """add, neg, mul and inv on canonical encodings; inv needs a nonzero argument."""
-
-    add: Callable[[int, int], int]
-    neg: Callable[[int], int]
-    mul: Callable[[int, int], int]
-    inv: Callable[[int], int]
-
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _encode(digits: Sequence[int], p: int) -> int:
@@ -117,103 +96,45 @@ def int_pow(a: int, e: int, ops: FieldOps) -> int:
     return result
 
 
-def int_poly_mul(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> list[int]:
-    if not a or not b:
-        return []
-    add, mul = ops.add, ops.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                if y:
-                    out[j] = add(out[j], mul(x, y))
-    return _trim(out)
-
-
-def int_poly_divrem(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> tuple[list[int], list[int]]:
-    """(quot, rem) with a = quot*b + rem, deg rem < deg b; b trimmed and nonzero."""
-    rem = _trim(list(a))
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], rem
-    add, mul, neg = ops.add, ops.mul, ops.neg
-    inv_lead = ops.inv(b[-1])
-    tail = [mul(neg(c), inv_lead) for c in b[:-1]]  # -b_i / lead(b)
-    quot = [0] * (len(rem) - db)
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = rem[top]
-        if c:
-            quot[top - db] = mul(c, inv_lead)
-            for i, t in enumerate(tail, top - db):
-                if t:
-                    rem[i] = add(rem[i], mul(c, t))
-    del rem[db:]
-    return quot, _trim(rem)
-
-
-def int_poly_modpow(base: Sequence[int], e: int, mod: Sequence[int], ops: FieldOps) -> list[int]:
-    """base^e mod mod by square-and-multiply; e >= 0, mod of degree >= 1."""
-    if e < 0:
-        raise ValueError(f"exponent e = {e} must be >= 0")
-    result = [1]
-    acc = int_poly_divrem(base, mod, ops)[1]
-    while e:
-        if e & 1:
-            result = int_poly_divrem(int_poly_mul(result, acc, ops), mod, ops)[1]
-        e >>= 1
-        if e:
-            acc = int_poly_divrem(int_poly_mul(acc, acc, ops), mod, ops)[1]
-    return result
-
-
-def int_poly_gcd(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> list[int]:
-    """Monic gcd; [] when both are zero."""
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, int_poly_divrem(a, b, ops)[1]
-    if a:
-        inv_lead = ops.inv(a[-1])
-        a = [ops.mul(c, inv_lead) for c in a]
-    return a
-
-
 @lru_cache(maxsize=None)
 def _field_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
-    """F_p by % p, F_{p^k} by exp/log tables up to TABLE_MAX_ORDER, else by vectors."""
+    """F_p by % p, with the packed polynomial kernel; F_{p^k} by exp/log tables
+    up to TABLE_MAX_ORDER, else by vectors, with the list kernel (kernel.py)."""
     if k == 1:
+        kernel = PackedKernel(p)
         if p == 2:
-            return FieldOps(xor, pos, and_, pos)
+            return FieldOps(xor, pos, and_, pos, kernel)
         return FieldOps(lambda a, b: (a + b) % p, lambda a: -a % p,
-                        lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
-    if p ** k <= TABLE_MAX_ORDER:
-        return _table_ops(p, k, modulus)
-    return _vector_ops(p, k, modulus)
+                        lambda a, b: a * b % p, lambda a: pow(a, p - 2, p), kernel)
+    add, neg, mul, inv = (_table_ops if p ** k <= TABLE_MAX_ORDER else _vector_ops)(p, k, modulus)
+    return FieldOps(add, neg, mul, inv, ListKernel(p ** k, add, neg, mul, inv))
 
 
-def _vector_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
-    """Ops that decode to coefficient vectors over F_p and reduce by the modulus."""
-    prime = _field_ops(p, 1, (0, 1))
-    q = p ** k
+def _vector_ops(p: int, k: int, modulus: tuple[int, ...]):
+    """(add, neg, mul, inv) on coefficient vectors over F_p, reduced by the modulus.
 
-    def vec(v: int) -> list[int]:
-        return _trim(base_digits(v, p, k))
-
-    def mul(a: int, b: int) -> int:
-        return _encode(int_poly_divrem(int_poly_mul(vec(a), vec(b), prime), modulus, prime)[1], p)
-
-    def inv(a: int) -> int:
-        return _encode(int_poly_modpow(vec(a), q - 2, modulus, prime), p)
-
+    Over F_2 the canonical int is the bit vector: its binary digits, one
+    byte '0' or '1' each, become the low bytes of the packed slots.
+    """
+    ring = PackedKernel(p).ring(list(modulus))
+    size, q = ring.pk.size, p ** k
     if p == 2:
-        return FieldOps(xor, pos, mul, inv)
-    return FieldOps(
-        lambda a, b: _encode([(x + y) % p for x, y in zip(base_digits(a, p, k), base_digits(b, p, k))], p),
-        lambda a: _encode([-x % p for x in base_digits(a, p, k)], p),
-        mul, inv)
+        to_slot, to_bit = {48: "\0" * size, 49: "\0" * (size - 1) + "\1"}, bytes.maketrans(b"\0\1", b"01")
+        spread = lambda a: int.from_bytes(f"{a:b}".translate(to_slot).encode("latin-1"), "big")
+        gather = lambda x: int(x.to_bytes(k * size, "big")[size - 1::size].translate(to_bit), 2)
+    else:
+        spread, gather = lambda a: ring.pk.pack(base_digits(a, p, k)), lambda x: _encode(ring.list(x), p)
+    mul = lambda a, b: gather(ring.mul(spread(a), spread(b)))
+    inv = lambda a: gather(ring.pow(spread(a), q - 2))
+    if p == 2:
+        return xor, pos, mul, inv
+    return (lambda a, b: _encode([(x + y) % p for x, y in zip(base_digits(a, p, k), base_digits(b, p, k))], p),
+            lambda a: _encode([-x % p for x in base_digits(a, p, k)], p),
+            mul, inv)
 
 
-def _table_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
-    """exp/log ops on a primitive element g; addition by XOR (p = 2) or a Zech table.
+def _table_ops(p: int, k: int, modulus: tuple[int, ...]):
+    """(add, neg, mul, inv) by exp/log on a primitive element g; addition by XOR (p = 2) or a Zech table.
 
     log[0] is a sentinel past every sum of two logs of nonzero elements, and
     exp holds zeros from there on, so a product with 0 needs no branch.
@@ -234,7 +155,7 @@ def _table_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
         return exp[n - log[a]]
 
     if p == 2:
-        return FieldOps(xor, pos, mul, inv)
+        return xor, pos, mul, inv
     half = n // 2  # g^half = -1 in odd characteristic
     # zech[d] = log(1 + g^d); 1 + v only changes the lowest base-p digit of v.
     # A negative d indexes zech[n + d], which is d mod n.
@@ -251,14 +172,14 @@ def _table_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
     def neg(a: int) -> int:
         return exp[log[a] + half]
 
-    return FieldOps(add, neg, mul, inv)
+    return add, neg, mul, inv
 
 
 def _generator_powers(p: int, k: int, modulus: tuple[int, ...]) -> list[int]:
     """g^0 .. g^(q-2) for a primitive g: x when the modulus is primitive, else the least one."""
     q = p ** k
     for g in [p] + [v for v in range(2, q) if v != p]:
-        step = _times_x(p, k, modulus) if g == p else partial(_vector_ops(p, k, modulus).mul, g)
+        step = _times_x(p, k, modulus) if g == p else partial(_vector_ops(p, k, modulus)[2], g)
         powers = [1]
         v = step(1)
         while v != 1 and len(powers) < q - 1:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, NonSquareMatrix
-from .fields import Field, FieldElement, FieldOps, int_poly_mul
+from .fields import Field, FieldElement
+from .kernel import FieldOps, int_poly_mul
 from .polys import Polynomial, _common_field, _from_ints
 
 
@@ -188,7 +189,7 @@ def matrix_det(M: Matrix) -> FieldElement:
     if not M.is_square:
         raise NonSquareMatrix("determinant of a non-square matrix")
     n = M.rows
-    add, neg, mul, inv = M.field.ops
+    add, neg, mul, inv, _ = M.field.ops
     a = _int_rows(M)
     det = 1
     for col in range(n):
@@ -219,7 +220,7 @@ def matrix_charpoly(M: Matrix) -> Polynomial:
         raise NonSquareMatrix("characteristic polynomial of a non-square matrix")
     n = M.rows
     ops = M.field.ops
-    add, neg, mul, inv = ops
+    add, neg, mul, inv, _ = ops
     H = _int_rows(M)
     # similarity-reduce to upper Hessenberg form
     for col in range(n - 2):
@@ -268,7 +269,7 @@ def matrix_minpoly(M: Matrix) -> Polynomial:
     if not M.is_square:
         raise NonSquareMatrix("minimal polynomial of a non-square matrix")
     n, size, ops = M.rows, M.rows ** 2, M.field.ops
-    add, neg, mul, inv = ops
+    add, neg, mul, inv, _ = ops
     rows, power = _int_rows(M), [[int(i == j) for j in range(n)] for i in range(n)]
     basis = []  # (pivot, tagged row scaled to 1 at the pivot)
     for k in range(n + 1):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly
-from .fields import (Field, FieldElement, format_element, int_poly_divrem,
-                     int_poly_gcd, int_poly_modpow, int_poly_mul)
+from .fields import Field, FieldElement, format_element
+from .kernel import int_poly_divrem, int_poly_gcd, int_poly_modpow, int_poly_mul
 
 NEG_INF = float("-inf")
 
@@ -157,7 +157,7 @@ class Polynomial:
 
 
 # Polynomial.__mul__, poly_divrem, poly_modpow and poly_gcd convert at the
-# edge and run the integer kernel of fields.py on canonical encodings.
+# edge and run the field's kernel (kernel.py) on canonical encodings.
 
 def _ints(p: Polynomial) -> list[int]:
     return [c.int_value for c in p.coeffs]

@@ -8,26 +8,30 @@ modulo the constants F_q^*.  is_primitive_poly runs three stages on the
 monic int list of f and the field's ops; each stage only rejects:
 
 1. norm: N must generate F_q^* (vacuous for q = 2); no polynomial arithmetic;
-2. is_irreducible: Rabin's test, with v -> v^q as the q-power (Frobenius)
-   matrix whose rows are X^(qi) mod f, built from one X^q mod f and applied
-   n times to X;
+2. is_irreducible: Rabin's test, X^(q^k) mod f by k q-power steps on X in a
+   ring F_q[X]/(f) of the field's kernel (see kernel.py).  Over a prime
+   field the ring is packed and a step is the power v^p, so over F_2 one
+   squaring; over F_{p^k} a step applies the q-power (Frobenius) matrix,
+   whose rows X^(qi) mod f are built from one X^q mod f;
 3. order: X^(r/l) mod f is not a constant for each prime l of r that does
    not divide q - 1.  Stage 1 settles the primes l of q - 1: once f is
    irreducible, X^r = N mod f, so X^((q^n-1)/l) = N^((q-1)/l).
 
 The certificate witnesses X^((q^n-1)/l) mod f for every prime l | q^n - 1,
-built only on accept: the constant N^((q-1)/l) when l | q - 1, else
-(X^(r/l))^(q-1).  The non-monic case is accepted too: scaling f by a unit
-fixes the ideal (f), so irreducibility and the order of X mod f are
-unchanged.
+built on accept when they are first read: the constant N^((q-1)/l) when
+l | q - 1, else (X^(r/l))^(q-1).  The non-monic case is accepted too:
+scaling f by a unit fixes the ideal (f), so irreducibility and the order
+of X mod f are unchanged.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .errors import BadDegree, CoefficientNotDescended, ZeroConstantTerm, ZeroElement
 from .factorint import Factorization, factor_integer
-from .fields import (Field, FieldElement, FieldOps, _trim, frobenius, int_poly_divrem,
-                     int_poly_gcd, int_poly_modpow, int_poly_mul, int_pow, subfield_maps)
+from .fields import Field, FieldElement, frobenius, int_pow, subfield_maps
+from .kernel import FieldOps, int_poly_gcd
 from .polys import Polynomial, _from_ints, _ints, format_poly
 
 
@@ -50,6 +54,36 @@ class PrimitivityCertificate:
         }
 
 
+_FIELDS = attrgetter("poly", "group_order", "factors", "witnesses")
+
+
+class _LazyCertificate(PrimitivityCertificate):
+    """A certificate whose witnesses _witnesses builds on first read from the
+    ring of f, the norm N and the powers X^(r/l) mod f, dropped once built.  It
+    pickles, copies, compares, hashes and prints as the eager certificate with
+    the same fields; dataclasses.replace passes the witnesses in."""
+
+    def __init__(self, poly, group_order, factors, witnesses=None, *, inputs=None):
+        self.__dict__.update(poly=poly, group_order=group_order, factors=factors, _inputs=inputs)
+        if witnesses is not None:
+            self.__dict__["witnesses"] = witnesses
+
+    @cached_property
+    def witnesses(self) -> tuple[tuple[int, Polynomial], ...]:
+        return _witnesses(self.poly.field, *self.__dict__.pop("_inputs"), self.factors)
+
+    def __eq__(self, other):
+        return _FIELDS(self) == _FIELDS(other) if isinstance(other, PrimitivityCertificate) else NotImplemented
+
+    __hash__ = PrimitivityCertificate.__hash__
+
+    def __repr__(self) -> str:
+        return repr(PrimitivityCertificate(*_FIELDS(self)))
+
+    def __reduce__(self):
+        return PrimitivityCertificate, _FIELDS(self)
+
+
 def _monic_ints(f: Polynomial, ops: FieldOps) -> list[int]:
     coeffs = _ints(f)
     if coeffs[-1] == 1:
@@ -63,22 +97,10 @@ def _generates(a: int, q: int, ops: FieldOps) -> bool:
     return all(int_pow(a, (q - 1) // l, ops) != 1 for l in factor_integer(q - 1).primes)
 
 
-def _frobenius_apply(v: list[int], rows: list[list[int]], ops: FieldOps) -> list[int]:
-    """v^q mod f = sum of v_i X^(qi) mod f, since v_i^q = v_i in F_q."""
-    add, mul = ops.add, ops.mul
-    acc = [0] * len(rows)
-    for c, row in zip(v, rows):
-        if c:
-            for j, y in enumerate(row):
-                if y:
-                    acc[j] = add(acc[j], mul(c, y))
-    return _trim(acc)
-
-
 def is_irreducible(f: Polynomial) -> bool:
     """Rabin test: X^(q^n) = X mod f and gcd(X^(q^(n/l)) - X, f) = 1 per prime l | n.
 
-    X^(q^k) for k = 1..n comes from applying the q-power matrix to X k times.
+    X^(q^k) for k = 1..n comes from k q-power steps on X in the field's kernel.
     """
     n = f.degree
     if not isinstance(n, int) or n < 1:
@@ -87,25 +109,26 @@ def is_irreducible(f: Polynomial) -> bool:
         return True
     ops = f.field.ops
     fm = _monic_ints(f, ops)
-    x_q = int_poly_modpow([0, 1], f.field.order, fm, ops)
-    rows = [[1], x_q]  # rows[i] = X^(qi) mod f
-    for _ in range(n - 2):
-        rows.append(int_poly_divrem(int_poly_mul(rows[-1], x_q, ops), fm, ops)[1])
+    ring = ops.kernel.ring(fm)
     checks = {n // l for l in factor_integer(n).primes}
     minus_one = ops.neg(1)
-    v = x_q  # X^(q^k) mod f
+    v = ring.x
     for k in range(1, n):
+        v = ring.frob(v)  # X^(q^k) mod f
         if k in checks:
-            h = v + [0] * (2 - len(v))  # v - X
+            h = ring.list(v) + [0, 0]  # v - X
             h[1] = ops.add(h[1], minus_one)
             if len(int_poly_gcd(h, fm, ops)) != 1:
                 return False
-        v = _frobenius_apply(v, rows, ops)
-    return v == [0, 1]
+    return ring.frob(v) == ring.x
 
 
 def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | None]:
-    """(verdict, certificate): X mod f generates a group of order q^n - 1."""
+    """(verdict, certificate): X mod f generates a group of order q^n - 1.
+
+    The certificate builds its witnesses when they are first read, so a
+    caller that keeps only the verdict never computes them.
+    """
     n = f.degree
     if not isinstance(n, int) or n < 1:
         raise BadDegree("primitivity is defined for degree >= 1")
@@ -123,18 +146,23 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
     factors = factor_integer(group_order)
     q1_primes = factor_integer(q - 1).primes
     r = group_order // (q - 1)
+    ring = ops.kernel.ring(fm)
     powers = {}  # prime l of r but not of q - 1 -> X^(r/l) mod f
     for l in factors.primes:
         if l not in q1_primes:
-            w = int_poly_modpow([0, 1], r // l, fm, ops)
-            if len(w) == 1:
+            w = ring.pow(ring.x, r // l)
+            if len(ring.list(w)) == 1:
                 return False, None
             powers[l] = w
-    witnesses = tuple(
-        (l, _from_ints(field, int_poly_modpow(powers[l], q - 1, fm, ops) if l in powers
-                       else [int_pow(norm, (q - 1) // l, ops)]))
-        for l in factors.primes)
-    return True, PrimitivityCertificate(f, group_order, factors, witnesses)
+    return True, _LazyCertificate(f, group_order, factors, inputs=(ring, norm, powers))
+
+
+def _witnesses(field: Field, ring, norm: int, powers: dict, factors: Factorization) -> tuple:
+    """X^((q^n-1)/l) mod f per prime l: N^((q-1)/l) when l | q - 1, else (X^(r/l))^(q-1)."""
+    q, ops = field.order, field.ops
+    return tuple((l, _from_ints(field, ring.list(ring.pow(powers[l], q - 1)) if l in powers
+                                else [int_pow(norm, (q - 1) // l, ops)]))
+                 for l in factors.primes)
 
 
 def is_primitive_element(x: FieldElement) -> bool:

@@ -14,8 +14,9 @@ from math import prod
 from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB,
                      ZeroConstantTerm)
 from .factorint import merged_factorization, multiplicative_order_from
-from .fields import Field, FieldElement, _trim, base_digits, int_poly_mul, make_field
+from .fields import Field, FieldElement, base_digits, make_field
 from .guards import check_field
+from .kernel import _trim, int_poly_mul
 from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
 from .polys import Polynomial, _common_field, _from_ints, _ints, poly_modpow
@@ -148,7 +149,7 @@ def tsr_step(spec: TsrSpec, state: TsrState) -> TsrState:
         for e in block:
             if e.owner is not field and e.owner != field:
                 raise ValueError("elements belong to different fields")
-    add, _, mul, _ = field.ops
+    add, _, mul, _, _ = field.ops
     # new last block = sum over j of block_j (c_j B)
     new_last = [0] * m
     for j, rows in spec._tap_rows:

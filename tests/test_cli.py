@@ -366,3 +366,29 @@ def test_enumerate_closed_forms_refuse_bad_arguments(capsys):
         assert code == 2
         assert out == ""
         assert "bad arguments" in err and name in err
+
+
+# one process, many calls: the parser is built once and reused
+_REPEATED = (["test-primitive", "2", "x^4 + x + 1"], ["--guard-bits", "16", "count-r"],
+             ["count-r"], ["frobnicate"], ["search-tsr", "2", "2", "3"],
+             ["--guard-bits", "3", "enumerate", "P_qmn", "2", "4", "3"],
+             ["enumerate", "P_qmn", "2", "2", "2"], ["test-primitive", "2", "x^2 + 1"],
+             ["field", "9"], ["search-tsr", "2", "2"])
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    import subprocess
+    import sys
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    fresh = [subprocess.run([sys.executable, "-m", "tsrforge.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=120) for argv in _REPEATED]
+    for argv, res in list(zip(_REPEATED, fresh)) * 2:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error, from argparse
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (res.returncode, res.stdout, res.stderr), argv
+        assert ENV_VAR not in os.environ

@@ -1,0 +1,180 @@
+"""The polynomial kernels against a schoolbook reference on plain ints mod p.
+
+The reference below imports nothing from tsrforge: lists of ints in
+[0, p), little-endian and trimmed, with every operation written out.
+"""
+
+import random
+
+import pytest
+
+from tsrforge import kernel
+from tsrforge.fields import make_extension_field, make_field
+from tsrforge.kernel import int_poly_divrem, int_poly_gcd, int_poly_modpow, int_poly_mul
+from tsrforge.polys import Polynomial
+from tsrforge.primitivity import is_irreducible
+
+
+def _ref_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _ref_trim(out)
+
+
+def _ref_divrem(a, b, p):
+    rem = _ref_trim(list(a))
+    inv = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1] * inv % p
+        shift = len(rem) - len(b)
+        quot[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - c * y) % p
+        _ref_trim(rem)
+    return _ref_trim(quot), rem
+
+
+def _ref_gcd(a, b, p):
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    while b:
+        a, b = b, _ref_divrem(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _ref_modpow(base, e, mod, p):
+    result, acc = [1], _ref_divrem(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _ref_divrem(_ref_mul(result, acc, p), mod, p)[1]
+        e >>= 1
+        acc = _ref_divrem(_ref_mul(acc, acc, p), mod, p)[1]
+    return _ref_divrem(result, mod, p)[1]
+
+
+def _rand(rng, p, deg):
+    return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+
+PRIMES = (2, 3, 5, 13, 65537)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_kernel_matches_schoolbook(p):
+    ops, rng = make_field(p).ops, random.Random(p)
+    polys = [[], [1], [p - 1], _rand(rng, p, 1), _rand(rng, p, 3), _rand(rng, p, 7),
+             _rand(rng, p, 20), [0, 0, 0, 1], [rng.randrange(1, p)] + [0] * 9 + [p - 1]]
+    for a in polys:
+        for b in polys:
+            assert int_poly_mul(a, b, ops) == _ref_mul(a, b, p)
+            assert int_poly_gcd(a, b, ops) == _ref_gcd(a, b, p)
+            if b:  # leads are random units, so most divisors are not monic
+                assert int_poly_divrem(a, b, ops) == _ref_divrem(a, b, p)
+    # untrimmed input and a divisor of higher degree than the dividend
+    assert int_poly_divrem([1, 1, 0, 0], [0, 0, 0, 1], ops) == ([], [1, 1])
+    for mod in polys[3:]:
+        for base in polys:  # the zero base, constants, and bases above deg mod
+            for e in (0, 1, 2, 3, p, p + 1, rng.randrange(1 << 40), p ** len(mod) - 2):
+                assert int_poly_modpow(base, e, mod, ops) == _ref_modpow(base, e, mod, p), (base, e, mod)
+
+
+@pytest.mark.parametrize("p, deg", [(2, 254), (2, 255), (2, 300)]
+                         + [(p, deg) for p in PRIMES[1:] for deg in (254, 255)])
+def test_packed_kernel_matches_schoolbook_across_the_slot_width_boundary(p, deg):
+    # a product of two polynomials with 256 or more coefficients takes wider
+    # slots; `full` (every coefficient p - 1) fills a slot to its bound
+    ops, rng = make_field(p).ops, random.Random(deg * p)
+    a, b, mod = _rand(rng, p, deg), _rand(rng, p, deg), _rand(rng, p, deg)
+    small, full = _rand(rng, p, 5), [p - 1] * (deg + 1)
+    assert int_poly_mul(full, full, ops) == _ref_mul(full, full, p)
+    assert int_poly_mul(a, b, ops) == _ref_mul(a, b, p)
+    assert int_poly_mul(a, small, ops) == _ref_mul(a, small, p)
+    assert int_poly_divrem(_ref_mul(a, b, p), mod, ops) == _ref_divrem(_ref_mul(a, b, p), mod, p)
+    assert int_poly_gcd(_ref_mul(a, small, p), _ref_mul(b, small, p), ops) == \
+        _ref_gcd(_ref_mul(a, small, p), _ref_mul(b, small, p), p)
+    for base, e, m in ((a, 0, mod), (b, 3, mod), (_ref_mul(a, b, p), 2, mod), (full[:-1], 2, full)):
+        assert int_poly_modpow(base, e, m, ops) == _ref_modpow(base, e, m, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_kernel_slot_by_slot_matches_schoolbook(p, monkeypatch):
+    # without array typecodes, as on a big-endian host, slots pack one by one
+    monkeypatch.setattr(kernel, "_ARRAY_CODES", {})
+    pk, rng = kernel.PackedKernel(p), random.Random(p)
+    assert pk.code is None
+    a, b, c, mod = _rand(rng, p, 20), _rand(rng, p, 9), _rand(rng, p, 4), _rand(rng, p, 7)
+    assert pk.mul(a, b) == _ref_mul(a, b, p)
+    assert pk.divrem(a, b) == _ref_divrem(a, b, p)
+    assert pk.gcd(_ref_mul(a, c, p), _ref_mul(b, c, p)) == _ref_gcd(_ref_mul(a, c, p), _ref_mul(b, c, p), p)
+    ring = pk.ring(mod)
+    assert ring.list(ring.pow(ring.reduce(a), p ** 7 - 2)) == _ref_modpow(a, p ** 7 - 2, mod, p)
+
+
+def _monic_polys(p, n):
+    for v in range(p ** n):
+        digits = []
+        for _ in range(n):
+            v, d = divmod(v, p)
+            digits.append(d)
+        yield tuple(digits) + (1,)
+
+
+def _reducible_monic(p, max_degree):
+    """Every product of two monic polynomials of degree >= 1 with degree <= max_degree."""
+    out = set()
+    for i in range(1, max_degree // 2 + 1):
+        for a in _monic_polys(p, i):
+            for j in range(i, max_degree - i + 1):
+                for b in _monic_polys(p, j):
+                    out.add(tuple(_ref_mul(list(a), list(b), p)))
+    return out
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 12), (3, 7)])
+def test_is_irreducible_matches_trial_division_exhaustively(p, max_degree):
+    field, reducible = make_field(p), _reducible_monic(p, max_degree)
+    for n in range(1, max_degree + 1):
+        for f in _monic_polys(p, n):
+            assert is_irreducible(Polynomial.make(field, f)) == (f not in reducible), f
+
+
+def _clmul_mod(a, b, mod):
+    """a*b mod `mod` on F_2 bit vectors, by shift and xor."""
+    k, r = mod.bit_length() - 1, 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> k & 1:
+            a ^= mod
+    return r
+
+
+@pytest.mark.parametrize("k", (17, 25, 255))
+def test_bitmask_multiply_in_characteristic_2(k):
+    # above 2^16 elements F_{2^k} multiplies canonical ints (bit vectors) packed;
+    # at k = 255 a product has 255 terms, so the slots are two bytes wide
+    low = next(j for j in range(1, k) if is_irreducible(Polynomial.make(
+        make_field(2), [1] + [0] * (j - 1) + [1] + [0] * (k - j - 1) + [1])))
+    field = make_extension_field(2, k, [1] + [0] * (low - 1) + [1] + [0] * (k - low - 1) + [1])
+    mod, rng = (1 << k) | (1 << low) | 1, random.Random(k)
+    xs = [0, 1, 2, (1 << k) - 1] + [rng.randrange(1 << k) for _ in range(6)]
+    for x in xs:
+        for y in xs:
+            assert field.ops.mul(x, y) == _clmul_mod(x, y, mod)
+        if x:
+            assert _clmul_mod(x, field.ops.inv(x), mod) == 1

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -255,12 +258,51 @@ def test_norm_stage_rejects_without_polynomial_arithmetic(monkeypatch):
     assert is_irreducible(f)
     assert poly_modpow(Polynomial.x(f.field), 3, f) == Polynomial.one(f.field)
 
-    def not_reached(_):
+    def not_reached(*_):
         raise AssertionError("stage 1 should have decided")
 
+    # every polynomial product, reduction and power of the test runs in a
+    # ring of the field's kernel, and Rabin's gcds on int_poly_gcd
     monkeypatch.setattr(primitivity, "is_irreducible", not_reached)
-    monkeypatch.setattr(primitivity, "int_poly_modpow", not_reached)
+    monkeypatch.setattr(type(f.field.ops.kernel), "ring", not_reached)
+    monkeypatch.setattr(primitivity, "int_poly_gcd", not_reached)
     assert is_primitive_poly(f) == (False, None)
+
+
+def test_verdict_only_callers_build_no_witness(monkeypatch):
+    from tsrforge.cosets import count_trace_one_classes
+    from tsrforge.counting import enumerate_special_primitives, enumerate_tsrp_bruteforce
+    from tsrforge.fields import _fallback_modulus
+    from tsrforge.search import search_primitive_tsr
+    from tsrforge.tables import fiber_census
+
+    built = []
+    witnesses = primitivity._witnesses
+    monkeypatch.setattr(primitivity, "_witnesses", lambda *a: built.append(a) or witnesses(*a))
+    # each of these accepts primitive polynomials and keeps only the verdict
+    assert enumerate_special_primitives(2, 2, 3, "P_mnq")
+    assert enumerate_tsrp_bruteforce(2, 2, 2)
+    assert fiber_census(2, 2, (0, 1, 1, 1))
+    assert count_trace_one_classes(5) == (2, 10)
+    assert search_primitive_tsr(2, 3, 3).certificate.group_order == 2 ** 9 - 1
+    assert _fallback_modulus.__wrapped__(2, 5)
+    assert built == []
+    ok, cert = is_primitive_poly(parse_poly("x^6 + x + 1", make_field(2)))
+    assert ok and built == []
+    assert cert.to_json() == cert.to_json() and len(built) == 1  # built once, on first read
+    assert [l for l, _ in cert.witnesses] == [3, 7]
+
+
+def test_lazy_certificate_behaves_as_the_eager_one():
+    f = parse_poly("x^6 + x + 1", make_field(2))
+    ok, cert = is_primitive_poly(f)
+    eager = PrimitivityCertificate(f, cert.group_order, cert.factors, is_primitive_poly(f)[1].witnesses)
+    assert cert == eager and eager == cert and hash(cert) == hash(eager)
+    assert repr(cert) == repr(eager)
+    assert pickle.loads(pickle.dumps(cert)) == eager
+    assert type(copy.deepcopy(cert)) is PrimitivityCertificate
+    other = dataclasses.replace(cert, group_order=7)
+    assert other.group_order == 7 and other.witnesses == eager.witnesses and other != eager
 
 
 def _order_by_walk(x):

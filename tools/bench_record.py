@@ -1,0 +1,141 @@
+"""Record layer timings and benchmark medians of one or more checkouts in a BENCH_*.json.
+
+    python3 tools/bench_record.py --side parent=../parent --side change=. --out BENCH_11.json
+
+Each --side LABEL=PATH names the root of a tsrforge source checkout.  For
+every side the recorder writes:
+
+- layer rows: microseconds per call of `int_poly_modpow` (X^e mod f with
+  e = q^n - 2), `is_irreducible` and `is_primitive_poly`, each on the same
+  seeded sample of monic polynomials with f(0) != 0, at degrees 20, 40 and 64
+  over F_2, 10, 20 and 40 over F_3 and 8 over F_9;
+- end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
+  prints, for both workloads, per seed of SEEDS and as the median over them,
+  each run as long as `run_seconds` of BENCHMARK.json.
+
+Layer rows are timed in a fresh interpreter that imports that side's src/,
+LAYER_ROUNDS times, and the median round is kept.  Layer rounds and
+benchmark runs alternate between the sides, which run first in turn, so
+host drift falls on both.  Stdlib only and offline; nothing is installed.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+LAYER_CASES = [(2, 20), (2, 40), (2, 64), (3, 10), (3, 20), (3, 40), (9, 8)]
+SAMPLE = 8  # polynomials per (q, degree)
+REPEATS = 5  # timed passes over the sample; the median pass is kept
+LAYER_ROUNDS = 3  # fresh interpreters per side; the median round is kept
+SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
+WORKLOADS = ("construct", "count")
+RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def layer_rows(src: str) -> dict:
+    """µs per call of the three layer functions, timed in this interpreter on src/."""
+    sys.path.insert(0, str(Path(src) / "src"))
+    import random
+
+    from tsrforge.fields import base_digits, make_field
+    try:
+        from tsrforge.kernel import int_poly_modpow
+    except ImportError:  # checkouts before the kernel module
+        from tsrforge.fields import int_poly_modpow
+    from tsrforge.polys import Polynomial
+    from tsrforge.primitivity import is_irreducible, is_primitive_poly
+
+    rows = {}
+    for q, n in LAYER_CASES:
+        field, rng = make_field(q), random.Random(q * 1000 + n)
+        polys = [Polynomial.make(field, [rng.randrange(1, q)]
+                                 + base_digits(rng.randrange(q ** (n - 1)), q, n - 1) + [1])
+                 for _ in range(SAMPLE)]
+        ints = [[c.int_value for c in f.coeffs] for f in polys]
+        e = q ** n - 2
+        calls = {
+            "int_poly_modpow": lambda i: int_poly_modpow([0, 1], e, ints[i], field.ops),
+            "is_irreducible": lambda i: is_irreducible(polys[i]),
+            "is_primitive_poly": lambda i: is_primitive_poly(polys[i]),
+        }
+        for name, call in calls.items():
+            passes = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                for i in range(SAMPLE):
+                    call(i)
+                passes.append((time.perf_counter() - t0) / SAMPLE)
+            rows[f"{name}.F{q}.deg{n}_us"] = round(statistics.median(passes) * 1e6, 1)
+    return rows
+
+
+def run_layers(src: str) -> dict:
+    """layer_rows of the checkout at src, in a fresh interpreter."""
+    child = "import json, sys, bench_record; print(json.dumps(bench_record.layer_rows(sys.argv[1])))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent))
+    out = subprocess.run([sys.executable, "-c", child, src],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def run_bench(src: str, workload: str, seed: int) -> dict:
+    """The end-to-end metrics of one perfbench run from the checkout at src."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
+                         cwd=src, env=env, capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics["failed"] = result["failed"]
+    return metrics
+
+
+def git_sha(src: str) -> dict:
+    def git(*args):
+        res = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+        return res.stdout.strip() if res.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--", "src")
+    return {"sha": git("rev-parse", "HEAD"), "src_dirty": bool(status) if status is not None else None}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--side", action="append", default=[], metavar="LABEL=PATH")
+    ap.add_argument("--out", default="BENCH.json")
+    args = ap.parse_args(argv)
+    sides = dict(s.split("=", 1) for s in args.side)
+    if not sides:
+        ap.error("give at least one --side LABEL=PATH")
+    doc = {"python": platform.python_version(), "nproc": os.cpu_count(),
+           "machine": platform.machine(), "seeds": list(SEEDS), "seconds": RUN_SECONDS,
+           "sides": {}}
+    order = list(sides.items())
+    layers = {label: [] for label in sides}
+    for i in range(LAYER_ROUNDS):
+        for label, src in order[::-1] if i % 2 else order:
+            layers[label].append(run_layers(src))
+    runs = {(label, w): [] for label in sides for w in WORKLOADS}
+    for i, seed in enumerate(SEEDS):
+        for label, src in order[::-1] if i % 2 else order:
+            for w in WORKLOADS:
+                runs[label, w].append(run_bench(src, w, seed))
+    for label, src in order:
+        doc["sides"][label] = dict(git_sha(src), e2e={}, layers={
+            row: statistics.median(r[row] for r in layers[label]) for row in layers[label][0]})
+    for (label, w), results in runs.items():
+        doc["sides"][label]["e2e"][w] = {
+            "median": {name: statistics.median(r[name] for r in results) for name in results[0]},
+            "runs": results}
+    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
