@@ -7,10 +7,11 @@ Frobenius images of N(x), so r*m is the number of c in F_{2^m} with
 X^2 + X + c primitive.  count_trace_one_classes counts those c, one squaring
 orbit of F_{2^m} at a time, in O(2^m) field operations.
 
-primitive_trace_one_count is the independent O(4^m) cross-check: it walks
-every unit exponent of F_{2^{2m}} over an exp table of raw bitmasks.  The
-class-summary path goes through the structured field layer and is meant for
-small m.
+primitive_trace_one_count is the independent element-level cross-check, in
+O(2^m) element-order tests on the ops of F_{2^{2m}}: the relative trace is
+F_{2^m}-linear and onto with kernel F_{2^m}, so the trace-one elements are
+the single coset x0 + F_{2^m}.  The class-summary path goes through the
+structured field layer and is meant for small m.
 
 A class is counted when its trace t equals 1.  The squaring orbit of t
 contains 1 exactly when t = 1 (t^{2^i} = 1 forces (t-1)^{2^i} = 0), so
@@ -18,15 +19,14 @@ orbit-membership and equality coincide; the orbit variant is exercised as a
 tripwire in the test suite.
 """
 
-from array import array
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import ExistenceViolation, ScaleExceeded
-from .fields import make_field, subfield_maps
+from .fields import int_pow, make_field, subfield_maps
 from .guards import check_field
 from .polys import Polynomial
-from .primitivity import is_primitive_poly
+from .primitivity import _generates, is_primitive_poly
 
 MAX_PARTITION_M = 14
 
@@ -52,26 +52,6 @@ class ConjugateClassSummary:
     trace: object
     norm: object
     quadratics: tuple[Polynomial, ...]
-
-
-def _exp_table(k: int) -> array:
-    """exp[i] = bitmask of x^i in F_{2^k}, i = 0 .. 2^k - 2.
-
-    The modulus is the one make_field picks for F_{2^k}; it is primitive, so
-    x generates the units.  The element tally does not depend on which
-    primitive modulus is used.  Not cached: at k = 24 the table is 64 MB.
-    """
-    mod = sum(c << i for i, c in enumerate(make_field(2 ** k).modulus_coeffs))
-    group = (1 << k) - 1
-    table = array("I", bytes(4 * group))
-    cur = 1
-    top = 1 << k
-    for i in range(group):
-        table[i] = cur
-        cur <<= 1
-        if cur & top:
-            cur ^= mod
-    return table
 
 
 def cyclotomic_partition(m: int) -> CosetPartition:
@@ -143,18 +123,28 @@ def count_trace_one_classes(m: int) -> tuple[int, int]:
 def primitive_trace_one_count(m: int) -> int:
     """Elementwise tally: primitive x in F_{2^{2m}} with x + x^{2^m} = 1.
 
-    Independent of the class count; must equal 2*r*m.
+    Walks the trace-one coset x0 + F_{2^m} and counts the elements that
+    generate F_{2^{2m}}^*.  With a the generator, which is primitive for the
+    modulus make_field picks, x0 = a / T(a) (T(a) != 0, as a is not in
+    F_{2^m}), and F_{2^m} is 0 and the powers of the norm h = a^{2^m+1},
+    which generate F_{2^m}^*.  Independent of the class count; must equal
+    2*r*m.
     """
     if m < 1:
         raise ScaleExceeded(f"m = {m} outside supported range")
-    k = 2 * m
-    group = (1 << k) - 1
-    check_field(group, "element tally space")
-    exp = _exp_table(k)
-    count = 0
-    for j in range(1, group):
-        if gcd(j, group) == 1 and exp[j] ^ exp[(j << m) % group] == 1:
-            count += 1
+    check_field((1 << (2 * m)) - 1, "element tally space")
+    field = make_field(1 << (2 * m))
+    ops, a, sub = field.ops, field.gen().int_value, 1 << m
+    x0 = ops.mul(a, ops.inv(ops.add(a, int_pow(a, sub, ops))))
+    h = int_pow(a, sub + 1, ops)
+    count, c = _generates(x0, field.order, ops), 1
+    for steps in range(1, sub):
+        count += _generates(ops.add(x0, c), field.order, ops)
+        c = ops.mul(c, h)
+        if c == 1:
+            break
+    if c != 1 or steps != sub - 1:
+        raise ExistenceViolation(f"powers of the norm {h} do not close after exactly {sub - 1} steps")
     return count
 
 

@@ -48,23 +48,16 @@ def closed_form_count(kind: str, q: int, m: int | None = None, n: int | None = N
         return _exact_div(sum(moebius(d) * q ** (n // d) for d in factor_integer(n).divisors()), n)
     if kind == "sigma_prim":
         return _exact_div(euler_phi(q ** (m * n) - 1), m * n) \
-            * q ** (m * (m - 1) * (n - 1)) * _gl_tail(q, m)
+            * q ** (m * (m - 1) * (n - 1)) * _exact_div(gl_order(q, m), q ** m - 1)
     if kind == "sigma_irr":
         mn = m * n
         irr = _exact_div(sum(moebius(d) * q ** (mn // d) for d in factor_integer(mn).divisors()), mn)
-        return irr * q ** (m * (m - 1) * (n - 1)) * _gl_tail(q, m)
+        return irr * q ** (m * (m - 1) * (n - 1)) * _exact_div(gl_order(q, m), q ** m - 1)
     if kind == "gl_order":
         return gl_order(q, m)
     if kind == "tsr_order1":
         return _exact_div(gl_order(q, m), q ** m - 1) * _exact_div(euler_phi(q ** m - 1), m)
     return _exact_div(euler_phi(q ** n - 1), n)  # tsr_m1
-
-
-def _gl_tail(q: int, m: int) -> int:
-    out = 1
-    for i in range(1, m):
-        out *= q ** m - q ** i
-    return out
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -63,9 +63,6 @@ class Matrix:
     def row(self, i: int) -> tuple[FieldElement, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_lists(self) -> list[list[FieldElement]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -137,14 +134,6 @@ class Matrix:
             if e:
                 acc = _int_matmul(acc, acc, ops)
         return _from_int_rows(self.field, result, n)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def trace(self) -> FieldElement:
         if not self.is_square:

@@ -109,10 +109,6 @@ class Polynomial:
             return self
         return self.scale(self.leading.inverse())
 
-    def reverse(self) -> "Polynomial":
-        """Coefficient reversal X^deg * f(1/X); trims if f(0) = 0."""
-        return Polynomial.make(self.field, list(reversed(self.coeffs)))
-
     def __call__(self, x: FieldElement) -> FieldElement:
         acc = self.field.zero()
         for c in reversed(self.coeffs):
@@ -143,11 +139,6 @@ class Polynomial:
             self.field,
             [self.coeffs[i].scale_int(i) for i in range(1, len(self.coeffs))],
         )
-
-    def int_encoding(self) -> int:
-        """Sum of int(c_i) * q^i; the total order used for candidate scans."""
-        q = self.field.order
-        return sum(c.int_value * q**i for i, c in enumerate(self.coeffs))
 
     def __str__(self) -> str:
         return format_poly(self)

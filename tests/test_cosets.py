@@ -10,10 +10,9 @@ from tsrforge.cosets import (ConjugateClassSummary, CosetPartition,
                              trace_one_class_summaries)
 from tsrforge.errors import ExistenceViolation, ScaleExceeded
 from tsrforge.factorint import euler_phi
-from tsrforge.fields import make_field, subfield_maps
+from tsrforge.fields import make_extension_field, make_field, subfield_maps
 from tsrforge.polys import Polynomial, format_poly
 from tsrforge.primitivity import is_primitive_element, is_primitive_poly
-from tsrforge.tables import generate_table
 
 
 def test_partition_m1():
@@ -77,15 +76,18 @@ def test_count_equals_unfiltered_quadratic_census():
         assert rm == r * m == hits, m
 
 
-def test_counting_path_never_builds_the_exp_table(monkeypatch):
-    def refuse(k):
-        raise AssertionError(f"_exp_table({k}) called")
+def test_element_tally_walks_only_the_trace_one_coset(monkeypatch):
+    # one element-order test per element of x0 + F_{2^m}, not one per unit of
+    # F_{4^m}: an O(4^m) walk makes about 2^{2m} of them
+    real, calls = cosets._generates, []
 
-    monkeypatch.setattr(cosets, "_exp_table", refuse)
-    assert count_trace_one_classes(10) == (25, 250)
-    assert generate_table("r_table").splitlines()[-1] == "10,25,250"
-    with pytest.raises(AssertionError):
-        primitive_trace_one_count(2)
+    def counted(a, q, ops):
+        calls.append(a)
+        return real(a, q, ops)
+
+    monkeypatch.setattr(cosets, "_generates", counted)
+    assert primitive_trace_one_count(10) == 500
+    assert len(calls) <= 2 ** 10 + 64
 
 
 def test_count_refuses_a_broken_squaring_map(monkeypatch):
@@ -138,7 +140,7 @@ def test_trace_one_constant_on_cosets():
 
 
 def test_element_tally_is_2rm():
-    for m in range(2, 8):
+    for m in range(1, 11):
         r, _ = count_trace_one_classes(m)
         assert primitive_trace_one_count(m) == 2 * r * m
 
@@ -160,6 +162,24 @@ def test_element_tally_direct_small():
 def test_count_guard():
     with pytest.raises(ScaleExceeded):
         count_trace_one_classes(13)
+    with pytest.raises(ScaleExceeded, match="element tally space of 67108863 exceeds the 2\\^24 guard"):
+        primitive_trace_one_count(13)
+    with pytest.raises(ScaleExceeded, match="m = 0 outside supported range"):
+        primitive_trace_one_count(0)
+
+
+def test_r13_by_census_and_by_element_tally(monkeypatch):
+    monkeypatch.setenv("TSRFORGE_GUARD_BITS", "26")
+    assert count_trace_one_classes(13) == (210, 2730)
+    assert primitive_trace_one_count(13) == 2 * 210 * 13
+
+
+def test_element_tally_refuses_a_norm_that_does_not_generate(monkeypatch):
+    # a modulus whose root has order 5 in F_16^*: the norm a^5 is 1, so the
+    # walk over F_4^* closes after one step instead of three
+    monkeypatch.setattr(cosets, "make_field", lambda order: make_extension_field(2, 4, [1, 1, 1, 1, 1]))
+    with pytest.raises(ExistenceViolation, match="do not close after exactly 3 steps"):
+        primitive_trace_one_count(2)
 
 
 def test_r_bound():

@@ -1,6 +1,6 @@
 """Record layer timings and benchmark medians of one or more checkouts in a BENCH_*.json.
 
-    python3 tools/bench_record.py --side parent=../parent --side change=. --out BENCH_11.json
+    python3 tools/bench_record.py --side parent=../parent --side change=. --out BENCH_12.json
 
 Each --side LABEL=PATH names the root of a tsrforge source checkout.  For
 every side the recorder writes:
@@ -8,7 +8,8 @@ every side the recorder writes:
 - layer rows: microseconds per call of `int_poly_modpow` (X^e mod f with
   e = q^n - 2), `is_irreducible` and `is_primitive_poly`, each on the same
   seeded sample of monic polynomials with f(0) != 0, at degrees 20, 40 and 64
-  over F_2, 10, 20 and 40 over F_3 and 8 over F_9;
+  over F_2, 10, 20 and 40 over F_3 and 8 over F_9; and seconds per call of
+  the element tally `primitive_trace_one_count` at m = 8 and 10;
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
@@ -31,18 +32,31 @@ from pathlib import Path
 
 LAYER_CASES = [(2, 20), (2, 40), (2, 64), (3, 10), (3, 20), (3, 40), (9, 8)]
 SAMPLE = 8  # polynomials per (q, degree)
-REPEATS = 5  # timed passes over the sample; the median pass is kept
-LAYER_ROUNDS = 3  # fresh interpreters per side; the median round is kept
+REPEATS = 15  # timed passes over each sample; the median pass is kept
+LAYER_ROUNDS = 6  # fresh interpreters per side; the median round is kept
+TALLY_M = (8, 10)  # element tally sizes, one call per pass
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 
 
+def per_call(call, count: int) -> float:
+    """Median over REPEATS passes of the seconds per call of call(0) .. call(count - 1)."""
+    passes = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for i in range(count):
+            call(i)
+        passes.append((time.perf_counter() - t0) / count)
+    return statistics.median(passes)
+
+
 def layer_rows(src: str) -> dict:
-    """µs per call of the three layer functions, timed in this interpreter on src/."""
+    """Per-call times of the layer functions, timed in this interpreter on src/."""
     sys.path.insert(0, str(Path(src) / "src"))
     import random
 
+    from tsrforge.cosets import primitive_trace_one_count
     from tsrforge.fields import base_digits, make_field
     try:
         from tsrforge.kernel import int_poly_modpow
@@ -65,13 +79,9 @@ def layer_rows(src: str) -> dict:
             "is_primitive_poly": lambda i: is_primitive_poly(polys[i]),
         }
         for name, call in calls.items():
-            passes = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                for i in range(SAMPLE):
-                    call(i)
-                passes.append((time.perf_counter() - t0) / SAMPLE)
-            rows[f"{name}.F{q}.deg{n}_us"] = round(statistics.median(passes) * 1e6, 1)
+            rows[f"{name}.F{q}.deg{n}_us"] = round(per_call(call, SAMPLE) * 1e6, 1)
+    for m in TALLY_M:
+        rows[f"primitive_trace_one_count.m{m}_s"] = round(per_call(lambda _: primitive_trace_one_count(m), 1), 4)
     return rows
 
 
