@@ -90,7 +90,7 @@ def count_trace_one_classes(m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ScaleExceeded(f"m = {m} outside supported range")
-    check_field((1 << (2 * m)) - 1, "coset exponent space")
+    check_field(1 << m, "census field")
     field = make_field(1 << m)
     mul = field.ops.mul
     seen = bytearray(field.order)
@@ -160,8 +160,6 @@ def conjugate_class_summary(m: int, leader: int) -> ConjugateClassSummary:
     frob = x ** (2 ** m)
     t = descend(x + frob)
     nm = descend(x * frob)
-    if t is None or nm is None:
-        raise ExistenceViolation("relative trace/norm must land in the base field")
     quads = []
     ti, ni = t, nm
     for _ in range(m):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate, chain, repeat
 from operator import and_, pos, xor
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BaseNotSubfield,
@@ -21,6 +22,7 @@ from .errors import (
     ZeroElement,
 )
 from .factorint import factor_integer, is_prime_int
+from .guards import check_enumeration
 from .kernel import FieldOps, ListKernel, PackedKernel
 
 # Conway polynomials, little-endian coefficient tuples over F_p.  Each entry
@@ -460,93 +462,66 @@ def subfield_maps(field: Field, base_order: int):
         return base, embed1, descend1
 
     base = make_extension_field(p, j)
-    root = _subfield_generator_image(field, base)
-    # power-basis coordinates of root^0..root^(j-1); columns of the descent system
-    powers = [field.one()]
-    for _ in range(j - 1):
-        powers.append(powers[-1] * root)
-    # row-reduce [cols | x] lazily: precompute the k x j coordinate matrix
-    cols = [pw.coeffs for pw in powers]
+    check_enumeration(base.order, "subfield table")
+    # base.gen() is primitive, so gen^i -> root^i over the units is the embedding
+    gen, root = base.gen().int_value, _subfield_generator_image(field, base)
+    bmul, fmul = base.ops.mul, field.ops.mul
+    up, down, b, x = [0] * base.order, {0: 0}, 1, 1
+    for _ in range(base.order - 1):
+        up[b], down[x] = x, b
+        b, x = bmul(b, gen), fmul(x, root)
+    if x != 1 or len(down) != base.order:
+        raise BaseNotSubfield(f"powers of {root} do not close after {base.order - 1} steps")
 
     def embed_big(c: FieldElement) -> FieldElement:
-        acc = field.zero()
-        for i, ci in enumerate(c.coeffs):
-            if ci:
-                acc = acc + powers[i].scale_int(ci)
-        return acc
+        return FieldElement(field, up[c.int_value])
 
     def descend_big(x: FieldElement) -> FieldElement:
-        sol = _solve_mod_p(cols, x.coeffs, p, k, j)
-        if sol is None:
+        if x.int_value not in down:
             raise BaseNotSubfield(f"value {x.coeffs} lies outside GF({base_order})")
-        return base.element(sol)
+        return FieldElement(base, down[x.int_value])
 
     return base, embed_big, descend_big
 
 
-def _subfield_generator_image(field: Field, base: Field) -> FieldElement:
-    """First root in `field` of the base field's modulus.
+def _subfield_generator_image(field: Field, base: Field) -> int:
+    """Least root in `field` of the base field's modulus.
 
     The candidate scan runs over the cyclic subgroup of index
     (|field|-1)/(|base|-1) generated by gen (primitive for table/fallback
     moduli), falling back to a full element scan for custom moduli.
     """
-    mod = base.modulus_coeffs
-    p = field.characteristic
-
-    def is_root(x: FieldElement) -> bool:
-        acc = field.zero()
-        pw = field.one()
-        for c in mod:
-            if c:
-                acc = acc + pw.scale_int(c)
-            pw = pw * x
-        return acc.is_zero()
-
-    stride = (field.order - 1) // (base.order - 1)
-    g = field.gen() ** stride
-    cur = field.one()
-    best = None
-    for _ in range(base.order - 1):
-        if is_root(cur):
-            enc = cur.int_value
-            if best is None or enc < best[0]:
-                best = (enc, cur)
-        cur = cur * g
-    if best is not None:
-        return best[1]
-    for x in field.elements():
-        if not x.is_zero() and is_root(x):
-            return x
-    raise BaseNotSubfield("modulus of the base field has no root here")
+    ops = field.ops
+    g = int_pow(field.gen().int_value, (field.order - 1) // (base.order - 1), ops)
+    subgroup = accumulate(repeat(g, base.order - 2), ops.mul, initial=1)
+    root = least_root(field, base.modulus_coeffs, field.characteristic, chain(subgroup, range(field.order)))
+    if root is None:
+        raise BaseNotSubfield("modulus of the base field has no root here")
+    return root
 
 
-def _solve_mod_p(cols, target, p: int, k: int, j: int):
-    """Solve sum_i t_i * cols[i] = target over F_p; None if inconsistent."""
-    aug = [[cols[c][r] if r < len(cols[c]) else 0 for c in range(j)]
-           + [target[r] if r < len(target) else 0] for r in range(k)]
-    pivots = []
-    row = 0
-    for col in range(j):
-        pr = next((r for r in range(row, k) if aug[r][col] % p != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(v * inv) % p for v in aug[row]]
-        for r in range(k):
-            if r != row and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, k):
-        if aug[r][j] % p:
-            return None
-    sol = [0] * j
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][j]
-    return sol
+def least_root(field: Field, coeffs: Sequence[int], base_order: int, candidates: Iterable[int]) -> Optional[int]:
+    """Least root in `field` of the polynomial with canonical-int coefficients
+    `coeffs` (little-endian, in `field`), irreducible over GF(base_order).
+
+    The first root among `candidates` is found by Horner on field.ops; the
+    roots are its base_order-power conjugates, and the least of them is
+    returned.  None when no candidate is a root.
+    """
+    ops = field.ops
+    add, mul, top = ops.add, ops.mul, coeffs[::-1]
+    for x in candidates:
+        acc = 0
+        for c in top:
+            acc = add(mul(acc, x), c)
+        if not acc:
+            break
+    else:
+        return None
+    best, y = x, int_pow(x, base_order, ops)
+    while y != x:
+        best, y = min(best, y), int_pow(y, base_order, ops)
+    return best
 
 
 def format_element(x: FieldElement, gen_symbol: str = "a") -> str:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .errors import BadDegree, CoefficientNotDescended, ZeroConstantTerm, ZeroElement
+from .errors import (BadDegree, BaseNotSubfield, CoefficientNotDescended, ZeroConstantTerm,
+                     ZeroElement)
 from .factorint import Factorization, factor_integer
 from .fields import Field, FieldElement, frobenius, int_pow, subfield_maps
 from .kernel import FieldOps, int_poly_gcd
@@ -217,18 +218,16 @@ def conjugate_product(f: Polynomial, base_order: int) -> Polynomial:
     for _ in range(m - 1):
         g = Polynomial.make(field, [frobenius(c, base_order) for c in g.coeffs])
         prod = prod * g
-    return _descend_poly(prod, base, descend, strict=True)
+    return _descend_poly(prod, base, descend)
 
 
-def _descend_poly(p: Polynomial, base: Field, descend, strict: bool = False) -> Polynomial:
+def _descend_poly(p: Polynomial, base: Field, descend) -> Polynomial:
     out = []
     for c in p.coeffs:
         try:
             out.append(descend(c))
-        except Exception as exc:
-            if strict:
-                raise CoefficientNotDescended(
-                    f"coefficient {c} of {format_poly(p)} is outside GF({base.order})"
-                ) from exc
-            raise
+        except BaseNotSubfield as exc:
+            raise CoefficientNotDescended(
+                f"coefficient {c} of {format_poly(p)} is outside GF({base.order})"
+            ) from exc
     return Polynomial.make(base, out)

@@ -17,7 +17,8 @@ from .errors import (BadDegree, BudgetExhausted, ExistenceViolation,
                      InvalidParity, ZeroConstantTerm)
 from .counting import check_shape
 from .factorint import is_prime_int
-from .fields import Field, base_digits, make_extension_field, make_field, subfield_maps
+from .fields import (Field, base_digits, least_root, make_extension_field, make_field,
+                     subfield_maps)
 from .guards import check_field
 from .matrices import Matrix, companion_matrix
 from .parallel import first_hit
@@ -112,11 +113,10 @@ def _alpha_field(q: int, m: int, f: Polynomial):
         return field, field.gen(), embed
     field = make_field(q ** m)
     _, embed, _ = subfield_maps(field, q)
-    lifted = Polynomial.make(field, [embed(c) for c in f.coeffs])
-    for x in field.elements():
-        if lifted(x).is_zero():
-            return field, x, embed
-    raise ExistenceViolation("a primitive polynomial must split in its splitting field")
+    alpha = least_root(field, [embed(c).int_value for c in f.coeffs], q, range(field.order))
+    if alpha is None:
+        raise ExistenceViolation("a primitive polynomial must split in its splitting field")
+    return field, field.element(alpha), embed
 
 
 def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,

@@ -136,6 +136,17 @@ def test_search_tsr_provenance_trace(capsys):
     assert prov["step8"] == rec["charpoly"]
 
 
+@pytest.mark.parametrize("q, m, n, alpha, lam", [("4", "3", "3", "a^2+a+1", "a^4+a^3+a^2+a"),
+                                                  ("9", "2", "3", "a^3+a+2", "2a^2+2a")])
+def test_search_tsr_provenance_alpha_over_prime_powers(capsys, q, m, n, alpha, lam):
+    # alpha is the least root of f in the default F_{q^m}, lam its inverse
+    code, out, _ = run_cli(capsys, "search-tsr", q, m, n, "--emit", "provenance")
+    assert code == 0
+    rec, prov = json_lines(out)
+    assert (prov["alpha"], prov["lam"]) == (alpha, lam)
+    assert prov["step8"] == rec["charpoly"]
+
+
 def test_search_tsr_budget_exhaustion_exits_3(capsys):
     code, _, err = run_cli(capsys, "search-tsr", "3", "3", "2",
                            "--allow-even-n", "--budget", "5")
@@ -225,10 +236,10 @@ def test_count_r_deep_stdout_is_pinned(capsys):
 
 def test_count_r_guard_refusal(capsys, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "24")
-    code, out, err = run_cli(capsys, "--guard-bits", "16", "count-r")
+    code, out, err = run_cli(capsys, "--guard-bits", "9", "count-r")
     assert code == 2
     assert out == ""
-    assert err == "guard violation: coset exponent space of 262143 exceeds the 2^16 guard\n"
+    assert err == "guard violation: census field of 1024 exceeds the 2^9 guard\n"
 
 
 def test_tables_out_file_matches_stdout_and_threads(tmp_path, capsys):
@@ -369,7 +380,7 @@ def test_enumerate_closed_forms_refuse_bad_arguments(capsys):
 
 
 # one process, many calls: the parser is built once and reused
-_REPEATED = (["test-primitive", "2", "x^4 + x + 1"], ["--guard-bits", "16", "count-r"],
+_REPEATED = (["test-primitive", "2", "x^4 + x + 1"], ["--guard-bits", "9", "count-r"],
              ["count-r"], ["frobnicate"], ["search-tsr", "2", "2", "3"],
              ["--guard-bits", "3", "enumerate", "P_qmn", "2", "4", "3"],
              ["enumerate", "P_qmn", "2", "2", "2"], ["test-primitive", "2", "x^2 + 1"],

@@ -160,8 +160,9 @@ def test_element_tally_direct_small():
 
 
 def test_count_guard():
-    with pytest.raises(ScaleExceeded):
-        count_trace_one_classes(13)
+    # the census walks the 2^m elements of F_{2^m}
+    with pytest.raises(ScaleExceeded, match="census field of 33554432 exceeds the 2\\^24 guard"):
+        count_trace_one_classes(25)
     with pytest.raises(ScaleExceeded, match="element tally space of 67108863 exceeds the 2\\^24 guard"):
         primitive_trace_one_count(13)
     with pytest.raises(ScaleExceeded, match="m = 0 outside supported range"):
@@ -169,8 +170,8 @@ def test_count_guard():
 
 
 def test_r13_by_census_and_by_element_tally(monkeypatch):
+    assert count_trace_one_classes(13) == (210, 2730)  # within the default guard
     monkeypatch.setenv("TSRFORGE_GUARD_BITS", "26")
-    assert count_trace_one_classes(13) == (210, 2730)
     assert primitive_trace_one_count(13) == 2 * 210 * 13
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tsrforge.errors import BaseNotSubfield, CompositeCharacteristic
+from tsrforge.errors import BaseNotSubfield, CompositeCharacteristic, ScaleExceeded
 from tsrforge.fields import (FieldElement, format_element, make_extension_field,
                              make_field, make_prime_field, subfield_degree,
                              subfield_maps)
@@ -129,6 +129,26 @@ def test_subfield_maps_homomorphism():
             with pytest.raises(BaseNotSubfield):
                 descend(x)
     assert outside == 60
+
+
+@pytest.mark.parametrize("p, k, modulus, base_order, images", [
+    (2, 4, (1, 1, 1, 1, 1), 4, [0, 1, 12, 13]),
+    (3, 4, (1, 0, 1, 1, 1), 9, [0, 1, 2, 17, 15, 16, 22, 23, 21]),
+])
+def test_subfield_maps_non_primitive_modulus(p, k, modulus, base_order, images):
+    # the generator of these moduli is not primitive, so the root of the base
+    # modulus is found by the whole-field scan
+    big = make_extension_field(p, k, modulus)
+    base, embed, descend = subfield_maps(big, base_order)
+    assert [embed(c).int_value for c in base.elements()] == images
+    assert all(descend(embed(c)) == c for c in base.elements())
+
+
+def test_subfield_table_is_guarded(monkeypatch):
+    monkeypatch.setenv("TSRFORGE_GUARD_BITS", "3")
+    with pytest.raises(ScaleExceeded, match="subfield table of 16 exceeds the 2\\^3 guard"):
+        subfield_maps(make_field(256), 16)
+    assert subfield_maps(make_field(64), 8)[0].order == 8
 
 
 def test_subfield_maps_f81_over_f9():

@@ -12,7 +12,7 @@ import pytest
 
 import tsrforge
 from tsrforge import primitivity
-from tsrforge.errors import BadDegree, ZeroConstantTerm
+from tsrforge.errors import BadDegree, CoefficientNotDescended, ZeroConstantTerm
 from tsrforge.factorint import euler_phi, factor_integer
 from tsrforge.fields import base_digits, make_field, subfield_maps
 from tsrforge.polys import (Polynomial, format_poly, parse_poly, poly_divrem, poly_gcd,
@@ -169,6 +169,14 @@ def test_conjugate_product_of_descended_is_power():
     p3 = parse_poly("x^2 + 1", f3)
     lifted = Polynomial.make(big, [embed(c) for c in p3.coeffs])
     assert conjugate_product(lifted, 3) == p3 * p3
+
+
+def test_descend_poly_names_the_coefficient_outside_the_base():
+    big = make_field(16)
+    base, _, descend = subfield_maps(big, 4)
+    outside = Polynomial.make(big, [big.gen(), big.one()])
+    with pytest.raises(CoefficientNotDescended, match="outside GF\\(4\\)"):
+        primitivity._descend_poly(outside, base, descend)
 
 
 # --- the staged test against the plain route ---------------------------------

@@ -1,6 +1,6 @@
 """Record layer timings and benchmark medians of one or more checkouts in a BENCH_*.json.
 
-    python3 tools/bench_record.py --side parent=../parent --side change=. --out BENCH_12.json
+    python3 tools/bench_record.py --side parent=../parent --side change=. --out BENCH_13.json
 
 Each --side LABEL=PATH names the root of a tsrforge source checkout.  For
 every side the recorder writes:
@@ -8,14 +8,18 @@ every side the recorder writes:
 - layer rows: microseconds per call of `int_poly_modpow` (X^e mod f with
   e = q^n - 2), `is_irreducible` and `is_primitive_poly`, each on the same
   seeded sample of monic polynomials with f(0) != 0, at degrees 20, 40 and 64
-  over F_2, 10, 20 and 40 over F_3 and 8 over F_9; and seconds per call of
-  the element tally `primitive_trace_one_count` at m = 8 and 10;
+  over F_2, 10, 20 and 40 over F_3 and 8 over F_9; seconds per call of
+  the element tally `primitive_trace_one_count` at m = 8 and 10; and
+  milliseconds to build `subfield_maps` and to run 500 `descend(embed(x))`
+  round trips, at F_{3^6} over F_9 and F_{2^20} over F_{2^10};
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
 
 Layer rows are timed in a fresh interpreter that imports that side's src/,
-LAYER_ROUNDS times, and the median round is kept.  Layer rounds and
+LAYER_ROUNDS times; the file keeps every round under `layer_rounds` and
+their median under `layers`, so a row that moved can be told apart from a
+host whose whole round moved.  Layer rounds and
 benchmark runs alternate between the sides, which run first in turn, so
 host drift falls on both.  Stdlib only and offline; nothing is installed.
 """
@@ -33,8 +37,10 @@ from pathlib import Path
 LAYER_CASES = [(2, 20), (2, 40), (2, 64), (3, 10), (3, 20), (3, 40), (9, 8)]
 SAMPLE = 8  # polynomials per (q, degree)
 REPEATS = 15  # timed passes over each sample; the median pass is kept
-LAYER_ROUNDS = 6  # fresh interpreters per side; the median round is kept
+LAYER_ROUNDS = 6  # fresh interpreters per side; every round and their median are kept
 TALLY_M = (8, 10)  # element tally sizes, one call per pass
+SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
+ROUND_TRIPS = 500
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
@@ -57,7 +63,7 @@ def layer_rows(src: str) -> dict:
     import random
 
     from tsrforge.cosets import primitive_trace_one_count
-    from tsrforge.fields import base_digits, make_field
+    from tsrforge.fields import base_digits, make_field, subfield_maps
     try:
         from tsrforge.kernel import int_poly_modpow
     except ImportError:  # checkouts before the kernel module
@@ -82,6 +88,14 @@ def layer_rows(src: str) -> dict:
             rows[f"{name}.F{q}.deg{n}_us"] = round(per_call(call, SAMPLE) * 1e6, 1)
     for m in TALLY_M:
         rows[f"primitive_trace_one_count.m{m}_s"] = round(per_call(lambda _: primitive_trace_one_count(m), 1), 4)
+    for order, base_order in SUBFIELD_CASES:
+        big = make_field(order)
+        base, embed, descend = subfield_maps(big, base_order)  # also builds big.ops, untimed
+        xs = [base.element(i % base.order) for i in range(ROUND_TRIPS)]
+        case = f"F{order}.F{base_order}_ms"
+        rows[f"subfield_maps.build.{case}"] = round(per_call(lambda _: subfield_maps(big, base_order), 1) * 1e3, 3)
+        rows[f"subfield_maps.roundtrip{ROUND_TRIPS}.{case}"] = round(
+            per_call(lambda i: descend(embed(xs[i])), ROUND_TRIPS) * ROUND_TRIPS * 1e3, 3)
     return rows
 
 
@@ -137,7 +151,7 @@ def main(argv=None) -> int:
             for w in WORKLOADS:
                 runs[label, w].append(run_bench(src, w, seed))
     for label, src in order:
-        doc["sides"][label] = dict(git_sha(src), e2e={}, layers={
+        doc["sides"][label] = dict(git_sha(src), e2e={}, layer_rounds=layers[label], layers={
             row: statistics.median(r[row] for r in layers[label]) for row in layers[label][0]})
     for (label, w), results in runs.items():
         doc["sides"][label]["e2e"][w] = {
