@@ -9,7 +9,9 @@ column (B, c_1 B, ..., c_{n-1} B).
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import prod
+from typing import Optional
 
 from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB,
                      ZeroConstantTerm)
@@ -21,6 +23,9 @@ from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
 from .polys import Polynomial, _common_field, _from_ints, _ints, poly_modpow
 from .primitivity import is_primitive_poly
+
+# blocks remembered per tap table; a larger q^m computes the other blocks on each step
+TAP_TABLE_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,12 @@ class TsrSpec:
         return self.field.order
 
     @cached_property
-    def _tap_rows(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-        """(j, rows of c_j B as canonical ints) for each nonzero tap, c_0 = 1."""
+    def _taps(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...], dict], ...]:
+        """(j, rows of c_j B as canonical ints, block -> block (c_j B) table) per nonzero
+        tap, c_0 = 1; tsr_step fills each table, up to TAP_TABLE_CAP blocks."""
         mul = self.field.ops.mul
         taps = (1,) + tuple(ci.int_value for ci in self.c)
-        return tuple((j, tuple(tuple(mul(cj, b) for b in row) for row in _int_rows(self.B)))
+        return tuple((j, tuple(tuple(mul(cj, b) for b in row) for row in _int_rows(self.B)), {})
                      for j, cj in enumerate(taps) if cj)
 
     def to_json(self) -> dict:
@@ -77,21 +83,39 @@ class TsrSpec:
 
 @dataclass(frozen=True)
 class TsrState:
-    """n row vectors of width m plus the number of steps taken."""
+    """n row vectors of width m, as canonical ints of `field`, plus the number of steps taken.
 
-    blocks: tuple[tuple[FieldElement, ...], ...]
+    from_ints and tsr_step set `field`; tsr_step checks in full only a state that
+    does not carry its spec's field.  FieldElements of one field are normalised to
+    ints of that field; any other hand-built state is kept as given.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]
     step_index: int = 0
+    field: Optional[Field] = None
+
+    def __post_init__(self):
+        if self.field is None:
+            entries = list(chain.from_iterable(self.blocks))
+            owners = {e.owner for e in entries if isinstance(e, FieldElement)}
+            if len(owners) == 1 and all(isinstance(e, FieldElement) for e in entries):
+                object.__setattr__(self, "field", owners.pop())
+                object.__setattr__(self, "blocks", tuple(tuple(e.int_value for e in block)
+                                                         for block in self.blocks))
 
     def flatten(self) -> tuple[FieldElement, ...]:
-        return tuple(v for block in self.blocks for v in block)
+        entries = tuple(chain.from_iterable(self.blocks))
+        if self.field is None:
+            return entries
+        return tuple(FieldElement(self.field, v) for v in entries)
 
     @staticmethod
     def from_ints(spec: TsrSpec, values) -> "TsrState":
-        vals = [FieldElement(spec.field, int(v)) for v in values]
+        vals = [FieldElement(spec.field, int(v)).int_value for v in values]
         if len(vals) != spec.m * spec.n:
             raise DimensionMismatch("state needs m*n entries")
         blocks = tuple(tuple(vals[i * spec.m:(i + 1) * spec.m]) for i in range(spec.n))
-        return TsrState(blocks, 0)
+        return TsrState(blocks, 0, spec.field)
 
 
 @dataclass(frozen=True)
@@ -141,26 +165,42 @@ def build_transition_matrix(spec: TsrSpec) -> Matrix:
     return Matrix.from_rows(field, rows)
 
 
-def tsr_step(spec: TsrSpec, state: TsrState) -> TsrState:
-    field, m, blocks = spec.field, spec.m, state.blocks
-    if len(blocks) != spec.n or any(len(b) != m for b in blocks):
+def _checked_blocks(spec: TsrSpec, state: TsrState) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a state that does not carry spec.field, as canonical ints of it."""
+    field, blocks = spec.field, state.blocks
+    if len(blocks) != spec.n or any(len(b) != spec.m for b in blocks):
         raise DimensionMismatch("state shape does not match the spec")
-    for block in blocks:
-        for e in block:
-            if e.owner is not field and e.owner != field:
-                raise ValueError("elements belong to different fields")
+    entries = list(chain.from_iterable(blocks))
+    if state.field not in (None, field) or any(isinstance(e, FieldElement) and e.owner != field
+                                               for e in entries):
+        raise ValueError("elements belong to different fields")
+    return TsrState.from_ints(spec, [getattr(e, "int_value", e) for e in entries]).blocks
+
+
+def tsr_step(spec: TsrSpec, state: TsrState) -> TsrState:
+    field, blocks = spec.field, state.blocks
+    if state.field is not field:
+        blocks = _checked_blocks(spec, state)
+    elif len(blocks) != spec.n or len(blocks[0]) != spec.m:
+        raise DimensionMismatch("state shape does not match the spec")
     add, _, mul, _, _ = field.ops
-    # new last block = sum over j of block_j (c_j B)
-    new_last = [0] * m
-    for j, rows in spec._tap_rows:
-        for e, row in zip(blocks[j], rows):
-            x = e.int_value
-            if x:
-                for t, y in enumerate(row):
-                    if y:
-                        new_last[t] = add(new_last[t], mul(x, y))
-    new_block = tuple([FieldElement(field, v) for v in new_last])
-    return TsrState(blocks[1:] + (new_block,), state.step_index + 1)
+    # new last block = sum over j of block_j (c_j B), one table lookup per nonzero tap
+    new_last = None
+    for j, rows, table in spec._taps:
+        block = blocks[j]
+        part = table.get(block)
+        if part is None:
+            acc = [0] * spec.m
+            for x, row in zip(block, rows):
+                if x:
+                    for t, y in enumerate(row):
+                        if y:
+                            acc[t] = add(acc[t], mul(x, y))
+            part = tuple(acc)
+            if len(table) < TAP_TABLE_CAP:
+                table[block] = part
+        new_last = part if new_last is None else tuple(map(add, new_last, part))
+    return TsrState(blocks[1:] + (new_last,), state.step_index + 1, field)
 
 
 def tap_polynomial(spec: TsrSpec) -> Polynomial:

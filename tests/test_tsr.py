@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -11,7 +11,7 @@ import tsrforge
 import tsrforge.tsr as tsr
 from tsrforge.errors import DimensionMismatch, SingularB
 from tsrforge.factorint import merged_factorization, multiplicative_order_from
-from tsrforge.fields import FieldElement, make_extension_field, make_field
+from tsrforge.fields import FieldElement, base_digits, make_extension_field, make_field
 from tsrforge.matrices import Matrix, matrix_charpoly
 from tsrforge.polys import Polynomial, format_poly, parse_poly, poly_gcd
 from tsrforge.primitivity import is_primitive_poly
@@ -149,6 +149,85 @@ def test_step_refuses_state_over_another_field():
         tsr_step(spec, state)
 
 
+def test_hand_built_state_refusals():
+    spec = _spec(16, 2, 2, [1], [[0, 1], [1, 1]])
+    field = spec.field
+    other = make_extension_field(2, 4, modulus=(1, 1, 1, 1, 1))
+    refusals = [
+        (TsrState(((1, 16), (0, 0))), ValueError, r"encoding 16 is outside GF\(16\)"),
+        (TsrState(((1, 0),)), DimensionMismatch, "state shape does not match the spec"),
+        (TsrState(((1, 0, 0), (0, 0, 0))), DimensionMismatch, "state shape does not match the spec"),
+        # a state that carries the spec's field is checked for shape only
+        (TsrState(((1, 0),), 0, field), DimensionMismatch, "state shape does not match the spec"),
+        (TsrState(((1,), (0,)), 0, field), DimensionMismatch, "state shape does not match the spec"),
+        (TsrState(((FieldElement(other, 1), FieldElement(other, 0)),
+                   (FieldElement(other, 0), FieldElement(other, 0)))),
+         ValueError, "elements belong to different fields"),
+        (TsrState(((field.one(), FieldElement(other, 1)), (field.zero(), field.zero()))),
+         ValueError, "elements belong to different fields"),
+    ]
+    for state, error, message in refusals:
+        with pytest.raises(error, match=message):
+            tsr_step(spec, state)
+    with pytest.raises(DimensionMismatch, match=r"state needs m\*n entries"):
+        TsrState.from_ints(spec, [1, 2, 3])
+
+
+def test_hand_built_states_step_like_from_ints():
+    spec = _spec(16, 2, 2, [7], [[0, 1], [1, 1]])
+    rows = ((1, 2), (3, 15))
+    by_ints = TsrState.from_ints(spec, [v for row in rows for v in row])
+    by_elements = TsrState(tuple(tuple(spec.field.element(v) for v in row) for row in rows))
+    assert by_elements.blocks == by_ints.blocks == rows
+    assert by_elements.field is spec.field
+    stepped = tsr_step(spec, by_ints)
+    assert tsr_step(spec, by_elements) == stepped
+    assert tsr_step(spec, TsrState(rows)) == stepped
+    assert all(type(v) is int for v in stepped.blocks[-1])
+
+
+# mn <= 6 and q^(mn) <= 6561, so every state's orbit can be walked
+ORBIT_CASES = [(2, 2, 3), (2, 3, 2), (2, 1, 6), (3, 2, 3), (3, 3, 2),
+               (4, 2, 3), (8, 2, 2), (9, 2, 2), (9, 1, 3)]
+
+
+@pytest.mark.parametrize("q, m, n", ORBIT_CASES)
+def test_orbits_match_the_transition_matrix_and_the_period(q, m, n):
+    # every nonzero state is stepped once: q^(mn) - 1 steps over at most q^m blocks
+    # per tap, so the tap tables are hit
+    spec = _random_spec(random.Random(q * 100 + m * 10 + n), q, m, n)
+    T = build_transition_matrix(spec)
+    seen, period = set(), 1
+    for code in range(1, q ** (m * n)):
+        vals = tuple(base_digits(code, q, m * n))
+        if vals in seen:
+            continue
+        s0 = TsrState.from_ints(spec, vals)
+        s, length = s0, 0
+        while True:
+            vec = s.flatten()
+            seen.add(tuple(c.int_value for c in vec))
+            s, length = tsr_step(spec, s), length + 1
+            assert s.flatten() == _row_times(vec, T)
+            if s.blocks == s0.blocks:
+                break
+        period = lcm(period, length)
+    assert len(seen) == q ** (m * n) - 1
+    assert period == tsr_period(spec)
+
+
+def test_step_past_the_table_cap_over_f65537():
+    spec = _spec(65537, 1, 2, [3], [[5]])
+    T = build_transition_matrix(spec)
+    state = TsrState.from_ints(spec, [1, 0])
+    vec = state.flatten()
+    # the sequence repeats a value about 200 times in these steps, so both tables fill
+    for _ in range(tsr.TAP_TABLE_CAP + 1000):
+        state, vec = tsr_step(spec, state), _row_times(vec, T)
+        assert state.flatten() == vec
+    assert [len(table) for _, _, table in spec._taps] == [tsr.TAP_TABLE_CAP] * 2
+
+
 def test_out_of_range_encodings_are_refused():
     with pytest.raises(ValueError, match=r"encoding 5 is outside GF\(4\)"):
         TsrSpec.from_json({"q": 4, "m": 1, "n": 2, "c": [5], "B": [[3]]})
@@ -166,10 +245,10 @@ def test_step_fibonacci_bit_sequence():
     # s_{i+2} = s_i + s_{i+1} over F_2 from (1, 0)
     spec = _spec(2, 1, 2, [1], [[1]])
     state = TsrState.from_ints(spec, [1, 0])
-    bits = [state.blocks[0][0].int_value]
+    bits = [state.blocks[0][0]]
     for _ in range(7):
         state = tsr_step(spec, state)
-        bits.append(state.blocks[0][0].int_value)
+        bits.append(state.blocks[0][0])
     assert bits == [1, 0, 1, 1, 0, 1, 1, 0]
 
 
@@ -380,6 +459,7 @@ def test_period_cross_check_survives_python_O():
 
 def test_field_refusals_survive_python_O():
     out = _run_optimized("""
+        from tsrforge.errors import DimensionMismatch
         from tsrforge.fields import FieldElement, make_extension_field, make_field
         from tsrforge.matrices import Matrix
         from tsrforge.tsr import TsrSpec, TsrState, tsr_step
@@ -390,13 +470,21 @@ def test_field_refusals_survive_python_O():
             lambda: Matrix.zeros(make_field(2), 2, 2) * Matrix.zeros(make_field(4), 2, 2),
             lambda: tsr_step(spec, TsrState(((FieldElement(other, 1),), (FieldElement(other, 0),)))),
             lambda: TsrState.from_ints(spec, [1, 16]),
+            lambda: tsr_step(spec, TsrState(((16,), (0,)))),
+            lambda: tsr_step(spec, TsrState(((spec.field.one(),), (FieldElement(other, 1),)))),
+            lambda: tsr_step(spec, TsrState(((1,),), 0, spec.field)),
+            lambda: TsrState.from_ints(spec, [1]),
         ]
         for attempt in attempts:
             try:
                 attempt()
-            except ValueError as exc:
+            except (ValueError, DimensionMismatch) as exc:
                 print(__debug__, exc)
     """)
     assert out.splitlines() == ["False elements belong to different fields",
                                 "False elements belong to different fields",
-                                "False encoding 16 is outside GF(16)"]
+                                "False encoding 16 is outside GF(16)",
+                                "False encoding 16 is outside GF(16)",
+                                "False elements belong to different fields",
+                                "False state shape does not match the spec",
+                                "False state needs m*n entries"]

@@ -11,7 +11,10 @@ every side the recorder writes:
   over F_2, 10, 20 and 40 over F_3 and 8 over F_9; seconds per call of
   the element tally `primitive_trace_one_count` at m = 8 and 10; and
   milliseconds to build `subfield_maps` and to run 500 `descend(embed(x))`
-  round trips, at F_{3^6} over F_9 and F_{2^20} over F_{2^10};
+  round trips, at F_{3^6} over F_9 and F_{2^20} over F_{2^10}; microseconds
+  per `tsr_step` over one whole orbit, from (1, 0, ..., 0), of the first
+  register of each 4095-step walk stratum of perfbench/expected/walk.json,
+  and microseconds per `tsr_period` call on those four registers;
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
@@ -41,6 +44,7 @@ LAYER_ROUNDS = 6  # fresh interpreters per side; every round and their median ar
 TALLY_M = (8, 10)  # element tally sizes, one call per pass
 SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
 ROUND_TRIPS = 500
+WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
@@ -70,6 +74,7 @@ def layer_rows(src: str) -> dict:
         from tsrforge.fields import int_poly_modpow
     from tsrforge.polys import Polynomial
     from tsrforge.primitivity import is_irreducible, is_primitive_poly
+    from tsrforge.tsr import TsrSpec, TsrState, tsr_period, tsr_step
 
     rows = {}
     for q, n in LAYER_CASES:
@@ -96,6 +101,20 @@ def layer_rows(src: str) -> dict:
         rows[f"subfield_maps.build.{case}"] = round(per_call(lambda _: subfield_maps(big, base_order), 1) * 1e3, 3)
         rows[f"subfield_maps.roundtrip{ROUND_TRIPS}.{case}"] = round(
             per_call(lambda i: descend(embed(xs[i])), ROUND_TRIPS) * ROUND_TRIPS * 1e3, 3)
+    walk = json.loads((Path(src) / "perfbench" / "expected" / "walk.json").read_text())["strata"]
+    specs = [TsrSpec.from_json(walk[name][0]) for name in WALK_STRATA]
+    for name, spec in zip(WALK_STRATA, specs):
+        s0 = TsrState.from_ints(spec, [1] + [0] * (spec.m * spec.n - 1))
+
+        def orbit(_):
+            s, steps = tsr_step(spec, s0), 1
+            while s.blocks != s0.blocks:
+                s, steps = tsr_step(spec, s), steps + 1
+            return steps
+
+        steps = orbit(0)  # also fills the step's caches, untimed
+        rows[f"tsr_step.{name}_us"] = round(per_call(orbit, 1) / steps * 1e6, 2)
+    rows["tsr_period.walk4_us"] = round(per_call(lambda i: tsr_period(specs[i]), len(specs)) * 1e6, 1)
     return rows
 
 
