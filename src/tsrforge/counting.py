@@ -74,13 +74,7 @@ def count_matrices_with_charpoly(p: Polynomial, m: int) -> int:
     field = p.field
     q = field.order
     check_custom(q ** (m * m), 20, "matrix space")
-    elems = list(field.elements())
-    count = 0
-    for enc in range(q ** (m * m)):
-        M = Matrix(field, m, m, tuple(elems[d] for d in base_digits(enc, q, m * m)))
-        if matrix_charpoly(M) == p:
-            count += 1
-    return count
+    return sum(matrix_charpoly(M) == p for M in _all_matrices(field, m))
 
 
 def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int = 1) -> list[Polynomial]:
@@ -102,32 +96,44 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     candidates = []
     for enc in range(q ** (n - 1)):
         digits = base_digits(enc, q, n - 1)
-        if form == "P_qmn":
-            # embedded g with constant term 1, degree <= n-1
-            g_emb = [big.one()] + [embed(base.element(d)) for d in digits]
-            for mu in prims:
-                coeffs = [-(mu * c) for c in g_emb] + [big.zero()] * (n - len(g_emb))
-                coeffs.append(big.one())
-                candidates.append(Polynomial.make(big, coeffs))
-        else:
-            g_emb = [big.zero()] + [embed(base.element(d)) for d in digits] + [big.one()]
-            for lam in prims:
-                coeffs = list(g_emb)
-                coeffs[0] = lam
-                candidates.append(Polynomial.make(big, coeffs))
+        if form == "P_mnq":
+            candidates += _fiber(big, base, embed, [0] + digits + [1], prims)
+            continue
+        # embedded g with constant term 1, degree <= n-1
+        g_emb = [big.one()] + [embed(base.element(d)) for d in digits]
+        for mu in prims:
+            coeffs = [-(mu * c) for c in g_emb] + [big.zero()] * (n - len(g_emb))
+            coeffs.append(big.one())
+            candidates.append(Polynomial.make(big, coeffs))
     flags = deterministic_map(lambda f: is_primitive_poly(f)[0], candidates, threads)
     found = [f for f, ok in zip(candidates, flags) if ok]
     return sorted(found, key=format_poly)
 
 
-def gl_matrices(field: Field, m: int):
-    """All invertible m x m matrices, ascending by entry encoding."""
+def _fiber(big: Field, base: Field, embed, shape, lams) -> list[Polynomial]:
+    """g(X) + lam over big for each lam in lams, in order.
+
+    shape lists the little-endian ints over base of g, with g(0) = 0, and
+    embed maps base into big; each candidate is the coefficient list
+    [lam] + the embedded tail of g.
+    """
+    if shape[0]:
+        raise ValueError(f"shape {tuple(shape)} must have g(0) = 0")
+    tail = [embed(base.element(c)) for c in shape[1:]]
+    return [Polynomial.make(big, [lam] + tail) for lam in lams]
+
+
+def _all_matrices(field: Field, m: int):
+    """All m x m matrices, ascending by entry encoding."""
     q = field.order
     elems = list(field.elements())
     for enc in range(q ** (m * m)):
-        M = Matrix(field, m, m, tuple(elems[d] for d in base_digits(enc, q, m * m)))
-        if matrix_is_invertible(M):
-            yield M
+        yield Matrix(field, m, m, tuple(elems[d] for d in base_digits(enc, q, m * m)))
+
+
+def gl_matrices(field: Field, m: int):
+    """All invertible m x m matrices, ascending by entry encoding."""
+    return (M for M in _all_matrices(field, m) if matrix_is_invertible(M))
 
 
 def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[TsrSpec]:

@@ -212,15 +212,9 @@ def _times_x(p: int, k: int, modulus: tuple[int, ...]) -> Callable[[int], int]:
 @lru_cache(maxsize=None)
 def _fallback_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least primitive monic polynomial of degree k over F_p."""
-    from .polys import Polynomial
-    from .primitivity import is_primitive_poly
+    from .search import _iter_primitive
 
-    prime = make_prime_field(p)
-    for v in range(p ** k):
-        coeffs = base_digits(v, p, k) + [1]
-        if coeffs[0] != 0 and is_primitive_poly(Polynomial.make(prime, coeffs))[0]:
-            return tuple(coeffs)
-    raise AssertionError("no primitive polynomial found; unreachable for prime p")
+    return tuple(c.int_value for c in next(_iter_primitive(make_prime_field(p), k)).coeffs)
 
 
 @dataclass(frozen=True)

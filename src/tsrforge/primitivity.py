@@ -31,7 +31,7 @@ from operator import attrgetter
 from .errors import (BadDegree, BaseNotSubfield, CoefficientNotDescended, ZeroConstantTerm,
                      ZeroElement)
 from .factorint import Factorization, factor_integer
-from .fields import Field, FieldElement, frobenius, int_pow, subfield_maps
+from .fields import Field, FieldElement, frobenius, int_pow, subfield_degree, subfield_maps
 from .kernel import FieldOps, int_poly_gcd
 from .polys import Polynomial, _from_ints, _ints, format_poly
 
@@ -208,11 +208,7 @@ def conjugate_product(f: Polynomial, base_order: int) -> Polynomial:
     """
     field = f.field
     base, _, descend = subfield_maps(field, base_order)
-    m = 0
-    t = 1
-    while t < field.order:
-        t *= base_order
-        m += 1
+    m = field.extension_degree // subfield_degree(field, base_order)
     prod = f
     g = f
     for _ in range(m - 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (BadDegree, BudgetExhausted, ExistenceViolation,
                      InvalidParity, ZeroConstantTerm)
-from .counting import check_shape
+from .counting import _fiber, check_shape
 from .factorint import is_prime_int
 from .fields import (Field, base_digits, least_root, make_extension_field, make_field,
                      subfield_maps)
@@ -74,23 +74,6 @@ def reciprocal(k: Polynomial, degree_hint: int) -> Polynomial:
     return rev.monic()
 
 
-def _monic_scan(field: Field, degree: int, zero_constant: bool):
-    """Monic polynomials of exact degree, ascending by coefficient encoding.
-
-    zero_constant pins the constant term to 0 and scans the middle digits.
-    """
-    free = degree - 1 if zero_constant else degree
-    for enc in range(field.order ** free):
-        yield _monic_poly(field, degree, zero_constant, enc)
-
-
-def _monic_poly(field: Field, degree: int, zero_constant: bool, enc: int) -> Polynomial:
-    """The polynomial at position enc of _monic_scan(field, degree, zero_constant)."""
-    free = degree - 1 if zero_constant else degree
-    head = [0] if zero_constant else []
-    return Polynomial.make(field, head + base_digits(enc, field.order, free) + [1])
-
-
 def primitive_polys(field: Field, degree: int) -> list[Polynomial]:
     """Monic primitive polynomials of the given degree, ascending."""
     return list(_iter_primitive(field, degree))
@@ -129,25 +112,39 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
     check_field(q ** m, "block field")
     check_field(q ** n, "tap space")
     base = make_field(q)
-    g_total = q ** (n - 1)
+    hit, tried, _ = _composition_scan(base, m, n, budget, threads)
+    if hit is None:
+        raise BudgetExhausted(f"no primitive register found after {tried} candidate pairs", tried)
+    return _assemble(q, m, n, base, *hit)
+
+
+def _composition_scan(base: Field, m: int, n: int, budget: int | None, threads: int = 1):
+    """(hit, tried, stopped) for the first (f, g) in scan order with f(g(X)) primitive.
+
+    f runs over the monic primitive polynomials of degree m ascending and, for
+    each f, g over the monic g of degree n with g(0) = 0 ascending, probed
+    through first_hit.  hit is (f, g) or None, tried counts the pairs tested,
+    and stopped is True when the budget ran out while untested pairs remained.
+    """
+    g_total = base.order ** (n - 1)
     tried = 0
     for f in _iter_primitive(base, m):
         remaining = g_total if budget is None else min(g_total, budget - tried)
         if remaining <= 0:
-            break
+            return None, tried, True
 
         def probe(idx):
             # g is built when probed: the scan usually hits long before g_total
-            g = _monic_poly(base, n, True, idx)
+            g = Polynomial.make(base, [0] + base_digits(idx, base.order, n - 1) + [1])
             return g if is_primitive_poly(f.compose(g))[0] else None
 
         hit = first_hit(probe, remaining, threads)
-        if hit is None:
-            tried += remaining
-            continue
-        tried += hit[0] + 1
-        return _assemble(q, m, n, base, f, hit[1])
-    raise BudgetExhausted(f"no primitive register found after {tried} candidate pairs", tried)
+        if hit is not None:
+            return (f, hit[1]), tried + hit[0] + 1, False
+        tried += remaining
+        if remaining < g_total:
+            return None, tried, True
+    return None, tried, False
 
 
 def _check_budget(budget: int | None) -> None:
@@ -156,9 +153,13 @@ def _check_budget(budget: int | None) -> None:
 
 
 def _iter_primitive(field: Field, degree: int):
-    for f in _monic_scan(field, degree, zero_constant=False):
-        if not f.constant_term.is_zero() and is_primitive_poly(f)[0]:
-            yield f
+    """Monic primitive polynomials of exact degree, ascending by coefficient encoding."""
+    for enc in range(field.order ** degree):
+        coeffs = base_digits(enc, field.order, degree) + [1]
+        if coeffs[0]:
+            f = Polynomial.make(field, coeffs)
+            if is_primitive_poly(f)[0]:
+                yield f
 
 
 def _assemble(q: int, m: int, n: int, base: Field, f: Polynomial, g: Polynomial) -> SearchResult:
@@ -201,48 +202,42 @@ def verify_conjecture(q: int, m: int, n: int, form: str, budget: int | None = No
     raise BadDegree(f"unknown conjecture form {form!r}")
 
 
-def _direct_candidates(q: int, m: int, n: int):
-    base = make_field(q)
-    big = make_field(q ** m)
-    _, embed, _ = subfield_maps(big, q)
-    lams = primitive_elements(big)
-    nonzero = [e for e in base.elements() if not e.is_zero()]
-    elems = list(base.elements())
-    for enc in range(q ** (n - 1)):
-        mids = [elems[d] for d in base_digits(enc, q, n - 1)]
-        for lead in nonzero:
-            g = Polynomial.make(base, [base.zero()] + mids + [lead])
-            g_big = Polynomial.make(big, [embed(c) for c in g.coeffs])
-            for lam in lams:
-                yield g, lam, g_big + Polynomial.constant(big, lam)
-
-
 def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitness:
+    """One first_hit over the flat index: g's middle digits, then its lead, then lam."""
     check_field(q ** m, "witness field")
-    tried = 0
-    for g, lam, cand in _direct_candidates(q, m, n):
-        if budget is not None and tried >= budget:
-            raise BudgetExhausted(f"direct scan stopped after {tried} candidates", tried)
-        tried += 1
-        if is_primitive_poly(cand)[0]:
-            converted, ok = _direct_to_composition(q, m, n, g, lam)
-            return ConjectureWitness(q, m, n, cand, True, tried, "direct", converted, ok)
-    return ConjectureWitness(q, m, n, None, False, tried, "direct")
+    big = make_field(q ** m)
+    base, embed, _ = subfield_maps(big, q)
+    lams = primitive_elements(big)
+    per_shape = (q - 1) * len(lams)
+    total = q ** (n - 1) * per_shape
+    scan = total if budget is None else min(total, budget)
+
+    def probe(i):
+        enc, rest = divmod(i, per_shape)
+        lead, k = divmod(rest, len(lams))
+        shape = [0] + base_digits(enc, q, n - 1) + [lead + 1]
+        cand = _fiber(big, base, embed, shape, lams[k:k + 1])[0]
+        return (shape, lams[k], cand) if is_primitive_poly(cand)[0] else None
+
+    hit = first_hit(probe, scan)
+    if hit is None:
+        if scan < total:
+            raise BudgetExhausted(f"direct scan stopped after {scan} candidates", scan)
+        return ConjectureWitness(q, m, n, None, False, total, "direct")
+    i, (shape, lam, cand) = hit
+    converted, ok = _direct_to_composition(q, m, n, Polynomial.make(base, shape), lam)
+    return ConjectureWitness(q, m, n, cand, True, i + 1, "direct", converted, ok)
 
 
 def _verify_composition(q: int, m: int, n: int, budget: int | None) -> ConjectureWitness:
     check_field(q ** m, "root field")
-    base = make_field(q)
-    tried = 0
-    for f in _iter_primitive(base, m):
-        for g in _monic_scan(base, n, zero_constant=True):
-            if budget is not None and tried >= budget:
-                raise BudgetExhausted(f"composition scan stopped after {tried} candidates", tried)
-            tried += 1
-            if is_primitive_poly(f.compose(g))[0]:
-                converted, ok = _composition_to_direct(q, m, n, f, g)
-                return ConjectureWitness(q, m, n, (f, g), True, tried, "composition", converted, ok)
-    return ConjectureWitness(q, m, n, None, False, tried, "composition")
+    hit, tried, stopped = _composition_scan(make_field(q), m, n, budget)
+    if stopped:
+        raise BudgetExhausted(f"composition scan stopped after {tried} candidates", tried)
+    if hit is None:
+        return ConjectureWitness(q, m, n, None, False, tried, "composition")
+    converted, ok = _composition_to_direct(q, m, n, *hit)
+    return ConjectureWitness(q, m, n, hit, True, tried, "composition", converted, ok)
 
 
 def _composition_to_direct(q, m, n, f, g):

@@ -11,6 +11,7 @@ an arithmetic disagreement; counts do not depend on the generator.
 """
 
 from .cosets import count_trace_one_classes
+from .counting import _fiber
 from .errors import TsrforgeError, UnknownKind
 from .fields import make_field, subfield_maps
 from .parallel import deterministic_map
@@ -132,11 +133,9 @@ TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "r_table")
 
 def fiber_census(q: int, ext: int, shape: tuple[int, ...], threads: int = 1) -> list[Polynomial]:
     """Primitive g(X) + lam over F_{q^ext} for the fixed shape g, lam ascending."""
-    base = make_field(q)
     big = make_field(q ** ext)
-    _, embed, _ = subfield_maps(big, q)
-    g_big = Polynomial.make(big, [embed(base.element(c)) for c in shape])
-    cands = [g_big + Polynomial.constant(big, lam) for lam in primitive_elements(big)]
+    base, embed, _ = subfield_maps(big, q)
+    cands = _fiber(big, base, embed, shape, primitive_elements(big))
     flags = deterministic_map(lambda f: is_primitive_poly(f)[0], cands, threads)
     return [f for f, ok in zip(cands, flags) if ok]
 

@@ -281,7 +281,7 @@ def test_verdict_only_callers_build_no_witness(monkeypatch):
     from tsrforge.cosets import count_trace_one_classes
     from tsrforge.counting import enumerate_special_primitives, enumerate_tsrp_bruteforce
     from tsrforge.fields import _fallback_modulus
-    from tsrforge.search import search_primitive_tsr
+    from tsrforge.search import search_primitive_tsr, verify_conjecture
     from tsrforge.tables import fiber_census
 
     built = []
@@ -294,6 +294,8 @@ def test_verdict_only_callers_build_no_witness(monkeypatch):
     assert count_trace_one_classes(5) == (2, 10)
     assert search_primitive_tsr(2, 3, 3).certificate.group_order == 2 ** 9 - 1
     assert _fallback_modulus.__wrapped__(2, 5)
+    assert verify_conjecture(2, 2, 2, "direct").conversion_ok
+    assert verify_conjecture(2, 2, 2, "composition").conversion_ok
     assert built == []
     ok, cert = is_primitive_poly(parse_poly("x^6 + x + 1", make_field(2)))
     assert ok and built == []

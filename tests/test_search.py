@@ -2,7 +2,7 @@ import pytest
 
 from tsrforge.errors import (BadDegree, BudgetExhausted, InvalidParity,
                              SingularB, ZeroConstantTerm)
-from tsrforge.fields import make_field, subfield_maps
+from tsrforge.fields import make_extension_field, make_field, subfield_maps
 from tsrforge.matrices import companion_matrix
 from tsrforge.polys import Polynomial, format_poly, parse_poly
 from tsrforge.primitivity import (conjugate_product, is_primitive_element,
@@ -57,6 +57,15 @@ def test_primitive_polys_ascending():
     f2 = make_field(2)
     polys = primitive_polys(f2, 4)
     assert [format_poly(p) for p in polys] == ["x^4 + x + 1", "x^4 + x^3 + 1"]
+
+
+@pytest.mark.parametrize("p, k, modulus", [
+    (2, 13, (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)), (3, 5, (1, 2, 0, 0, 0, 1)),
+    (5, 4, (2, 2, 1, 0, 1)), (7, 3, (2, 3, 0, 1))])
+def test_fallback_modulus_is_the_first_primitive_polynomial(p, k, modulus):
+    # (p, k) outside the Conway table takes the least primitive monic polynomial
+    assert make_extension_field(p, k).modulus_coeffs == modulus
+    assert tuple(c.int_value for c in primitive_polys(make_field(p), k)[0].coeffs) == modulus
 
 
 def test_search_basic_points():
@@ -115,14 +124,20 @@ def test_search_even_n_gate():
     assert info.value.candidates_tried == 12
 
 
-def test_search_budget_exhaustion():
-    # budget below the first hit trips mid-scan with the tally preserved
-    with pytest.raises(BudgetExhausted) as info:
-        search_primitive_tsr(3, 3, 2, allow_even_n=True, budget=5)
-    assert info.value.candidates_tried == 5
-    # a generous budget does not interfere with success
-    res = search_primitive_tsr(3, 2, 3, budget=50)
-    assert is_primitive_poly(res.charpoly)[0]
+@pytest.mark.parametrize("q, m, n, budget, tried", [
+    (3, 3, 2, 0, 0), (3, 3, 2, 5, 5), (3, 3, 2, 11, 11), (3, 3, 2, 12, 12), (3, 3, 2, 13, 12),
+    (2, 2, 7, 5, 5), (2, 2, 7, 6, None), (3, 2, 3, 50, None)])
+def test_search_budget_exhaustion(q, m, n, budget, tried):
+    # a budget below the first hit trips mid-scan with the tally preserved, and
+    # one that reaches it (pair 6 at (2, 2, 7)) does not interfere; (3, 3, 2)
+    # has no hit among its 12 pairs, so every budget ends in a refusal
+    if tried is None:
+        res = search_primitive_tsr(q, m, n, budget=budget)
+        assert is_primitive_poly(res.charpoly)[0]
+        return
+    with pytest.raises(BudgetExhausted, match=f"no primitive register found after {tried} candidate pairs$") as info:
+        search_primitive_tsr(q, m, n, allow_even_n=True, budget=budget)
+    assert info.value.candidates_tried == tried
 
 
 def test_search_deterministic_across_threads():
@@ -145,9 +160,22 @@ def test_conjecture_both_forms_at_222():
     assert is_primitive_poly(big_fg)[0]
 
 
-def test_conjecture_budget():
-    with pytest.raises(BudgetExhausted):
-        verify_conjecture(3, 2, 3, "direct", budget=1)
+@pytest.mark.parametrize("q, m, n, form, budget, tried, found", [
+    (3, 2, 3, "direct", 1, None, None), (3, 2, 3, "direct", 8, None, None), (3, 2, 3, "direct", 9, 9, True),
+    (5, 2, 3, "direct", 34, None, None), (5, 2, 3, "direct", 35, 35, True),
+    (3, 3, 2, "composition", 0, None, None), (3, 3, 2, "composition", 11, None, None),
+    (3, 3, 2, "composition", 12, 12, False), (3, 3, 2, "composition", 13, 12, False),
+    (2, 2, 7, "composition", 5, None, None), (2, 2, 7, "composition", 6, 6, True)])
+def test_conjecture_budget(q, m, n, form, budget, tried, found):
+    # a scan refuses only when the budget stops it with candidates left untested;
+    # (3, 3, 2) has 12 composition pairs and none is a witness
+    if tried is None:
+        with pytest.raises(BudgetExhausted, match=f"{form} scan stopped after {budget} candidates$") as info:
+            verify_conjecture(q, m, n, form, budget=budget)
+        assert info.value.candidates_tried == budget
+        return
+    w = verify_conjecture(q, m, n, form, budget=budget)
+    assert (w.found, w.candidates_tried) == (found, tried)
 
 
 def test_negative_budget_is_refused():

@@ -23,6 +23,9 @@ def test_fiber_census_members_are_primitive():
     for p in got:
         assert is_primitive_poly(p)[0]
         assert is_primitive_element(p.constant_term)
+    # a shape with g(0) != 0 is outside the g(X) + lam family and is refused
+    with pytest.raises(ValueError, match=r"g\(0\) = 0"):
+        fiber_census(2, 2, (1, 1, 1, 1))
 
 
 def test_fiber_census_lambda_ascending():

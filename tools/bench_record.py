@@ -1,6 +1,6 @@
 """Record layer timings and benchmark medians of one or more checkouts in a BENCH_*.json.
 
-    python3 tools/bench_record.py --side parent=../parent --side change=. --out BENCH_13.json
+    python3 tools/bench_record.py --side parent=../parent --side change=. --out BENCH_15.json
 
 Each --side LABEL=PATH names the root of a tsrforge source checkout.  For
 every side the recorder writes:
@@ -14,7 +14,11 @@ every side the recorder writes:
   round trips, at F_{3^6} over F_9 and F_{2^20} over F_{2^10}; microseconds
   per `tsr_step` over one whole orbit, from (1, 0, ..., 0), of the first
   register of each 4095-step walk stratum of perfbench/expected/walk.json,
-  and microseconds per `tsr_period` call on those four registers;
+  and microseconds per `tsr_period` call on those four registers; and
+  milliseconds per call of the candidate scans: `search_primitive_tsr` at
+  (2, 3, 9), (4, 3, 3) and (13, 3, 3), the P_mnq census at (4, 2, 3),
+  `generate_table("t3")`, and `verify_conjecture` in the composition form at
+  (2, 2, 7) and the direct form at (5, 2, 3);
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
@@ -45,6 +49,7 @@ TALLY_M = (8, 10)  # element tally sizes, one call per pass
 SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
 ROUND_TRIPS = 500
 WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
+SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
@@ -67,6 +72,7 @@ def layer_rows(src: str) -> dict:
     import random
 
     from tsrforge.cosets import primitive_trace_one_count
+    from tsrforge.counting import enumerate_special_primitives
     from tsrforge.fields import base_digits, make_field, subfield_maps
     try:
         from tsrforge.kernel import int_poly_modpow
@@ -74,6 +80,8 @@ def layer_rows(src: str) -> dict:
         from tsrforge.fields import int_poly_modpow
     from tsrforge.polys import Polynomial
     from tsrforge.primitivity import is_irreducible, is_primitive_poly
+    from tsrforge.search import search_primitive_tsr, verify_conjecture
+    from tsrforge.tables import generate_table
     from tsrforge.tsr import TsrSpec, TsrState, tsr_period, tsr_step
 
     rows = {}
@@ -115,6 +123,15 @@ def layer_rows(src: str) -> dict:
         steps = orbit(0)  # also fills the step's caches, untimed
         rows[f"tsr_step.{name}_us"] = round(per_call(orbit, 1) / steps * 1e6, 2)
     rows["tsr_period.walk4_us"] = round(per_call(lambda i: tsr_period(specs[i]), len(specs)) * 1e6, 1)
+    scans = {f"search_primitive_tsr.q{q}m{m}n{n}_ms": lambda _, q=q, m=m, n=n: search_primitive_tsr(q, m, n)
+             for q, m, n in SEARCH_POINTS}
+    scans["enumerate_special_primitives.P_mnq.q4m2n3_ms"] = lambda _: enumerate_special_primitives(4, 2, 3, "P_mnq")
+    scans["generate_table.t3_ms"] = lambda _: generate_table("t3")
+    scans["verify_conjecture.composition.q2m2n7_ms"] = lambda _: verify_conjecture(2, 2, 7, "composition")
+    scans["verify_conjecture.direct.q5m2n3_ms"] = lambda _: verify_conjecture(5, 2, 3, "direct")
+    for name, call in scans.items():
+        call(0)  # builds the fields and their tables, untimed
+        rows[name] = round(per_call(call, 1) * 1e3, 3)
     return rows
 
 
