@@ -7,7 +7,7 @@ the other.
 
 from .errors import BadDegree, FiberSizeViolation, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
-from .fields import Field, base_digits, make_field, prime_power, subfield_maps
+from .fields import Field, base_digits, int_pow, make_field, prime_power, subfield_maps
 from .guards import check_custom, check_enumeration, guard_bits
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
@@ -105,9 +105,36 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
             coeffs = [-(mu * c) for c in g_emb] + [big.zero()] * (n - len(g_emb))
             coeffs.append(big.one())
             candidates.append(Polynomial.make(big, coeffs))
-    flags = deterministic_map(lambda f: is_primitive_poly(f)[0], candidates, threads)
+    flags = _orbit_flags(prims, q, candidates, threads)
     found = [f for f, ok in zip(candidates, flags) if ok]
     return sorted(found, key=format_poly)
+
+
+def _orbit_leads(lams: list, q: int) -> list[int]:
+    """Per lams[i], the index of the first member of its orbit under lam -> lam^q;
+    lams is closed under that map, as the primitive elements of a field are."""
+    ops, index = lams[0].owner.ops, {lam.int_value: i for i, lam in enumerate(lams)}
+    leads = [-1] * len(lams)
+    for i, lam in enumerate(lams):
+        y = lam.int_value
+        while leads[index[y]] < 0:
+            leads[index[y]] = i
+            y = int_pow(y, q, ops)
+    return leads
+
+
+def _orbit_flags(lams: list, q: int, cands: list[Polynomial], threads: int = 1) -> list[bool]:
+    """is_primitive_poly verdicts of cands, where cands[j * len(lams) + i] is
+    built from lams[i] and coefficients in F_q, one test per orbit of lam -> lam^q.
+
+    sigma: x -> x^q, extended to the splitting field, maps the roots of f to
+    those of f^sigma (the candidate of lams[i]^q) and keeps their orders, so f
+    and f^sigma are primitive together.
+    """
+    width, leads = len(lams), _orbit_leads(lams, q)
+    tested = [t for t in range(len(cands)) if leads[t % width] == t % width]
+    verdict = dict(zip(tested, deterministic_map(lambda t: is_primitive_poly(cands[t])[0], tested, threads)))
+    return [verdict[t - t % width + leads[t % width]] for t in range(len(cands))]
 
 
 def _fiber(big: Field, base: Field, embed, shape, lams) -> list[Polynomial]:

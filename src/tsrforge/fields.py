@@ -457,15 +457,7 @@ def subfield_maps(field: Field, base_order: int):
 
     base = make_extension_field(p, j)
     check_enumeration(base.order, "subfield table")
-    # base.gen() is primitive, so gen^i -> root^i over the units is the embedding
-    gen, root = base.gen().int_value, _subfield_generator_image(field, base)
-    bmul, fmul = base.ops.mul, field.ops.mul
-    up, down, b, x = [0] * base.order, {0: 0}, 1, 1
-    for _ in range(base.order - 1):
-        up[b], down[x] = x, b
-        b, x = bmul(b, gen), fmul(x, root)
-    if x != 1 or len(down) != base.order:
-        raise BaseNotSubfield(f"powers of {root} do not close after {base.order - 1} steps")
+    up, down = _subfield_tables(field, base)
 
     def embed_big(c: FieldElement) -> FieldElement:
         return FieldElement(field, up[c.int_value])
@@ -476,6 +468,21 @@ def subfield_maps(field: Field, base_order: int):
         return FieldElement(base, down[x.int_value])
 
     return base, embed_big, descend_big
+
+
+@lru_cache(maxsize=None)
+def _subfield_tables(field: Field, base: Field) -> tuple[list[int], dict[int, int]]:
+    """(up, down): base -> field as a list and its inverse as a dict, once per (field, base)."""
+    # base.gen() is primitive, so gen^i -> root^i over the units is the embedding
+    gen, root = base.gen().int_value, _subfield_generator_image(field, base)
+    bmul, fmul = base.ops.mul, field.ops.mul
+    up, down, b, x = [0] * base.order, {0: 0}, 1, 1
+    for _ in range(base.order - 1):
+        up[b], down[x] = x, b
+        b, x = bmul(b, gen), fmul(x, root)
+    if x != 1 or len(down) != base.order:
+        raise BaseNotSubfield(f"powers of {root} do not close after {base.order - 1} steps")
+    return up, down
 
 
 def _subfield_generator_image(field: Field, base: Field) -> int:

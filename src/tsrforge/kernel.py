@@ -1,8 +1,9 @@
 """Polynomial kernels: polynomials over F_q as little-endian lists of canonical ints.
 
 A field's FieldOps carries one kernel, picked when fields._field_ops builds
-the ops, and the int_poly_* functions run on it.  Lists come out trimmed;
-the zero polynomial is [].
+the ops; callers run its mul, divrem (quot, rem with deg rem < deg b, for a
+trimmed nonzero b), monic gcd and ring directly, and int_poly_modpow on it.
+Lists come out trimmed; the zero polynomial is [].
 
 - F_p runs packed (Kronecker substitution): a polynomial is one int with a
   w-bit slot per coefficient, so a product is one big-int multiply.  `norm`
@@ -41,26 +42,12 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def int_poly_mul(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> list[int]:
-    return ops.kernel.mul(a, b)
-
-
-def int_poly_divrem(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> tuple[list[int], list[int]]:
-    """(quot, rem) with a = quot*b + rem, deg rem < deg b; b trimmed and nonzero."""
-    return ops.kernel.divrem(a, b)
-
-
 def int_poly_modpow(base: Sequence[int], e: int, mod: Sequence[int], ops: FieldOps) -> list[int]:
     """base^e mod mod by square-and-multiply; e >= 0, mod trimmed of degree >= 1."""
     if e < 0:
         raise ValueError(f"exponent e = {e} must be >= 0")
     ring = ops.kernel.ring(mod)
     return ring.list(ring.pow(ring.reduce(base), e))
-
-
-def int_poly_gcd(a: Sequence[int], b: Sequence[int], ops: FieldOps) -> list[int]:
-    """Monic gcd; [] when both are zero."""
-    return ops.kernel.gcd(a, b)
 
 
 class _Ring:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NonSquareMatrix
 from .fields import Field, FieldElement
-from .kernel import FieldOps, int_poly_mul
+from .kernel import FieldOps
 from .polys import Polynomial, _common_field, _from_ints
 
 
@@ -235,7 +235,7 @@ def matrix_charpoly(M: Matrix) -> Polynomial:
     # p_m(X) = charpoly of the leading m x m block of H, as a monic int list
     p = [[1]]
     for m in range(1, n + 1):
-        t = int_poly_mul([neg(H[m - 1][m - 1]), 1], p[m - 1], ops)
+        t = ops.kernel.mul([neg(H[m - 1][m - 1]), 1], p[m - 1])
         prod = 1
         for i in range(1, m):
             prod = mul(prod, H[m - i][m - i - 1])

@@ -14,7 +14,7 @@ from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly
 from .fields import Field, FieldElement, format_element
-from .kernel import int_poly_divrem, int_poly_gcd, int_poly_modpow, int_poly_mul
+from .kernel import int_poly_modpow
 
 NEG_INF = float("-inf")
 
@@ -93,7 +93,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         field = _common_field(self, other)
-        return _from_ints(field, int_poly_mul(_ints(self), _ints(other), field.ops))
+        return _from_ints(field, field.ops.kernel.mul(_ints(self), _ints(other)))
 
     def scale(self, c: FieldElement) -> "Polynomial":
         return Polynomial.make(self.field, [a * c for a in self.coeffs])
@@ -171,7 +171,7 @@ def poly_divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     if b.is_zero():
         raise DivisionByZeroPoly("division by the zero polynomial")
     field = _common_field(a, b)
-    quot, rem = int_poly_divrem(_ints(a), _ints(b), field.ops)
+    quot, rem = field.ops.kernel.divrem(_ints(a), _ints(b))
     return _from_ints(field, quot), _from_ints(field, rem)
 
 
@@ -190,7 +190,7 @@ def poly_modpow(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd; zero when both are zero."""
     field = _common_field(a, b)
-    return _from_ints(field, int_poly_gcd(_ints(a), _ints(b), field.ops))
+    return _from_ints(field, field.ops.kernel.gcd(_ints(a), _ints(b)))
 
 
 # --- canonical text format ---

@@ -32,7 +32,7 @@ from .errors import (BadDegree, BaseNotSubfield, CoefficientNotDescended, ZeroCo
                      ZeroElement)
 from .factorint import Factorization, factor_integer
 from .fields import Field, FieldElement, frobenius, int_pow, subfield_degree, subfield_maps
-from .kernel import FieldOps, int_poly_gcd
+from .kernel import FieldOps
 from .polys import Polynomial, _from_ints, _ints, format_poly
 
 
@@ -119,7 +119,7 @@ def is_irreducible(f: Polynomial) -> bool:
         if k in checks:
             h = ring.list(v) + [0, 0]  # v - X
             h[1] = ops.add(h[1], minus_one)
-            if len(int_poly_gcd(h, fm, ops)) != 1:
+            if len(ops.kernel.gcd(h, fm)) != 1:
                 return False
     return ring.frob(v) == ring.x
 
@@ -174,8 +174,17 @@ def is_primitive_element(x: FieldElement) -> bool:
 
 
 def primitive_elements(field: Field) -> list:
-    """Primitive elements in ascending canonical encoding."""
-    return [x for x in field.elements() if not x.is_zero() and is_primitive_element(x)]
+    """Primitive elements in ascending canonical encoding; x and x^p have the
+    same order, so one test decides each orbit of x -> x^p."""
+    q, p, ops = field.order, field.characteristic, field.ops
+    verdict = bytearray(q)  # 0 unseen, 1 not primitive, 2 primitive
+    for x in range(1, q):
+        if not verdict[x]:
+            v, y = 1 + _generates(x, q, ops), x
+            while not verdict[y]:
+                verdict[y] = v
+                y = int_pow(y, p, ops)
+    return [field.element(x) for x in range(1, q) if verdict[x] == 2]
 
 
 def minimal_polynomial(x: FieldElement, base_order: int) -> Polynomial:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (BadDegree, BudgetExhausted, ExistenceViolation,
                      InvalidParity, ZeroConstantTerm)
-from .counting import _fiber, check_shape
+from .counting import _fiber, _orbit_leads, check_shape
 from .factorint import is_prime_int
 from .fields import (Field, base_digits, least_root, make_extension_field, make_field,
                      subfield_maps)
@@ -194,6 +194,7 @@ def verify_conjecture(q: int, m: int, n: int, form: str, budget: int | None = No
     composition: some f(g(X)) is primitive of degree mn over F_q, with f
     monic primitive of degree m and g monic of degree n, g(0) = 0.
     """
+    check_shape(m, n)
     _check_budget(budget)
     if form == "direct":
         return _verify_direct(q, m, n, budget)
@@ -208,6 +209,7 @@ def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitn
     big = make_field(q ** m)
     base, embed, _ = subfield_maps(big, q)
     lams = primitive_elements(big)
+    orbit_leads = _orbit_leads(lams, q)
     per_shape = (q - 1) * len(lams)
     total = q ** (n - 1) * per_shape
     scan = total if budget is None else min(total, budget)
@@ -215,6 +217,8 @@ def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitn
     def probe(i):
         enc, rest = divmod(i, per_shape)
         lead, k = divmod(rest, len(lams))
+        if orbit_leads[k] != k:  # its conjugate, earlier in this shape, was no hit (_orbit_flags)
+            return None
         shape = [0] + base_digits(enc, q, n - 1) + [lead + 1]
         cand = _fiber(big, base, embed, shape, lams[k:k + 1])[0]
         return (shape, lams[k], cand) if is_primitive_poly(cand)[0] else None

@@ -11,12 +11,11 @@ an arithmetic disagreement; counts do not depend on the generator.
 """
 
 from .cosets import count_trace_one_classes
-from .counting import _fiber
+from .counting import _fiber, _orbit_flags
 from .errors import TsrforgeError, UnknownKind
 from .fields import make_field, subfield_maps
-from .parallel import deterministic_map
 from .polys import Polynomial, format_poly, parse_poly
-from .primitivity import is_primitive_poly, primitive_elements
+from .primitivity import primitive_elements
 
 # shapes, little-endian over F_q
 _CUBIC_111 = (0, 1, 1, 1)        # x^3 + x^2 + x
@@ -135,9 +134,9 @@ def fiber_census(q: int, ext: int, shape: tuple[int, ...], threads: int = 1) -> 
     """Primitive g(X) + lam over F_{q^ext} for the fixed shape g, lam ascending."""
     big = make_field(q ** ext)
     base, embed, _ = subfield_maps(big, q)
-    cands = _fiber(big, base, embed, shape, primitive_elements(big))
-    flags = deterministic_map(lambda f: is_primitive_poly(f)[0], cands, threads)
-    return [f for f, ok in zip(cands, flags) if ok]
+    lams = primitive_elements(big)
+    cands = _fiber(big, base, embed, shape, lams)
+    return [f for f, ok in zip(cands, _orbit_flags(lams, q, cands, threads)) if ok]
 
 
 def regenerate_row(row, threads: int = 1) -> list[Polynomial]:

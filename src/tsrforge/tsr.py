@@ -18,7 +18,7 @@ from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB
 from .factorint import merged_factorization, multiplicative_order_from
 from .fields import Field, FieldElement, base_digits, make_field
 from .guards import check_field
-from .kernel import _trim, int_poly_mul
+from .kernel import _trim
 from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
 from .polys import Polynomial, _common_field, _from_ints, _ints, poly_modpow
@@ -137,7 +137,7 @@ def _homogenize(h: Polynomial, g: Polynomial, m: int, n: int) -> Polynomial:
     ops = field.ops
     g_ints, g_pow = _ints(g), [[1]]
     for _ in range(m):
-        g_pow.append(int_poly_mul(g_pow[-1], g_ints, ops))
+        g_pow.append(ops.kernel.mul(g_pow[-1], g_ints))
     terms = [(n * k, hk, g_pow[m - k]) for k, hk in enumerate(_ints(h)[:m + 1]) if hk]
     acc = [0] * max((shift + len(gp) for shift, _, gp in terms), default=0)
     for shift, hk, gp in terms:

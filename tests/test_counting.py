@@ -11,7 +11,7 @@ from tsrforge.factorint import euler_phi
 from tsrforge.fields import make_field
 from tsrforge.matrices import matrix_is_invertible
 from tsrforge.polys import format_poly, parse_poly
-from tsrforge.primitivity import is_primitive_poly
+from tsrforge.primitivity import is_primitive_element, is_primitive_poly
 from tsrforge.tsr import is_primitive_tsr
 
 
@@ -163,6 +163,31 @@ def test_tsrp_bruteforce_tests_each_charpoly_once(monkeypatch):
         assert enumerate_tsrp_bruteforce(q, m, n) == [s for s in specs if is_primitive_tsr(s)]
         assert len(tested) == len(set(tested)) == len({tsr_charpoly_formula(s) for s in specs})
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("form", ["P_mnq", "P_qmn"])
+@pytest.mark.parametrize("q, m, n", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (4, 2, 3), (2, 4, 3)])
+def test_special_census_tests_one_candidate_per_frobenius_orbit(q, m, n, form, monkeypatch):
+    from tsrforge import counting
+    from tsrforge.fields import base_digits, subfield_maps
+    from tsrforge.polys import Polynomial
+    big = make_field(q ** m)
+    base, embed, _ = subfield_maps(big, q)
+    lams = [x for x in big.elements() if not x.is_zero() and is_primitive_element(x)]
+    cands = []
+    for enc in range(q ** (n - 1)):
+        tail = [embed(base.element(d)) for d in base_digits(enc, q, n - 1)]
+        if form == "P_mnq":  # g(X) + lam, g monic of degree n with g(0) = 0
+            cands += [Polynomial.make(big, [lam] + tail + [big.one()]) for lam in lams]
+        else:  # X^n - mu g(X), g(0) = 1 and deg g <= n - 1
+            cands += [Polynomial.make(big, [-(mu * c) for c in [big.one()] + tail] + [big.one()])
+                      for mu in lams]
+    tested = []
+    monkeypatch.setattr(counting, "is_primitive_poly", lambda f: tested.append(f) or is_primitive_poly(f))
+    # one test per orbit of lam -> lam^q, whose m members share the verdict
+    assert enumerate_special_primitives(q, m, n, form) == \
+        sorted((f for f in cands if is_primitive_poly(f)[0]), key=format_poly)
+    assert len(tested) * m == len(cands)
 
 
 def test_tsrp_theorem_consistency():

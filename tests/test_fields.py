@@ -145,10 +145,33 @@ def test_subfield_maps_non_primitive_modulus(p, k, modulus, base_order, images):
 
 
 def test_subfield_table_is_guarded(monkeypatch):
+    # the guard is checked on every call, also once the table is built
+    assert subfield_maps(make_field(256), 16)[0].order == 16
     monkeypatch.setenv("TSRFORGE_GUARD_BITS", "3")
     with pytest.raises(ScaleExceeded, match="subfield table of 16 exceeds the 2\\^3 guard"):
         subfield_maps(make_field(256), 16)
     assert subfield_maps(make_field(64), 8)[0].order == 8
+
+
+def test_subfield_tables_are_built_once_per_field_and_base(monkeypatch):
+    from tsrforge import fields
+    from tsrforge.search import search_primitive_tsr
+
+    fields._subfield_tables.cache_clear()
+    builds = []
+    image = fields._subfield_generator_image
+    monkeypatch.setattr(fields, "_subfield_generator_image", lambda *a: builds.append(a) or image(*a))
+    # the search at a prime-power q maps F_16 into F_4096 for alpha, the
+    # minimal polynomial of lam and the conjugate product
+    assert search_primitive_tsr(16, 3, 3).certificate.group_order == 16 ** 9 - 1
+    assert len(builds) == 1
+    # an equal field built anew shares the tables; embed and descend are its own
+    big = make_extension_field(2, 12)
+    base, embed, descend = subfield_maps(big, 16)
+    assert len(builds) == 1
+    assert all(embed(c).owner is big and descend(embed(c)) == c for c in base.elements())
+    subfield_maps(big, 64)
+    assert len(builds) == 2
 
 
 def test_subfield_maps_f81_over_f9():

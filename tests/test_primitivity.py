@@ -270,10 +270,10 @@ def test_norm_stage_rejects_without_polynomial_arithmetic(monkeypatch):
         raise AssertionError("stage 1 should have decided")
 
     # every polynomial product, reduction and power of the test runs in a
-    # ring of the field's kernel, and Rabin's gcds on int_poly_gcd
+    # ring of the field's kernel, and Rabin's gcds on the kernel's gcd
     monkeypatch.setattr(primitivity, "is_irreducible", not_reached)
     monkeypatch.setattr(type(f.field.ops.kernel), "ring", not_reached)
-    monkeypatch.setattr(primitivity, "int_poly_gcd", not_reached)
+    monkeypatch.setattr(type(f.field.ops.kernel), "gcd", not_reached)
     assert is_primitive_poly(f) == (False, None)
 
 
@@ -329,6 +329,47 @@ def test_primitive_elements_match_the_order_walk():
         expected = [x for x in field.elements() if not x.is_zero() and _order_by_walk(x) == q - 1]
         assert primitive_elements(field) == expected, q
         assert len(expected) == euler_phi(q - 1)
+
+
+@pytest.mark.parametrize("q", [2 ** k for k in range(2, 13)] + [9, 81, 121])
+def test_primitive_elements_test_one_element_per_frobenius_orbit(q, monkeypatch):
+    field = make_field(q)
+    expected = [x for x in field.elements() if not x.is_zero() and is_primitive_element(x)]
+    orbits, seen = 0, set()
+    for x in field.elements():
+        if not x.is_zero() and x not in seen:
+            orbits += 1
+            while x not in seen:
+                seen.add(x)
+                x = x ** field.characteristic
+    tested = []
+    generates = primitivity._generates
+    monkeypatch.setattr(primitivity, "_generates", lambda *a: tested.append(a[0]) or generates(*a))
+    assert primitive_elements(field) == expected
+    assert len(tested) == len(set(tested)) == orbits
+
+
+def test_primitivity_is_invariant_under_coefficient_frobenius():
+    # sigma: c -> c^p on the coefficients maps the roots of f to those of
+    # f^sigma and keeps their orders, so f and every f^(sigma^i) share a verdict
+    for q in (4, 8, 9, 16, 25, 64):
+        field, rng = make_field(q), random.Random(q)
+        p, k = field.characteristic, field.extension_degree
+        kinds, moved = set(), 0
+
+        def monic(d):
+            return Polynomial.make(field, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(d - 1)] + [1])
+
+        for degree in range(2, 7):
+            for f in [monic(degree) for _ in range(6)] + [monic(1) * monic(degree - 1)]:
+                ok = is_primitive_poly(f)[0]
+                kinds.add("primitive" if ok else "irreducible" if is_irreducible(f) else "reducible")
+                g = f
+                for _ in range(k - 1):
+                    g = Polynomial.make(field, [c ** p for c in g.coeffs])
+                    moved += g != f
+                    assert is_primitive_poly(g)[0] == ok, (q, format_poly(f), format_poly(g))
+        assert kinds == {"primitive", "irreducible", "reducible"} and moved, q
 
 
 def _run_optimized(code):

@@ -2,7 +2,7 @@ import pytest
 
 from tsrforge.errors import (BadDegree, BudgetExhausted, InvalidParity,
                              SingularB, ZeroConstantTerm)
-from tsrforge.fields import make_extension_field, make_field, subfield_maps
+from tsrforge.fields import base_digits, make_extension_field, make_field, subfield_maps
 from tsrforge.matrices import companion_matrix
 from tsrforge.polys import Polynomial, format_poly, parse_poly
 from tsrforge.primitivity import (conjugate_product, is_primitive_element,
@@ -184,6 +184,45 @@ def test_negative_budget_is_refused():
     for form in ("direct", "composition"):
         with pytest.raises(ValueError, match="budget = -1"):
             verify_conjecture(3, 2, 3, form, budget=-1)
+
+
+@pytest.mark.parametrize("form", ["direct", "composition"])
+@pytest.mark.parametrize("m, n, message", [(2, 0, "register length n = 0 must be >= 1"),
+                                            (0, 2, "block size m = 0 must be >= 1")])
+def test_conjecture_refuses_a_bad_shape_as_the_search_does(form, m, n, message):
+    with pytest.raises(BadDegree, match=message):
+        search_primitive_tsr(2, m, n)
+    with pytest.raises(BadDegree, match=message):
+        verify_conjecture(2, m, n, form)
+
+
+def _first_direct_witness(q, m, n):
+    """(witness, candidates tried) of the direct form, testing every candidate
+    in scan order: g's middle digits, then its lead, then lam ascending."""
+    big = make_field(q ** m)
+    base, embed, _ = subfield_maps(big, q)
+    lams = [x for x in big.elements() if not x.is_zero() and is_primitive_element(x)]
+    tried = 0
+    for enc in range(q ** (n - 1)):
+        for lead in range(1, q):
+            tail = [embed(base.element(c)) for c in base_digits(enc, q, n - 1) + [lead]]
+            for lam in lams:
+                tried += 1
+                cand = Polynomial.make(big, [lam] + tail)
+                if is_primitive_poly(cand)[0]:
+                    return cand, tried
+    return None, tried
+
+
+@pytest.mark.parametrize("q, m, n, tried", [
+    (2, 2, 2, 3), (2, 2, 3, 7), (2, 3, 3, 7), (2, 4, 3, 13), (3, 2, 3, 9), (3, 3, 2, 28),
+    (4, 2, 3, 29), (5, 2, 3, 35), (9, 2, 3, 257)])
+def test_direct_form_matches_the_per_candidate_scan(q, m, n, tried):
+    # the direct form tests one lam per orbit of lam -> lam^q; its witness and
+    # tally are those of the scan that tests every candidate
+    w = verify_conjecture(q, m, n, "direct")
+    assert (w.witness, w.candidates_tried) == _first_direct_witness(q, m, n)
+    assert w.found and w.candidates_tried == tried
 
 
 def test_conjecture_composition_definitive_empty():

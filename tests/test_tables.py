@@ -28,6 +28,26 @@ def test_fiber_census_members_are_primitive():
         fiber_census(2, 2, (1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("table_id", ["t1", "t2", "t3", "t4", "t5"])
+def test_fiber_census_tests_one_candidate_per_frobenius_orbit(table_id, monkeypatch):
+    from tsrforge import counting
+    from tsrforge.fields import subfield_maps
+    from tsrforge.polys import Polynomial
+    tested = []
+    monkeypatch.setattr(counting, "is_primitive_poly", lambda f: tested.append(f) or is_primitive_poly(f))
+    for key, q, ext, shapes, _ in TABLES[table_id]:
+        big = make_field(q ** ext)
+        base, embed, _ = subfield_maps(big, q)
+        lams = [x for x in big.elements() if not x.is_zero() and is_primitive_element(x)]
+        for shape in shapes:
+            cands = [Polynomial.make(big, [lam] + [embed(base.element(c)) for c in shape[1:]]) for lam in lams]
+            del tested[:]
+            # the census equals the per-candidate filter, with one test per
+            # orbit of lam -> lam^q, whose ext members share the verdict
+            assert fiber_census(q, ext, shape) == [f for f in cands if is_primitive_poly(f)[0]], (key, shape)
+            assert len(tested) * ext == len(cands), (key, shape)
+
+
 def test_fiber_census_lambda_ascending():
     got = fiber_census(5, 2, (0, 1, 1, 1))
     encs = [p.constant_term.int_value for p in got]

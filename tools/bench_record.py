@@ -10,23 +10,29 @@ every side the recorder writes:
   seeded sample of monic polynomials with f(0) != 0, at degrees 20, 40 and 64
   over F_2, 10, 20 and 40 over F_3 and 8 over F_9; seconds per call of
   the element tally `primitive_trace_one_count` at m = 8 and 10; and
-  milliseconds to build `subfield_maps` and to run 500 `descend(embed(x))`
+  milliseconds per repeated `subfield_maps` call (`build`: a cache lookup
+  where the tables are cached) and to run 500 `descend(embed(x))`
   round trips, at F_{3^6} over F_9 and F_{2^20} over F_{2^10}; microseconds
   per `tsr_step` over one whole orbit, from (1, 0, ..., 0), of the first
   register of each 4095-step walk stratum of perfbench/expected/walk.json,
   and microseconds per `tsr_period` call on those four registers; and
   milliseconds per call of the candidate scans: `search_primitive_tsr` at
-  (2, 3, 9), (4, 3, 3) and (13, 3, 3), the P_mnq census at (4, 2, 3),
-  `generate_table("t3")`, and `verify_conjecture` in the composition form at
+  (2, 3, 9), (4, 3, 3) and (13, 3, 3), the P_mnq and P_qmn censuses at
+  (4, 2, 3), `generate_table("t3")`, `fiber_census` on the rows t4 key 4
+  (F_81), t2 key 6 (F_64) and t5 key 13 (F_169), `primitive_elements` of
+  F_{2^10} and F_121, and `verify_conjecture` in the composition form at
   (2, 2, 7) and the direct form at (5, 2, 3);
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
 
 Layer rows are timed in a fresh interpreter that imports that side's src/,
-LAYER_ROUNDS times; the file keeps every round under `layer_rounds` and
-their median under `layers`, so a row that moved can be told apart from a
-host whose whole round moved.  Layer rounds and
+LAYER_ROUNDS short rounds per side; a round keeps the fastest of REPEATS
+passes, and `layers` keeps each row's fastest round, as a busy shared host
+can slow a pass but not speed it up (a host that switches between speeds
+moves whole rounds, so a median of rounds moves with it).  The file keeps
+every round under `layer_rounds`, so a row that moved can be told apart
+from a host whose whole round moved.  Layer rounds and
 benchmark runs alternate between the sides, which run first in turn, so
 host drift falls on both.  Stdlib only and offline; nothing is installed.
 """
@@ -43,27 +49,29 @@ from pathlib import Path
 
 LAYER_CASES = [(2, 20), (2, 40), (2, 64), (3, 10), (3, 20), (3, 40), (9, 8)]
 SAMPLE = 8  # polynomials per (q, degree)
-REPEATS = 15  # timed passes over each sample; the median pass is kept
-LAYER_ROUNDS = 6  # fresh interpreters per side; every round and their median are kept
+REPEATS = 9  # timed passes over each sample; the fastest pass is kept
+LAYER_ROUNDS = 16  # fresh interpreters per side, alternating; every round and each row's fastest are kept
 TALLY_M = (8, 10)  # element tally sizes, one call per pass
 SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
 ROUND_TRIPS = 500
 WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
 SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]
+FIBER_ROWS = [("t4", 4), ("t2", 6), ("t5", 13)]  # (table, key): F_81, F_64, F_169
+PRIMITIVE_ELEMENT_ORDERS = (1 << 10, 121)
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def per_call(call, count: int) -> float:
-    """Median over REPEATS passes of the seconds per call of call(0) .. call(count - 1)."""
+    """Fastest of REPEATS passes, in seconds per call of call(0) .. call(count - 1)."""
     passes = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for i in range(count):
             call(i)
         passes.append((time.perf_counter() - t0) / count)
-    return statistics.median(passes)
+    return min(passes)
 
 
 def layer_rows(src: str) -> dict:
@@ -79,9 +87,9 @@ def layer_rows(src: str) -> dict:
     except ImportError:  # checkouts before the kernel module
         from tsrforge.fields import int_poly_modpow
     from tsrforge.polys import Polynomial
-    from tsrforge.primitivity import is_irreducible, is_primitive_poly
+    from tsrforge.primitivity import is_irreducible, is_primitive_poly, primitive_elements
     from tsrforge.search import search_primitive_tsr, verify_conjecture
-    from tsrforge.tables import generate_table
+    from tsrforge.tables import TABLES, fiber_census, generate_table
     from tsrforge.tsr import TsrSpec, TsrState, tsr_period, tsr_step
 
     rows = {}
@@ -125,7 +133,15 @@ def layer_rows(src: str) -> dict:
     rows["tsr_period.walk4_us"] = round(per_call(lambda i: tsr_period(specs[i]), len(specs)) * 1e6, 1)
     scans = {f"search_primitive_tsr.q{q}m{m}n{n}_ms": lambda _, q=q, m=m, n=n: search_primitive_tsr(q, m, n)
              for q, m, n in SEARCH_POINTS}
-    scans["enumerate_special_primitives.P_mnq.q4m2n3_ms"] = lambda _: enumerate_special_primitives(4, 2, 3, "P_mnq")
+    for form in ("P_mnq", "P_qmn"):
+        scans[f"enumerate_special_primitives.{form}.q4m2n3_ms"] = \
+            lambda _, form=form: enumerate_special_primitives(4, 2, 3, form)
+    for table, key in FIBER_ROWS:
+        _, q, ext, (shape,), _ = next(row for row in TABLES[table] if row[0] == key)
+        scans[f"fiber_census.F{q ** ext}.{table}k{key}_ms"] = \
+            lambda _, q=q, ext=ext, shape=shape: fiber_census(q, ext, shape)
+    for order in PRIMITIVE_ELEMENT_ORDERS:
+        scans[f"primitive_elements.F{order}_ms"] = lambda _, order=order: primitive_elements(make_field(order))
     scans["generate_table.t3_ms"] = lambda _: generate_table("t3")
     scans["verify_conjecture.composition.q2m2n7_ms"] = lambda _: verify_conjecture(2, 2, 7, "composition")
     scans["verify_conjecture.direct.q5m2n3_ms"] = lambda _: verify_conjecture(5, 2, 3, "direct")
@@ -188,7 +204,7 @@ def main(argv=None) -> int:
                 runs[label, w].append(run_bench(src, w, seed))
     for label, src in order:
         doc["sides"][label] = dict(git_sha(src), e2e={}, layer_rounds=layers[label], layers={
-            row: statistics.median(r[row] for r in layers[label]) for row in layers[label][0]})
+            row: min(r[row] for r in layers[label]) for row in layers[label][0]})
     for (label, w), results in runs.items():
         doc["sides"][label]["e2e"][w] = {
             "median": {name: statistics.median(r[name] for r in results) for name in results[0]},
