@@ -11,7 +11,7 @@ from .fields import Field, base_digits, int_pow, make_field, prime_power, subfie
 from .guards import check_custom, check_enumeration, guard_bits
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
-from .polys import Polynomial, _ints, format_poly
+from .polys import Polynomial, format_poly
 from .primitivity import is_primitive_poly, primitive_elements
 from .tsr import TsrSpec, _homogenize
 
@@ -93,18 +93,16 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     big = make_field(q ** m)
     base, embed, _ = subfield_maps(big, q)
     prims = primitive_elements(big)
+    x_n = Polynomial.one(big).shift(n)
     candidates = []
     for enc in range(q ** (n - 1)):
         digits = base_digits(enc, q, n - 1)
         if form == "P_mnq":
             candidates += _fiber(big, base, embed, [0] + digits + [1], prims)
             continue
-        # embedded g with constant term 1, degree <= n-1
-        g_emb = [big.one()] + [embed(base.element(d)) for d in digits]
-        for mu in prims:
-            coeffs = [-(mu * c) for c in g_emb] + [big.zero()] * (n - len(g_emb))
-            coeffs.append(big.one())
-            candidates.append(Polynomial.make(big, coeffs))
+        # X^n - mu*g(X), g embedded with constant term 1 and degree <= n-1
+        g_emb = Polynomial.make(big, [big.one()] + [embed(base.element(d)) for d in digits])
+        candidates += [x_n - g_emb.scale(mu) for mu in prims]
     flags = _orbit_flags(prims, q, candidates, threads)
     found = [f for f, ok in zip(candidates, flags) if ok]
     return sorted(found, key=format_poly)
@@ -153,9 +151,8 @@ def _fiber(big: Field, base: Field, embed, shape, lams) -> list[Polynomial]:
 def _all_matrices(field: Field, m: int):
     """All m x m matrices, ascending by entry encoding."""
     q = field.order
-    elems = list(field.elements())
     for enc in range(q ** (m * m)):
-        yield Matrix(field, m, m, tuple(elems[d] for d in base_digits(enc, q, m * m)))
+        yield Matrix(field, m, m, tuple(base_digits(enc, q, m * m)))
 
 
 def gl_matrices(field: Field, m: int):
@@ -174,22 +171,19 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[
     space = q ** (n - 1) * gl_order(q, m)
     check_enumeration(space)
     mats = list(gl_matrices(field, m))
-    psi_keys = [tuple(_ints(matrix_charpoly(B))) for B in mats]
-    psis = {key: Polynomial.make(field, key) for key in psi_keys}  # the distinct Psi_B
+    psi_of = [matrix_charpoly(B) for B in mats]
     taps = [tuple(field.element(d) for d in base_digits(enc, q, n - 1))
             for enc in range(q ** (n - 1))]
-    charpolys: dict[tuple, Polynomial] = {}  # the distinct charpolys, keyed by their ints
-    key_of = {}  # (tap index, Psi_B key) -> charpoly key
+    psis = dict.fromkeys(psi_of)  # the distinct Psi_B
+    charpoly = {}  # (tap index, Psi_B) -> charpoly
     for t, c in enumerate(taps):
         g = Polynomial.make(field, (field.one(),) + c)
-        for psi_key, psi in psis.items():
-            f = _homogenize(psi, g, m, n)
-            key_of[t, psi_key] = key = tuple(_ints(f))
-            charpolys.setdefault(key, f)
-    flags = deterministic_map(lambda f: is_primitive_poly(f)[0], list(charpolys.values()), threads)
-    primitive = dict(zip(charpolys, flags))
+        for psi in psis:
+            charpoly[t, psi] = _homogenize(psi, g, m, n)
+    distinct = list(dict.fromkeys(charpoly.values()))
+    primitive = dict(zip(distinct, deterministic_map(lambda f: is_primitive_poly(f)[0], distinct, threads)))
     return [TsrSpec(field, m, n, c, B) for t, c in enumerate(taps)
-            for B, psi_key in zip(mats, psi_keys) if primitive[key_of[t, psi_key]]]
+            for B, psi in zip(mats, psi_of) if primitive[charpoly[t, psi]]]
 
 
 def check_shape(m: int, n: int) -> None:

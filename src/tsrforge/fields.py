@@ -214,7 +214,7 @@ def _fallback_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least primitive monic polynomial of degree k over F_p."""
     from .search import _iter_primitive
 
-    return tuple(c.int_value for c in next(_iter_primitive(make_prime_field(p), k)).coeffs)
+    return next(_iter_primitive(make_prime_field(p), k)).ints
 
 
 @dataclass(frozen=True)

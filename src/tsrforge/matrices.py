@@ -1,22 +1,24 @@
 """Dense matrices over a Field.
 
-Entries are stored row-major; all values are immutable after construction.
-Products, powers, the determinant and the characteristic and minimal
-polynomials read the entries' canonical ints once, run on the field's ops,
-and wrap the result once.  The characteristic polynomial uses Hessenberg
-reduction with field division followed by the leading-principal-minor
-recurrence, O(d^3) field operations and valid in any characteristic.
+A matrix stores its entries row-major as canonical ints of its field, and
+every arithmetic method runs on the field's ops over those ints; `entries`
+wraps them as FieldElements, once, when first read.  All values are
+immutable after construction.  The characteristic polynomial uses
+Hessenberg reduction with field division followed by the
+leading-principal-minor recurrence, O(d^3) field operations and valid in
+any characteristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, NonSquareMatrix
 from .fields import Field, FieldElement
 from .kernel import FieldOps
-from .polys import Polynomial, _common_field, _from_ints
+from .polys import Polynomial, _common_field, _encodings
 
 
 @dataclass(frozen=True)
@@ -24,13 +26,13 @@ class Matrix:
     field: Field
     rows: int
     cols: int
-    entries: tuple[FieldElement, ...]
+    ints: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.ints) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
+                f"got {len(self.ints)}"
             )
 
     @staticmethod
@@ -38,86 +40,67 @@ class Matrix:
         """Build from rows of FieldElements or canonical ints in [0, q) (not reduced mod q)."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        entries = []
+        ints = []
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-            entries.extend(FieldElement(field, int(v)) if isinstance(v, int) else field.element(v)
-                           for v in r)
-        return Matrix(field, nrows, ncols, tuple(entries))
+            ints += _encodings(field, r)
+        return Matrix(field, nrows, ncols, tuple(ints))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return Matrix(
-            field, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n))
-        )
+        return Matrix(field, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
+        return Matrix(field, rows, cols, (0,) * (rows * cols))
+
+    @cached_property
+    def entries(self) -> tuple[FieldElement, ...]:
+        return tuple([FieldElement(self.field, v) for v in self.ints])
 
     def at(self, i: int, j: int) -> FieldElement:
-        return self.entries[i * self.cols + j]
+        return FieldElement(self.field, self.ints[i * self.cols + j])
 
     def row(self, i: int) -> tuple[FieldElement, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        c = self.cols
+        return tuple([FieldElement(self.field, v) for v in self.ints[i * c:(i + 1) * c]])
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _zip(self, other: "Matrix", op: Callable[[int, int], int], what: str) -> "Matrix":
+        """op entry by entry, for two matrices of one field and one shape."""
+        field = _common_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+            raise DimensionMismatch(f"shape mismatch in {what}")
+        return Matrix(field, self.rows, self.cols, tuple(map(op, self.ints, other.ints)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._zip(other, self.field.ops.add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
+        add, neg = self.field.ops.add, self.field.ops.neg
+        return self._zip(other, lambda a, b: add(a, neg(b)), "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix(self.field, self.rows, self.cols, tuple(map(self.field.ops.neg, self.ints)))
 
     def scale(self, c: FieldElement) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(a * c for a in self.entries))
+        _common_field(self.field, c.owner)
+        mul, v = self.field.ops.mul, c.int_value
+        return Matrix(self.field, self.rows, self.cols, tuple([mul(a, v) for a in self.ints]))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        field = _common_field(self, other)
+        field = _common_field(self.field, other.field)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         if not self.cols:
             return Matrix.zeros(field, self.rows, other.cols)
-        return _from_int_rows(field, _int_matmul(_int_rows(self), _int_rows(other), field.ops),
-                              other.cols)
-
-    def apply(self, vec: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-        """Matrix-vector product, vec as a column."""
-        if self.cols != len(vec):
-            raise DimensionMismatch("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero()
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                e = self.entries[base + j]
-                if not e.is_zero() and not v.is_zero():
-                    acc = acc + e * v
-            out.append(acc)
-        return tuple(out)
+        return Matrix.from_rows(field, _int_matmul(_int_rows(self), _int_rows(other), field.ops))
 
     def power(self, e: int) -> "Matrix":
         if not self.is_square:
@@ -133,15 +116,7 @@ class Matrix:
             e >>= 1
             if e:
                 acc = _int_matmul(acc, acc, ops)
-        return _from_int_rows(self.field, result, n)
-
-    def trace(self) -> FieldElement:
-        if not self.is_square:
-            raise NonSquareMatrix("trace of a non-square matrix")
-        acc = self.field.zero()
-        for i in range(self.rows):
-            acc = acc + self.at(i, i)
-        return acc
+        return Matrix.from_rows(self.field, result)
 
     def __str__(self) -> str:
         return "\n".join("[" + " ".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows))
@@ -150,12 +125,7 @@ class Matrix:
 # The kernels below work on rows of canonical ints (lists, mutated in place).
 
 def _int_rows(M: Matrix) -> list[list[int]]:
-    vals = [e.int_value for e in M.entries]
-    return [vals[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)]
-
-
-def _from_int_rows(field: Field, rows: list[list[int]], cols: int) -> Matrix:
-    return Matrix(field, len(rows), cols, tuple(FieldElement(field, v) for r in rows for v in r))
+    return [list(M.ints[i * M.cols:(i + 1) * M.cols]) for i in range(M.rows)]
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]], ops: FieldOps) -> list[list[int]]:
@@ -246,7 +216,7 @@ def matrix_charpoly(M: Matrix) -> Polynomial:
                 for j, y in enumerate(p[m - 1 - i]):
                     t[j] = add(t[j], mul(coef, y))
         p.append(t)
-    return _from_ints(M.field, p[n])
+    return Polynomial(M.field, tuple(p[n]))
 
 
 def matrix_minpoly(M: Matrix) -> Polynomial:
@@ -269,7 +239,7 @@ def matrix_minpoly(M: Matrix) -> Polynomial:
                 vec = [add(x, mul(t, y)) for x, y in zip(vec, brow)]
         piv = next((j for j in range(size) if vec[j]), None)
         if piv is None:
-            return _from_ints(M.field, vec[size:size + k + 1])
+            return Polynomial(M.field, tuple(vec[size:size + k + 1]))
         s = inv(vec[piv])
         basis.append((piv, [mul(s, y) for y in vec]))
         power = _int_matmul(power, rows, ops)
@@ -279,12 +249,10 @@ def companion_matrix(f: Polynomial) -> Matrix:
     """Companion matrix of a monic f: subdiagonal ones, last column -coeffs."""
     if f.is_zero() or not f.is_monic() or f.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    field = f.field
-    d = int(f.degree)
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * d for _ in range(d)]
+    d, neg = len(f.ints) - 1, f.field.ops.neg
+    ints = [0] * (d * d)
     for i in range(1, d):
-        rows[i][i - 1] = one
-    for i in range(d):
-        rows[i][d - 1] = -f.coeff(i)
-    return Matrix.from_rows(field, rows)
+        ints[i * d + i - 1] = 1
+    for i, c in enumerate(f.ints[:d]):
+        ints[i * d + d - 1] = neg(c)
+    return Matrix(f.field, d, d, tuple(ints))

@@ -1,20 +1,23 @@
 """Dense univariate polynomials over a Field, plus the canonical text format.
 
-Coefficient index i holds the coefficient of X^i; no trailing zeros are
-stored.  The zero polynomial has an empty coefficient tuple and degree
-NEG_INF, a sentinel below every integer so deg(a*b) = deg a + deg b holds
-formally.
+A polynomial stores its coefficients as canonical ints of its field,
+little-endian (index i holds the coefficient of X^i), with no trailing
+zeros, and every arithmetic method runs on the field's ops and kernel over
+those ints.  `coeffs` wraps them as FieldElements, once, when first read.
+The zero polynomial has no coefficients and degree NEG_INF, a sentinel
+below every integer so deg(a*b) = deg a + deg b holds formally.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly
 from .fields import Field, FieldElement, format_element
-from .kernel import int_poly_modpow
+from .kernel import _trim, int_poly_modpow
 
 NEG_INF = float("-inf")
 
@@ -22,10 +25,10 @@ NEG_INF = float("-inf")
 @dataclass(frozen=True)
 class Polynomial:
     field: Field
-    coeffs: tuple[FieldElement, ...]
+    ints: tuple[int, ...]
 
     def __post_init__(self):
-        if self.coeffs and self.coeffs[-1].is_zero():
+        if self.ints and not self.ints[-1]:
             raise ValueError("trailing zero coefficient; use Polynomial.make")
 
     @staticmethod
@@ -35,11 +38,7 @@ class Polynomial:
         An int is a canonical encoding: one outside [0, q) raises ValueError
         rather than being reduced mod q as Field.element(int) does.
         """
-        elems = [FieldElement(field, int(c)) if isinstance(c, int) else field.element(c)
-                 for c in coeffs]
-        while elems and elems[-1].is_zero():
-            elems.pop()
-        return Polynomial(field, tuple(elems))
+        return Polynomial(field, tuple(_trim(_encodings(field, coeffs))))
 
     @staticmethod
     def zero(field: Field) -> "Polynomial":
@@ -47,28 +46,32 @@ class Polynomial:
 
     @staticmethod
     def one(field: Field) -> "Polynomial":
-        return Polynomial.make(field, [1])
+        return Polynomial(field, (1,))
 
     @staticmethod
     def x(field: Field) -> "Polynomial":
-        return Polynomial.make(field, [0, 1])
+        return Polynomial(field, (0, 1))
 
     @staticmethod
     def constant(field: Field, c) -> "Polynomial":
         return Polynomial.make(field, [c])
 
+    @cached_property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple([FieldElement(self.field, v) for v in self.ints])
+
     @property
     def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.ints) and self.ints[-1] == 1
 
     def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+        return FieldElement(self.field, self.ints[i]) if 0 <= i < len(self.ints) else self.field.zero()
 
     @property
     def constant_term(self) -> FieldElement:
@@ -76,51 +79,55 @@ class Polynomial:
 
     @property
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self.ints) - 1)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.make(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        field = _common_field(self.field, other.field)
+        a, b = sorted((self.ints, other.ints), key=len)
+        return Polynomial(field, tuple(_trim(list(map(field.ops.add, a, b)) + list(b[len(a):]))))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.make(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, tuple(-c for c in self.coeffs))
+        return Polynomial(self.field, tuple(map(self.field.ops.neg, self.ints)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        field = _common_field(self, other)
-        return _from_ints(field, field.ops.kernel.mul(_ints(self), _ints(other)))
+        field = _common_field(self.field, other.field)
+        return Polynomial(field, tuple(field.ops.kernel.mul(self.ints, other.ints)))
 
     def scale(self, c: FieldElement) -> "Polynomial":
-        return Polynomial.make(self.field, [a * c for a in self.coeffs])
+        _common_field(self.field, c.owner)
+        return self._times(c.int_value)
+
+    def _times(self, v: int) -> "Polynomial":
+        """Multiply every coefficient by the canonical int v."""
+        mul = self.field.ops.mul
+        return Polynomial(self.field, tuple([mul(a, v) for a in self.ints]) if v else ())
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by X^k (k >= 0)."""
         if self.is_zero() or k == 0:
             return self
-        return Polynomial(self.field, tuple([self.field.zero()] * k) + self.coeffs)
+        return Polynomial(self.field, (0,) * k + self.ints)
 
     def monic(self) -> "Polynomial":
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(self.leading.inverse())
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self._times(self.field.ops.inv(self.ints[-1]))
 
     def compose(self, g: "Polynomial") -> "Polynomial":
-        """f(g(X)) by Horner over polynomials."""
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * g + Polynomial.constant(self.field, c)
-        return acc
+        """f(g(X)) by Horner on the field's kernel."""
+        field = _common_field(self.field, g.field)
+        add, mul = field.ops.add, field.ops.kernel.mul
+        acc = []
+        for c in reversed(self.ints):
+            acc = mul(acc, g.ints) or [0]
+            acc[0] = add(acc[0], c)
+            _trim(acc)
+        return Polynomial(field, tuple(acc))
 
     def pow(self, e: int) -> "Polynomial":
         if e < 0:
@@ -134,12 +141,6 @@ class Polynomial:
             acc = acc * acc
         return result
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial.make(
-            self.field,
-            [self.coeffs[i].scale_int(i) for i in range(1, len(self.coeffs))],
-        )
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -147,32 +148,30 @@ class Polynomial:
         return f"Polynomial({format_poly(self)!r} over {self.field!r})"
 
 
-# Polynomial.__mul__, poly_divrem, poly_modpow and poly_gcd convert at the
-# edge and run the field's kernel (kernel.py) on canonical encodings.
-
-def _ints(p: Polynomial) -> list[int]:
-    return [c.int_value for c in p.coeffs]
-
-
-def _from_ints(field: Field, coeffs: list[int]) -> Polynomial:
-    """The polynomial of a trimmed list of canonical encodings."""
-    return Polynomial(field, tuple([FieldElement(field, v) for v in coeffs]))
+def _encodings(field: Field, values: Iterable) -> list[int]:
+    """The canonical ints of ints in [0, q), which are not reduced mod q, or of
+    anything Field.element takes; ValueError for an int outside [0, q)."""
+    ints = [int(v) if isinstance(v, int) else field.element(v).int_value for v in values]
+    for v in ints:
+        if not 0 <= v < field.order:
+            raise ValueError(f"encoding {v} is outside GF({field.order})")
+    return ints
 
 
-def _common_field(a, b) -> Field:
-    """The field of two polynomials (or matrices); ValueError if they differ."""
-    if a.field is not b.field and a.field != b.field:
+def _common_field(a: Field, b: Field) -> Field:
+    """The field of two operands (polynomials, matrices or a scalar); ValueError if they differ."""
+    if a is not b and a != b:
         raise ValueError("elements belong to different fields")
-    return a.field
+    return a
 
 
 def poly_divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """(quot, rem) with a = quot*b + rem, deg rem < deg b."""
     if b.is_zero():
         raise DivisionByZeroPoly("division by the zero polynomial")
-    field = _common_field(a, b)
-    quot, rem = field.ops.kernel.divrem(_ints(a), _ints(b))
-    return _from_ints(field, quot), _from_ints(field, rem)
+    field = _common_field(a.field, b.field)
+    quot, rem = field.ops.kernel.divrem(a.ints, b.ints)
+    return Polynomial(field, tuple(quot)), Polynomial(field, tuple(rem))
 
 
 def poly_mod(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -183,14 +182,14 @@ def poly_modpow(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     """base^e mod modulus by square-and-multiply."""
     if modulus.degree < 1:
         raise DivisionByZeroPoly("modulus must have degree >= 1")
-    field = _common_field(base, modulus)
-    return _from_ints(field, int_poly_modpow(_ints(base), e, _ints(modulus), field.ops))
+    field = _common_field(base.field, modulus.field)
+    return Polynomial(field, tuple(int_poly_modpow(base.ints, e, modulus.ints, field.ops)))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd; zero when both are zero."""
-    field = _common_field(a, b)
-    return _from_ints(field, field.ops.kernel.gcd(_ints(a), _ints(b)))
+    field = _common_field(a.field, b.field)
+    return Polynomial(field, tuple(field.ops.kernel.gcd(a.ints, b.ints)))
 
 
 # --- canonical text format ---

@@ -25,7 +25,7 @@ of X mod f are unchanged.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 from .errors import (BadDegree, BaseNotSubfield, CoefficientNotDescended, ZeroConstantTerm,
@@ -33,7 +33,7 @@ from .errors import (BadDegree, BaseNotSubfield, CoefficientNotDescended, ZeroCo
 from .factorint import Factorization, factor_integer
 from .fields import Field, FieldElement, frobenius, int_pow, subfield_degree, subfield_maps
 from .kernel import FieldOps
-from .polys import Polynomial, _from_ints, _ints, format_poly
+from .polys import Polynomial, format_poly
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,11 @@ class _LazyCertificate(PrimitivityCertificate):
         return PrimitivityCertificate, _FIELDS(self)
 
 
-def _monic_ints(f: Polynomial, ops: FieldOps) -> list[int]:
-    coeffs = _ints(f)
-    if coeffs[-1] == 1:
-        return coeffs
-    inv_lead = ops.inv(coeffs[-1])
-    return [ops.mul(c, inv_lead) for c in coeffs]
+@lru_cache(maxsize=1)
+def _ring(kernel, f: tuple[int, ...]):
+    """The kernel's ring F_q[X]/(f) for a monic f.  The last one is kept, so
+    is_primitive_poly and its is_irreducible call build one ring."""
+    return kernel.ring(f)
 
 
 def _generates(a: int, q: int, ops: FieldOps) -> bool:
@@ -109,8 +108,8 @@ def is_irreducible(f: Polynomial) -> bool:
     if n == 1:
         return True
     ops = f.field.ops
-    fm = _monic_ints(f, ops)
-    ring = ops.kernel.ring(fm)
+    fm = f.monic().ints
+    ring = _ring(ops.kernel, fm)
     checks = {n // l for l in factor_integer(n).primes}
     minus_one = ops.neg(1)
     v = ring.x
@@ -137,7 +136,7 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
         raise ZeroConstantTerm("X divides f, so X mod f cannot generate")
     field = f.field
     q, ops = field.order, field.ops
-    fm = _monic_ints(f, ops)
+    fm = f.monic().ints
     norm = ops.neg(fm[0]) if n % 2 else fm[0]  # (-1)^n f(0) of the monic f
     if not _generates(norm, q, ops):
         return False, None
@@ -147,7 +146,7 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
     factors = factor_integer(group_order)
     q1_primes = factor_integer(q - 1).primes
     r = group_order // (q - 1)
-    ring = ops.kernel.ring(fm)
+    ring = _ring(ops.kernel, fm)
     powers = {}  # prime l of r but not of q - 1 -> X^(r/l) mod f
     for l in factors.primes:
         if l not in q1_primes:
@@ -161,8 +160,8 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
 def _witnesses(field: Field, ring, norm: int, powers: dict, factors: Factorization) -> tuple:
     """X^((q^n-1)/l) mod f per prime l: N^((q-1)/l) when l | q - 1, else (X^(r/l))^(q-1)."""
     q, ops = field.order, field.ops
-    return tuple((l, _from_ints(field, ring.list(ring.pow(powers[l], q - 1)) if l in powers
-                                else [int_pow(norm, (q - 1) // l, ops)]))
+    return tuple((l, Polynomial(field, tuple(ring.list(ring.pow(powers[l], q - 1))) if l in powers
+                                else (int_pow(norm, (q - 1) // l, ops),)))
                  for l in factors.primes)
 
 

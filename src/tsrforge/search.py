@@ -91,12 +91,12 @@ def _alpha_field(q: int, m: int, f: Polynomial):
         alpha = -f.constant_term
         return field, alpha, (lambda e: e)
     if is_prime_int(q):
-        field = make_extension_field(q, m, modulus=tuple(c.int_value for c in f.coeffs))
+        field = make_extension_field(q, m, modulus=f.ints)
         _, embed, _ = subfield_maps(field, q)
         return field, field.gen(), embed
     field = make_field(q ** m)
     _, embed, _ = subfield_maps(field, q)
-    alpha = least_root(field, [embed(c).int_value for c in f.coeffs], q, range(field.order))
+    alpha = least_root(field, Polynomial.make(field, map(embed, f.coeffs)).ints, q, range(field.order))
     if alpha is None:
         raise ExistenceViolation("a primitive polynomial must split in its splitting field")
     return field, field.element(alpha), embed

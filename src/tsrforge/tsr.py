@@ -21,7 +21,7 @@ from .guards import check_field
 from .kernel import _trim
 from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
-from .polys import Polynomial, _common_field, _from_ints, _ints, poly_modpow
+from .polys import Polynomial, _common_field, poly_modpow
 from .primitivity import is_primitive_poly
 
 # blocks remembered per tap table; a larger q^m computes the other blocks on each step
@@ -69,7 +69,7 @@ class TsrSpec:
             "m": self.m,
             "n": self.n,
             "c": [ci.int_value for ci in self.c],
-            "B": [[self.B.at(i, j).int_value for j in range(self.m)] for i in range(self.m)],
+            "B": _int_rows(self.B),
         }
 
     @staticmethod
@@ -133,17 +133,17 @@ class Decomposition:
 
 def _homogenize(h: Polynomial, g: Polynomial, m: int, n: int) -> Polynomial:
     """g^m h(X^n / g) with denominators cleared: sum of h_k X^{nk} g^{m-k}, k = 0..m."""
-    field = _common_field(h, g)
+    field = _common_field(h.field, g.field)
     ops = field.ops
-    g_ints, g_pow = _ints(g), [[1]]
+    g_pow = [[1]]
     for _ in range(m):
-        g_pow.append(ops.kernel.mul(g_pow[-1], g_ints))
-    terms = [(n * k, hk, g_pow[m - k]) for k, hk in enumerate(_ints(h)[:m + 1]) if hk]
+        g_pow.append(ops.kernel.mul(g_pow[-1], g.ints))
+    terms = [(n * k, hk, g_pow[m - k]) for k, hk in enumerate(h.ints[:m + 1]) if hk]
     acc = [0] * max((shift + len(gp) for shift, _, gp in terms), default=0)
     for shift, hk, gp in terms:
         for i, y in enumerate(gp, shift):
             acc[i] = ops.add(acc[i], ops.mul(hk, y))
-    return _from_ints(field, _trim(acc))
+    return Polynomial(field, tuple(_trim(acc)))
 
 
 def build_transition_matrix(spec: TsrSpec) -> Matrix:

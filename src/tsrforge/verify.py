@@ -78,7 +78,7 @@ def _check_minimal_polynomial():
     _require(mp.degree == 4, "generator minimal polynomial has wrong degree")
     ok, _ = is_primitive_poly(mp)
     _require(ok, "generator minimal polynomial not primitive")
-    lifted = Polynomial.make(big, [big.element(c.int_value) for c in mp.coeffs])
+    lifted = Polynomial.make(big, mp.ints)  # a prime-field scalar is an encoding below p in big
     val = sum((lifted.coeff(i) * g ** i for i in range(1, 5)), lifted.coeff(0) * big.one())
     _require(val.is_zero(), "generator does not satisfy its minimal polynomial")
     return "F_16 generator minimal polynomial: degree 4, primitive, annihilating"

@@ -1,12 +1,22 @@
+import operator
 import random
 
 import pytest
 
 from tsrforge.errors import DimensionMismatch, NonSquareMatrix, ZeroConstantTerm
-from tsrforge.fields import make_extension_field, make_field
+from tsrforge.fields import FieldElement, make_extension_field, make_field
 from tsrforge.matrices import (Matrix, companion_matrix, matrix_charpoly,
                                matrix_det, matrix_is_invertible, matrix_minpoly)
 from tsrforge.polys import Polynomial, format_poly, parse_poly, poly_mod
+
+
+def _apply(A, vec):
+    """A times the column vec, by FieldElement arithmetic."""
+    return tuple(sum((A.at(i, j) * v for j, v in enumerate(vec)), A.field.zero()) for i in range(A.rows))
+
+
+def _trace(A):
+    return sum((A.at(i, i) for i in range(A.rows)), A.field.zero())
 
 
 def _rand_matrix(rng, field, n):
@@ -101,7 +111,7 @@ def test_apply_and_power():
     f2 = make_field(2)
     A = Matrix.from_rows(f2, [[0, 1], [1, 1]])
     v = (f2.one(), f2.zero())
-    assert A.apply(v) == (f2.zero(), f2.one())
+    assert _apply(A, v) == (f2.zero(), f2.one())
     assert A.power(0) == Matrix.identity(f2, 2)
     assert A.power(3) == A * A * A
 
@@ -130,6 +140,40 @@ def test_from_rows_refuses_out_of_range_encodings():
             Matrix.from_rows(f4, bad)
     A = Matrix.from_rows(f4, [[3, 0], [f4.element([1, 1]), 2]])
     assert [e.int_value for e in A.entries] == [3, 0, 3, 2]
+
+
+STORAGE_FIELDS = [make_field(q) for q in (2, 3, 4, 9, 16)]
+
+
+@pytest.mark.parametrize("field", STORAGE_FIELDS, ids=lambda f: f"F{f.order}")
+def test_int_storage_matches_field_element_arithmetic(field):
+    rng = random.Random(200 + field.order)
+    scalars = [field.zero(), field.one(), field.element(rng.randrange(1, field.order))]
+    for rows, cols in ((1, 1), (2, 3), (3, 3)):
+        ints = [[rng.randrange(field.order) for _ in range(cols)] for _ in range(rows)]
+        A = Matrix.from_rows(field, ints)
+        B = Matrix.from_rows(field, [[field.element(v) for v in row] for row in ints])
+        assert A == B and hash(A) == hash(B) and A.ints == tuple(v for row in ints for v in row)
+        assert all(isinstance(e, FieldElement) and e.owner is field for e in A.entries)
+        C = Matrix.from_rows(field, [[rng.randrange(field.order) for _ in range(cols)] for _ in range(rows)])
+        a, c = A.entries, C.entries
+        assert (A + C).entries == tuple(x + y for x, y in zip(a, c))
+        assert (A - C).entries == tuple(x - y for x, y in zip(a, c))
+        assert (-A).entries == tuple(-x for x in a)
+        for s in scalars:
+            assert A.scale(s).entries == tuple(x * s for x in a)
+
+
+def test_sums_and_scaling_refuse_mixed_fields():
+    # products: test_product_over_different_fields_is_refused
+    f2, f3 = make_field(2), make_field(3)
+    for a, b in ((Matrix.zeros(f2, 2, 2), Matrix.zeros(f3, 2, 2)),
+                 (Matrix.identity(f2, 2), Matrix.identity(f3, 2))):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                op(a, b)
+        with pytest.raises(ValueError, match="^elements belong to different fields$"):
+            a.scale(f3.one())
 
 
 DIFFERENTIAL_FIELDS = [make_field(q) for q in (2, 3, 4, 9, 25)] + [
@@ -183,7 +227,7 @@ def test_int_kernels_match_field_element_arithmetic(field):
             assert matrix_det(A) == det
             chi = matrix_charpoly(A)
             assert chi.degree == n and chi.is_monic()
-            assert chi.coeff(n - 1) == -A.trace()
+            assert chi.coeff(n - 1) == -_trace(A)
             assert chi.coeff(0) == (det if n % 2 == 0 else -det)
             # Cayley-Hamilton: chi(A) = 0, by Horner on schoolbook products
             I = Matrix.identity(field, n)

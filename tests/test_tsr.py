@@ -21,6 +21,11 @@ from tsrforge.tsr import (TsrSpec, TsrState, build_transition_matrix,
                           tsr_period, tsr_step)
 
 
+def _derivative(f):
+    """f' as a reference: coefficient i scaled by the integer i mod p."""
+    return Polynomial.make(f.field, [c.scale_int(i) for i, c in enumerate(f.coeffs)][1:])
+
+
 def _spec(q, m, n, c_ints, b_rows):
     field = make_field(q)
     c = tuple(field.element(v) for v in c_ints)
@@ -339,7 +344,7 @@ def test_period_with_repeated_factors_matches_the_matrix_route():
     periods = []
     for spec in _repeated_factor_registers():
         psi = tsr_charpoly_formula(spec)
-        assert poly_gcd(psi, psi.derivative()).degree > 0
+        assert poly_gcd(psi, _derivative(psi)).degree > 0
         period = tsr_period(spec)
         assert period == _matrix_route_period(spec)
         periods.append((spec.field.characteristic, period))

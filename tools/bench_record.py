@@ -21,7 +21,9 @@ every side the recorder writes:
   (4, 2, 3), `generate_table("t3")`, `fiber_census` on the rows t4 key 4
   (F_81), t2 key 6 (F_64) and t5 key 13 (F_169), `primitive_elements` of
   F_{2^10} and F_121, and `verify_conjecture` in the composition form at
-  (2, 2, 7) and the direct form at (5, 2, 3);
+  (2, 2, 7) and the direct form at (5, 2, 3); microseconds per
+  `Polynomial.compose` f(g(X)) on the first (f, g) hit of
+  `search_primitive_tsr` at (4, 2, 3) and (3, 3, 3);
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
@@ -56,6 +58,7 @@ SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
 ROUND_TRIPS = 500
 WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
 SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]
+COMPOSE_POINTS = [(4, 2, 3), (3, 3, 3)]  # compose f(g(X)) on the search's first hit
 FIBER_ROWS = [("t4", 4), ("t2", 6), ("t5", 13)]  # (table, key): F_81, F_64, F_169
 PRIMITIVE_ELEMENT_ORDERS = (1 << 10, 121)
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
@@ -148,6 +151,9 @@ def layer_rows(src: str) -> dict:
     for name, call in scans.items():
         call(0)  # builds the fields and their tables, untimed
         rows[name] = round(per_call(call, 1) * 1e3, 3)
+    for q, m, n in COMPOSE_POINTS:
+        prov = search_primitive_tsr(q, m, n).provenance
+        rows[f"compose.q{q}m{m}n{n}_us"] = round(per_call(lambda _: prov.f.compose(prov.g), 1) * 1e6, 2)
     return rows
 
 
