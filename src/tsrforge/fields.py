@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, repeat
 from operator import and_, pos, xor
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     BaseNotSubfield,
@@ -382,14 +381,15 @@ def make_extension_field(p: int, k: int, modulus: Optional[Sequence[int]] = None
         raise CompositeCharacteristic(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if k == 1 and modulus is None:
+    if modulus is not None:
+        vec = tuple(int(c) % p for c in modulus)
+        if len(vec) != k + 1 or vec[-1] != 1:
+            raise ValueError("modulus must be monic of degree k")
+    if k == 1:
         return make_prime_field(p)
     if modulus is None:
         vec = CONWAY_POLYNOMIALS.get((p, k)) or _fallback_modulus(p, k)
     else:
-        vec = tuple(int(c) % p for c in modulus)
-        if len(vec) != k + 1 or vec[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
         from .polys import Polynomial
         from .primitivity import is_irreducible
 
@@ -474,8 +474,10 @@ def subfield_maps(field: Field, base_order: int):
 def _subfield_tables(field: Field, base: Field) -> tuple[list[int], dict[int, int]]:
     """(up, down): base -> field as a list and its inverse as a dict, once per (field, base)."""
     # base.gen() is primitive, so gen^i -> root^i over the units is the embedding
-    gen, root = base.gen().int_value, _subfield_generator_image(field, base)
-    bmul, fmul = base.ops.mul, field.ops.mul
+    root = least_root(field, base.modulus_coeffs, field.characteristic)
+    if root is None:
+        raise BaseNotSubfield("modulus of the base field has no root here")
+    gen, bmul, fmul = base.gen().int_value, base.ops.mul, field.ops.mul
     up, down, b, x = [0] * base.order, {0: 0}, 1, 1
     for _ in range(base.order - 1):
         up[b], down[x] = x, b
@@ -485,40 +487,34 @@ def _subfield_tables(field: Field, base: Field) -> tuple[list[int], dict[int, in
     return up, down
 
 
-def _subfield_generator_image(field: Field, base: Field) -> int:
-    """Least root in `field` of the base field's modulus.
-
-    The candidate scan runs over the cyclic subgroup of index
-    (|field|-1)/(|base|-1) generated by gen (primitive for table/fallback
-    moduli), falling back to a full element scan for custom moduli.
-    """
-    ops = field.ops
-    g = int_pow(field.gen().int_value, (field.order - 1) // (base.order - 1), ops)
-    subgroup = accumulate(repeat(g, base.order - 2), ops.mul, initial=1)
-    root = least_root(field, base.modulus_coeffs, field.characteristic, chain(subgroup, range(field.order)))
-    if root is None:
-        raise BaseNotSubfield("modulus of the base field has no root here")
-    return root
-
-
-def least_root(field: Field, coeffs: Sequence[int], base_order: int, candidates: Iterable[int]) -> Optional[int]:
+def least_root(field: Field, coeffs: Sequence[int], base_order: int) -> Optional[int]:
     """Least root in `field` of the polynomial with canonical-int coefficients
     `coeffs` (little-endian, in `field`), irreducible over GF(base_order).
 
-    The first root among `candidates` is found by Horner on field.ops; the
-    roots are its base_order-power conjugates, and the least of them is
-    returned.  None when no candidate is a root.
+    Berlekamp's trace splitting on the field's kernel: for beta = a^1 .. a^(k-1),
+    the gcds of f with Tr(beta X) - c mod f, c in F_p, split the roots r by
+    Tr(beta r), and f becomes a proper factor of least degree.  Conjugate
+    roots share Tr(r), but the trace form is nondegenerate, so some a^i
+    separates any two, and f ends as X - r.  The roots are r's base_order-power
+    conjugates; the least is returned, or None when f does not end linear.
     """
-    ops = field.ops
-    add, mul, top = ops.add, ops.mul, coeffs[::-1]
-    for x in candidates:
-        acc = 0
-        for c in top:
-            acc = add(mul(acc, x), c)
-        if not acc:
+    ops, p, k = field.ops, field.characteristic, field.extension_degree
+    add, kernel, lead = ops.add, ops.kernel, ops.inv(coeffs[-1])
+    f = [ops.mul(c, lead) for c in coeffs]
+    for i in range(1, k):  # beta = a^i
+        if len(f) <= 2:
             break
-    else:
+        ring, t = kernel.ring(f), [0] * (len(f) - 1)
+        v = ring.reduce([0, p ** i])
+        for j in range(k):  # t = v + v^p + ... + v^(p^(k-1)), v = beta X
+            v = ring.pow(v, p) if j else v
+            for d, c in enumerate(ring.list(v)):
+                t[d] = add(t[d], c)
+        parts = [g for c in range(p) if len(g := kernel.gcd(f, [add(t[0], ops.neg(c))] + t[1:])) > 1]
+        f = min(parts, key=len, default=f)
+    if len(f) != 2:
         return None
+    x = ops.neg(f[0])
     best, y = x, int_pow(x, base_order, ops)
     while y != x:
         best, y = min(best, y), int_pow(y, base_order, ops)

@@ -15,9 +15,11 @@ ENV_VAR = "TSRFORGE_GUARD_BITS"
 
 def guard_bits(kind: str) -> int:
     env = os.environ.get(ENV_VAR)
-    if env is not None:
-        return int(env)
-    return {"enumeration": ENUMERATION_BITS, "field": FIELD_BITS}[kind]
+    if env is None:
+        return {"enumeration": ENUMERATION_BITS, "field": FIELD_BITS}[kind]
+    if not env.strip().isdecimal():
+        raise ValueError(f"{ENV_VAR} = {env!r} must be an integer >= 0")
+    return int(env)
 
 
 def check_enumeration(size: int, what: str = "candidate space") -> None:

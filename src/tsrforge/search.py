@@ -18,7 +18,7 @@ from .errors import (BadDegree, BudgetExhausted, ExistenceViolation,
 from .counting import _fiber, _orbit_leads, check_shape
 from .factorint import is_prime_int
 from .fields import (Field, base_digits, least_root, make_extension_field, make_field,
-                     subfield_maps)
+                     prime_power, subfield_maps)
 from .guards import check_field
 from .matrices import Matrix, companion_matrix
 from .parallel import first_hit
@@ -83,8 +83,8 @@ def _alpha_field(q: int, m: int, f: Polynomial):
     """F_q[X]/(f) together with alpha, the class of X (a root of f).
 
     For prime q the quotient is built with f itself as the modulus, so alpha
-    is literally the generator.  For prime powers the standard F_{q^m} is
-    searched for the least root of f.
+    is literally the generator.  For prime powers alpha is the least root of
+    f in the standard F_{q^m}, split out by fields.least_root.
     """
     if m == 1:
         field = f.field
@@ -96,7 +96,7 @@ def _alpha_field(q: int, m: int, f: Polynomial):
         return field, field.gen(), embed
     field = make_field(q ** m)
     _, embed, _ = subfield_maps(field, q)
-    alpha = least_root(field, Polynomial.make(field, map(embed, f.coeffs)).ints, q, range(field.order))
+    alpha = least_root(field, Polynomial.make(field, map(embed, f.coeffs)).ints, q)
     if alpha is None:
         raise ExistenceViolation("a primitive polynomial must split in its splitting field")
     return field, field.element(alpha), embed
@@ -196,6 +196,7 @@ def verify_conjecture(q: int, m: int, n: int, form: str, budget: int | None = No
     """
     check_shape(m, n)
     _check_budget(budget)
+    prime_power(q)  # both forms name a bad q before sizing F_{q^m}
     if form == "direct":
         return _verify_direct(q, m, n, budget)
     if form == "composition":

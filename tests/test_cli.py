@@ -365,6 +365,18 @@ def test_guard_env_variable(capsys, monkeypatch):
     assert "guard violation" in err
 
 
+def test_bad_guard_bits_are_refused_by_name(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "24")
+    code, out, err = run_cli(capsys, "--guard-bits", "-1", "enumerate", "P_qmn", "2", "2", "2")
+    assert (code, out) == (2, "")
+    assert err == "bad arguments: TSRFORGE_GUARD_BITS = '-1' must be an integer >= 0\n"
+    for value in ("-3", "abc"):
+        monkeypatch.setenv(ENV_VAR, value)
+        code, out, err = run_cli(capsys, "enumerate", "P_qmn", "2", "2", "2")
+        assert (code, out) == (2, "")
+        assert err == f"bad arguments: TSRFORGE_GUARD_BITS = '{value}' must be an integer >= 0\n"
+
+
 def test_enumerate_closed_forms_refuse_bad_arguments(capsys):
     for argv, name in ((("lfsr_prim", "2"), "requires the register length n"),
                        (("lfsr_prim", "6", "4"), "6 is not a prime power"),

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from tsrforge.errors import BaseNotSubfield, CompositeCharacteristic, ScaleExceeded
-from tsrforge.fields import (FieldElement, format_element, make_extension_field,
-                             make_field, make_prime_field, subfield_degree,
-                             subfield_maps)
+from tsrforge.fields import (FieldElement, format_element, int_pow, least_root,
+                             make_extension_field, make_field, make_prime_field,
+                             subfield_degree, subfield_maps)
 
 
 def test_prime_field_arithmetic():
@@ -136,10 +136,11 @@ def test_subfield_maps_homomorphism():
     (3, 4, (1, 0, 1, 1, 1), 9, [0, 1, 2, 17, 15, 16, 22, 23, 21]),
 ])
 def test_subfield_maps_non_primitive_modulus(p, k, modulus, base_order, images):
-    # the generator of these moduli is not primitive, so the root of the base
-    # modulus is found by the whole-field scan
+    # the generator of these moduli is not primitive; the root of the base
+    # modulus is split out by traces all the same
     big = make_extension_field(p, k, modulus)
     base, embed, descend = subfield_maps(big, base_order)
+    assert least_root(big, base.modulus_coeffs, p) == _scanned_root(big, base.modulus_coeffs, p)
     assert [embed(c).int_value for c in base.elements()] == images
     assert all(descend(embed(c)) == c for c in base.elements())
 
@@ -153,25 +154,23 @@ def test_subfield_table_is_guarded(monkeypatch):
     assert subfield_maps(make_field(64), 8)[0].order == 8
 
 
-def test_subfield_tables_are_built_once_per_field_and_base(monkeypatch):
+def test_subfield_tables_are_built_once_per_field_and_base():
     from tsrforge import fields
     from tsrforge.search import search_primitive_tsr
 
     fields._subfield_tables.cache_clear()
-    builds = []
-    image = fields._subfield_generator_image
-    monkeypatch.setattr(fields, "_subfield_generator_image", lambda *a: builds.append(a) or image(*a))
+    builds = lambda: fields._subfield_tables.cache_info().misses
     # the search at a prime-power q maps F_16 into F_4096 for alpha, the
     # minimal polynomial of lam and the conjugate product
     assert search_primitive_tsr(16, 3, 3).certificate.group_order == 16 ** 9 - 1
-    assert len(builds) == 1
+    assert builds() == 1
     # an equal field built anew shares the tables; embed and descend are its own
     big = make_extension_field(2, 12)
     base, embed, descend = subfield_maps(big, 16)
-    assert len(builds) == 1
+    assert builds() == 1
     assert all(embed(c).owner is big and descend(embed(c)) == c for c in base.elements())
     subfield_maps(big, 64)
-    assert len(builds) == 2
+    assert builds() == 2
 
 
 def test_subfield_maps_f81_over_f9():
@@ -184,6 +183,61 @@ def test_subfield_maps_f81_over_f9():
     assert descend(embed(base.element(7))) == base.element(7)
 
 
+def _scanned_root(field, coeffs, base_order):
+    """Reference for least_root: the first root in ascending encoding order,
+    by Horner on field.ops, then its least base_order-power conjugate."""
+    add, mul = field.ops.add, field.ops.mul
+    for x in range(field.order):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = add(mul(acc, x), c)
+        if not acc:
+            break
+    else:
+        return None
+    best, y = x, int_pow(x, base_order, field.ops)
+    while y != x:
+        best, y = min(best, y), int_pow(y, base_order, field.ops)
+    return best
+
+
+# every proper subfield beyond F_p of every default field up to order 2^12
+_SUBFIELD_PAIRS = [(p, k, j) for p, top in ((2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3))
+                   for k in range(2, top + 1) for j in range(2, k) if k % j == 0]
+
+
+@pytest.mark.parametrize("p, k, j", _SUBFIELD_PAIRS)
+def test_least_root_matches_the_scan_on_default_subfields(p, k, j):
+    big, modulus = make_extension_field(p, k), make_extension_field(p, j).modulus_coeffs
+    root = least_root(big, modulus, p)
+    assert root is not None and root == _scanned_root(big, modulus, p)
+
+
+@pytest.mark.parametrize("q, m", [(4, 2), (4, 3), (8, 2), (9, 2), (16, 2), (25, 2)])
+def test_search_alpha_matches_the_scan(q, m):
+    from tsrforge.search import _alpha_field, primitive_polys
+
+    big = make_field(q ** m)
+    _, embed, _ = subfield_maps(big, q)
+    polys = primitive_polys(make_field(q), m)
+    assert polys
+    for f in polys:
+        coeffs = [embed(c).int_value for c in f.coeffs]
+        assert _alpha_field(q, m, f)[1].int_value == _scanned_root(big, coeffs, q)
+
+
+def test_least_root_is_none_when_the_polynomial_does_not_split():
+    # an irreducible cubic over F_4 has its roots in F_64, none in F_16
+    from tsrforge.search import primitive_polys
+
+    cubic = primitive_polys(make_field(4), 3)[0]
+    big = make_field(16)
+    _, embed, _ = subfield_maps(big, 4)
+    coeffs = [embed(c).int_value for c in cubic.coeffs]
+    assert _scanned_root(big, coeffs, 4) is None
+    assert least_root(big, coeffs, 4) is None
+
+
 def test_make_extension_field_custom_modulus():
     # x^2 + 1 is irreducible over F_3
     f = make_extension_field(3, 2, modulus=(1, 0, 1))
@@ -192,6 +246,14 @@ def test_make_extension_field_custom_modulus():
     from tsrforge.errors import ReducibleModulus
     with pytest.raises(ReducibleModulus):
         make_extension_field(3, 2, modulus=(2, 0, 1))  # x^2 + 2 = (x+1)(x+2)
+
+
+def test_degree_one_custom_modulus_is_the_prime_field():
+    f2 = make_extension_field(2, 1, modulus=[1, 1])
+    assert f2 == make_prime_field(2) and repr(f2) == "GF(2)"
+    assert f2.one() + make_prime_field(2).one() == make_prime_field(2).zero()
+    with pytest.raises(ValueError, match="monic of degree k"):
+        make_extension_field(2, 1, modulus=[1, 1, 1])
 
 
 def test_format_element():

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
-from tsrforge.errors import (BadDegree, BudgetExhausted, InvalidParity,
-                             SingularB, ZeroConstantTerm)
+from tsrforge import cli
+from tsrforge.errors import (BadDegree, BudgetExhausted, CompositeCharacteristic,
+                             InvalidParity, SingularB, ZeroConstantTerm)
 from tsrforge.fields import base_digits, make_extension_field, make_field, subfield_maps
 from tsrforge.matrices import companion_matrix
 from tsrforge.polys import Polynomial, format_poly, parse_poly
@@ -196,6 +200,12 @@ def test_conjecture_refuses_a_bad_shape_as_the_search_does(form, m, n, message):
         verify_conjecture(2, m, n, form)
 
 
+@pytest.mark.parametrize("form", ["direct", "composition"])
+def test_conjecture_names_a_composite_q_in_both_forms(form):
+    with pytest.raises(CompositeCharacteristic, match="^6 is not a prime power$"):
+        verify_conjecture(6, 2, 2, form)
+
+
 def _first_direct_witness(q, m, n):
     """(witness, candidates tried) of the direct form, testing every candidate
     in scan order: g's middle digits, then its lead, then lam ascending."""
@@ -249,3 +259,21 @@ def test_find_trace_one_quadratic():
         assert is_primitive_element(lam)
         assert quad.coeff(1) == lam
         assert is_primitive_poly(quad)[0]
+
+
+# stdout of `search-tsr q m n --emit provenance` where alpha is split out of
+# a field of 2^20 to 2^24 elements: its sha256, and the alpha line in clear
+@pytest.mark.parametrize("q, m, n, alpha, digest", [
+    (16, 5, 1, "a^15+a^14+a^13+a^11+a^10+a^8+a+1",
+     "45f13e316d913868fb356ad6b2979e987a3136bebad0882619b374564cd6faf3"),
+    (4, 10, 1, "a^16+a^14+a^9+a^7+a^6+a^2+1",
+     "a1eba94b54159ebcfa8aec155b3ea0ccb9f58d21a504bd9676739dd9824bd403"),
+    (64, 4, 1, "a^22+a^18+a^14+a^13+a^12+a^10+a^7+a^6+a^3+a",
+     "cf2740890c233c41bd90044d6c9ec3a500d63b0bea0f92e9ddb4a8a0f0b60722"),
+], ids=["16-5-1", "4-10-1", "64-4-1"])
+def test_search_output_at_scale_is_pinned(capsys, q, m, n, alpha, digest):
+    code = cli.main(["search-tsr", str(q), str(m), str(n), "--emit", "provenance"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[1])["alpha"] == alpha
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

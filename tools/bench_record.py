@@ -11,8 +11,11 @@ every side the recorder writes:
   over F_2, 10, 20 and 40 over F_3 and 8 over F_9; seconds per call of
   the element tally `primitive_trace_one_count` at m = 8 and 10; and
   milliseconds per repeated `subfield_maps` call (`build`: a cache lookup
-  where the tables are cached) and to run 500 `descend(embed(x))`
+  where the tables are cached), to build the tables uncached
+  (`_subfield_tables.__wrapped__`) and to run 500 `descend(embed(x))`
   round trips, at F_{3^6} over F_9 and F_{2^20} over F_{2^10}; microseconds
+  per `search._alpha_field` call, the search's root of its first primitive
+  f, at (q, m) = (16, 3), (4, 5), (64, 2) and (9, 3); microseconds
   per `tsr_step` over one whole orbit, from (1, 0, ..., 0), of the first
   register of each 4095-step walk stratum of perfbench/expected/walk.json,
   and microseconds per `tsr_period` call on those four registers; and
@@ -55,6 +58,7 @@ REPEATS = 9  # timed passes over each sample; the fastest pass is kept
 LAYER_ROUNDS = 16  # fresh interpreters per side, alternating; every round and each row's fastest are kept
 TALLY_M = (8, 10)  # element tally sizes, one call per pass
 SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
+ALPHA_POINTS = [(16, 3), (4, 5), (64, 2), (9, 3)]  # (q, m) of _alpha_field
 ROUND_TRIPS = 500
 WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
 SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]
@@ -91,7 +95,8 @@ def layer_rows(src: str) -> dict:
         from tsrforge.fields import int_poly_modpow
     from tsrforge.polys import Polynomial
     from tsrforge.primitivity import is_irreducible, is_primitive_poly, primitive_elements
-    from tsrforge.search import search_primitive_tsr, verify_conjecture
+    from tsrforge import fields
+    from tsrforge.search import _alpha_field, _iter_primitive, search_primitive_tsr, verify_conjecture
     from tsrforge.tables import TABLES, fiber_census, generate_table
     from tsrforge.tsr import TsrSpec, TsrState, tsr_period, tsr_step
 
@@ -118,8 +123,14 @@ def layer_rows(src: str) -> dict:
         xs = [base.element(i % base.order) for i in range(ROUND_TRIPS)]
         case = f"F{order}.F{base_order}_ms"
         rows[f"subfield_maps.build.{case}"] = round(per_call(lambda _: subfield_maps(big, base_order), 1) * 1e3, 3)
+        rows[f"subfield_tables.uncached.{case}"] = round(
+            per_call(lambda _: fields._subfield_tables.__wrapped__(big, base), 1) * 1e3, 3)
         rows[f"subfield_maps.roundtrip{ROUND_TRIPS}.{case}"] = round(
             per_call(lambda i: descend(embed(xs[i])), ROUND_TRIPS) * ROUND_TRIPS * 1e3, 3)
+    for q, m in ALPHA_POINTS:
+        f = next(_iter_primitive(make_field(q), m))
+        _alpha_field(q, m, f)  # builds the fields and the subfield tables, untimed
+        rows[f"_alpha_field.q{q}m{m}_us"] = round(per_call(lambda _: _alpha_field(q, m, f), 1) * 1e6, 1)
     walk = json.loads((Path(src) / "perfbench" / "expected" / "walk.json").read_text())["strata"]
     specs = [TsrSpec.from_json(walk[name][0]) for name in WALK_STRATA]
     for name, spec in zip(WALK_STRATA, specs):
