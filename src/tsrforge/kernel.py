@@ -52,7 +52,30 @@ def int_poly_modpow(base: Sequence[int], e: int, mod: Sequence[int], ops: FieldO
 
 class _Ring:
     """F_q[X]/(f) for a trimmed f of degree >= 1, on its kernel's form of a
-    polynomial: one, x (X mod f), reduce, mul, list and frob (v -> v^q)."""
+    polynomial: q, one, x (X mod f), reduce, mul, list and frob (v -> v^q)."""
+
+    def conjugate(self, k: int):
+        """X^(q^k) mod f, memoised: the chain grows by q-power steps on X as k asks."""
+        chain = self.chain
+        while len(chain) <= k:
+            chain.append(self.frob(chain[-1]))
+        return chain[k]
+
+    def xpow(self, e: int):
+        """X^e mod f, e >= 0, by Straus's interleaving: X^e = prod (X^(q^i))^(d_i) for
+        e = sum d_i q^i, at (q - 1).bit_length() - 1 squarings shared by all d_i."""
+        digits = []
+        while e:
+            e, d = divmod(e, self.q)
+            digits.append(d)
+        r = None  # 1 until the first factor
+        for j in reversed(range((self.q - 1).bit_length())):
+            if r is not None:
+                r = self.mul(r, r)
+            for i, d in enumerate(digits):
+                if d >> j & 1:
+                    r = self.conjugate(i) if r is None else self.mul(r, self.conjugate(i))
+        return self.one if r is None else r
 
     def pow(self, v, e: int):
         """v^e by left-to-right square-and-multiply; e >= 0."""
@@ -82,14 +105,19 @@ class ListKernel:
                         out[j] = add(out[j], mul(x, y))
         return _trim(out)
 
-    def divrem(self, a, b):
+    def monic_tail(self, b):
+        """(1/lead(b), [-b_i/lead(b) for i < deg b]): what divrem reduces by."""
+        _, neg, mul, inv = self.ops
+        inv_lead = inv(b[-1])
+        return inv_lead, [mul(neg(c), inv_lead) for c in b[:-1]]
+
+    def divrem(self, a, b, monic_tail=None):
         rem = _trim(list(a))
         db = len(b) - 1
         if len(rem) <= db:
             return [], rem
-        add, neg, mul, inv = self.ops
-        inv_lead = inv(b[-1])
-        tail = [mul(neg(c), inv_lead) for c in b[:-1]]  # -b_i / lead(b)
+        add, _, mul, _ = self.ops
+        inv_lead, tail = monic_tail or self.monic_tail(b)
         quot = [0] * (len(rem) - db)
         for top in range(len(rem) - 1, db - 1, -1):
             c = rem[top]
@@ -118,10 +146,12 @@ class ListKernel:
 class _ListRing(_Ring):
     def __init__(self, kernel: ListKernel, f):
         self.kernel, self.f, self.q, self.one, self.rows = kernel, f, kernel.q, [1], None
+        self.tail = kernel.monic_tail(f)
         self.x = self.reduce([0, 1])
+        self.chain = [self.x]  # X^(q^k) mod f for k < len(chain)
 
     def reduce(self, coeffs):
-        return self.kernel.divrem(coeffs, self.f)[1]
+        return self.kernel.divrem(coeffs, self.f, self.tail)[1]
 
     def mul(self, a, b):
         return self.reduce(self.kernel.mul(a, b))
@@ -226,12 +256,13 @@ class PackedKernel:
 class _PackedRing(_Ring):
     def __init__(self, pk: PackedKernel, f):
         d, p = len(f) - 1, pk.p
-        self.pk, self.d, self.one, self.list = pk, d, 1, pk.unpack
+        self.pk, self.d, self.q, self.one, self.list = pk, d, p, 1, pk.unpack
         self.mask = pk.mask(2 * d + 1)
         self.f = pk.norm(pk.pack(f) * pow(f[-1], -1, p), self.mask)  # monic
         self.f_neg = pk.norm(self.f * (p - 1), self.mask)
         self.mu = pk.packed_divrem(1 << (2 * d - 1) * pk.w, self.f, self.mask)[0]
         self.x = self.reduce([0, 1])
+        self.chain = [self.x]  # X^(q^k) mod f for k < len(chain)
 
     def reduce(self, coeffs):
         pk = self.pk

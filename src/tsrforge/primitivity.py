@@ -15,7 +15,9 @@ monic int list of f and the field's ops; each stage only rejects:
    whose rows X^(qi) mod f are built from one X^q mod f;
 3. order: X^(r/l) mod f is not a constant for each prime l of r that does
    not divide q - 1.  Stage 1 settles the primes l of q - 1: once f is
-   irreducible, X^r = N mod f, so X^((q^n-1)/l) = N^((q-1)/l).
+   irreducible, X^r = N mod f, so X^((q^n-1)/l) = N^((q-1)/l).  X^(r/l) comes
+   from Rabin's conjugates by Straus interleaving: the ring keeps stage 2's
+   X^(q^i) mod f, and X^(r/l) = prod (X^(q^i))^(d_i) for r/l = sum d_i q^i.
 
 The certificate witnesses X^((q^n-1)/l) mod f for every prime l | q^n - 1,
 built on accept when they are first read: the constant N^((q-1)/l) when
@@ -100,7 +102,7 @@ def _generates(a: int, q: int, ops: FieldOps) -> bool:
 def is_irreducible(f: Polynomial) -> bool:
     """Rabin test: X^(q^n) = X mod f and gcd(X^(q^(n/l)) - X, f) = 1 per prime l | n.
 
-    X^(q^k) for k = 1..n comes from k q-power steps on X in the field's kernel.
+    X^(q^k) for k = 1..n is the ring's chain of q-power steps, kept for stage 3.
     """
     n = f.degree
     if not isinstance(n, int) or n < 1:
@@ -112,15 +114,12 @@ def is_irreducible(f: Polynomial) -> bool:
     ring = _ring(ops.kernel, fm)
     checks = {n // l for l in factor_integer(n).primes}
     minus_one = ops.neg(1)
-    v = ring.x
-    for k in range(1, n):
-        v = ring.frob(v)  # X^(q^k) mod f
-        if k in checks:
-            h = ring.list(v) + [0, 0]  # v - X
-            h[1] = ops.add(h[1], minus_one)
-            if len(ops.kernel.gcd(h, fm)) != 1:
-                return False
-    return ring.frob(v) == ring.x
+    for k in sorted(checks):
+        h = ring.list(ring.conjugate(k)) + [0, 0]  # X^(q^k) - X
+        h[1] = ops.add(h[1], minus_one)
+        if len(ops.kernel.gcd(h, fm)) != 1:
+            return False
+    return ring.conjugate(n) == ring.x
 
 
 def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | None]:
@@ -150,7 +149,7 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
     powers = {}  # prime l of r but not of q - 1 -> X^(r/l) mod f
     for l in factors.primes:
         if l not in q1_primes:
-            w = ring.pow(ring.x, r // l)
+            w = ring.xpow(r // l)
             if len(ring.list(w)) == 1:
                 return False, None
             powers[l] = w

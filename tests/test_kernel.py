@@ -123,6 +123,25 @@ def test_packed_kernel_slot_by_slot_matches_schoolbook(p, monkeypatch):
     assert ring.list(ring.pow(ring.reduce(a), p ** 7 - 2)) == _ref_modpow(a, p ** 7 - 2, mod, p)
 
 
+@pytest.mark.parametrize("q, n", [(2, 24), (3, 12), (13, 5), (4, 8), (8, 6), (9, 5), (16, 4), (121, 3)])
+def test_xpow_from_the_conjugates_matches_square_and_multiply(q, n):
+    # a fresh ring, so its chain of X^(q^i) starts at X; f has a random unit
+    # lead and is mostly reducible, and the identity holds in any F_q[X]/(f)
+    ops, rng = make_field(q).ops, random.Random(q * 100 + n)
+    f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+    ring = ops.kernel.ring(f)
+    assert ring.chain == [ring.x]
+    top = (q - 1) * q ** (n - 1)  # top digit q - 1
+    for e in [0, 1, q ** n - 1, top, top + rng.randrange(q ** (n - 1))] + [rng.randrange(q ** n) for _ in range(8)]:
+        assert ring.xpow(e) == ring.pow(ring.x, e), e
+    assert len(ring.chain) == n
+    assert [ring.conjugate(k) for k in range(n + 1)] == [ring.pow(ring.x, q ** k) for k in range(n + 1)]
+    # the ring reduces by the monic tail it keeps, a one-off divrem by its own
+    a, b = [rng.randrange(q) for _ in range(n)], [rng.randrange(q) for _ in range(n)]
+    assert ring.list(ring.mul(ring.reduce(a), ring.reduce(b))) == \
+        ops.kernel.divrem(ops.kernel.mul(a, b), f)[1]
+
+
 def _monic_polys(p, n):
     for v in range(p ** n):
         digits = []

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -258,6 +259,92 @@ def test_staged_test_matches_the_plain_route_on_random_polynomials():
         assert staged == _reference_route(f), format_poly(f)
         verdicts.append(staged[1])
     assert verdicts[-2:] == [True, True]
+
+
+# primitive polynomials (monic, little-endian ints) at degrees where
+# r = (q^n - 1)/(q - 1) has many primes, past the exhaustive grid
+_HIGH_DEGREE_PRIMITIVE = {
+    3: [[2, 0, 2, 1, 1, 1, 1, 0, 0, 2, 1, 2, 2, 1, 0, 1, 0, 2, 1, 2, 1],
+        [2, 0, 2, 0, 2, 2, 2, 0, 2, 1, 1, 2, 1, 2, 1, 2, 2, 0, 0, 0, 1],
+        [2, 0, 1, 2, 0, 1, 2, 2, 1, 2, 1, 1, 1, 2, 1, 0, 2, 0, 0, 1, 1],
+        [2, 1, 2, 2, 1, 1, 2, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1],
+        [2, 0, 2, 2, 2, 2, 1, 1, 2, 2, 0, 2, 2, 0, 2, 2, 2, 1, 2, 2, 1],
+        [2, 0, 1, 0, 2, 1, 2, 2, 1, 2, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1]],
+    4: [[2, 1, 3, 2, 0, 3, 1, 3, 3, 3, 2, 3, 1],
+        [3, 3, 1, 0, 1, 1, 2, 0, 3, 0, 2, 2, 1],
+        [2, 1, 3, 0, 3, 2, 1, 3, 3, 1, 1, 2, 1],
+        [3, 3, 0, 0, 3, 2, 3, 3, 3, 1, 1, 1, 1],
+        [2, 1, 3, 0, 1, 0, 3, 3, 1, 2, 1, 1, 1],
+        [2, 2, 0, 3, 3, 0, 3, 2, 0, 1, 1, 3, 1]],
+    9: [[3, 4, 6, 2, 8, 2, 3, 3, 1],
+        [6, 1, 3, 1, 6, 6, 1, 2, 1],
+        [6, 8, 0, 5, 4, 3, 5, 3, 1],
+        [7, 1, 2, 2, 4, 5, 0, 2, 1],
+        [3, 8, 1, 2, 6, 5, 8, 6, 1],
+        [5, 2, 8, 8, 1, 1, 5, 3, 1]],
+}
+# irreducible with a primitive norm, so the order stage is the one that rejects
+_ORDER_STAGE_REJECTS = ((4, [2, 1, 2, 0, 2, 0, 1]), (4, [3, 1, 2, 2, 3, 2, 3, 1, 2, 1]),
+                        (8, [7, 2, 4, 1, 0, 6, 1]), (8, [3, 6, 6, 4, 2, 5, 4, 0, 4, 1]))
+
+
+def _high_degree_cases():
+    from tsrforge.search import _iter_primitive
+
+    cases = [Polynomial.make(make_field(q), c) for q, pool in _HIGH_DEGREE_PRIMITIVE.items() for c in pool]
+    for q in (4, 8):
+        for degree in range(6, 10):  # the first two of search.primitive_polys(field, degree)
+            cases += itertools.islice(_iter_primitive(make_field(q), degree), 2)
+    cases += [Polynomial.make(make_field(q), c) for q, c in _ORDER_STAGE_REJECTS]
+    return cases
+
+
+def test_staged_test_matches_the_plain_route_at_high_degree():
+    monic = _high_degree_cases()
+    cases = monic + [f.scale(f.field.element(2)) for f in monic[::5]]  # leads other than 1
+    staged = [_staged_route(f) for f in cases]
+    for f, got in zip(cases, staged):
+        expected = _reference_route(f)
+        if f.leading.int_value != 1 and expected[2]:
+            expected = expected[:2] + (dict(expected[2], poly=format_poly(f)),)
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True), format_poly(f)
+    rejects = len(_ORDER_STAGE_REJECTS)
+    assert [got[:2] for got in staged[:len(monic)]] == \
+        [(True, True)] * (len(monic) - rejects) + [(True, False)] * rejects
+
+
+@pytest.mark.parametrize("clear", [False, True])
+def test_order_stage_survives_a_wrapped_irreducibility_stage(clear, monkeypatch):
+    # a tracer wraps is_irreducible by name, and the ring that stage 2 leaves
+    # in primitivity._ring may be gone when stage 3 asks for its conjugates
+    f2 = make_field(2)
+    cases = [parse_poly("x^63 + x + 1", f2), parse_poly("x^4 + x^3 + x^2 + x + 1", f2)]
+    cases += [Polynomial.make(make_field(q), pool[0]) for q, pool in _HIGH_DEGREE_PRIMITIVE.items()]
+    cases += [Polynomial.make(make_field(q), c) for q, c in _ORDER_STAGE_REJECTS[::3]]
+    cases += [parse_poly(text, make_field(q)) for q, text in _O_CASES[:-1]]
+    want = [json.dumps(_reference_route(f)[1:], sort_keys=True) for f in cases]
+    irreducible, calls = primitivity.is_irreducible, []
+
+    def wrapper(f):
+        calls.append(f)
+        ok = irreducible(f)
+        if clear:
+            primitivity._ring.cache_clear()
+        return ok
+
+    monkeypatch.setattr(primitivity, "is_irreducible", wrapper)
+    built = []
+    for kernel in {type(f.field.ops.kernel) for f in cases}:
+        monkeypatch.setattr(kernel, "ring", lambda self, f, ring=kernel.ring: built.append(f) or ring(self, f))
+    for f, expected in zip(cases, want):
+        primitivity._ring.cache_clear()
+        built.clear()
+        ok, cert = is_primitive_poly(f)
+        assert json.dumps((ok, cert and cert.to_json()), sort_keys=True) == expected, format_poly(f)
+        if ok:  # stage 3 ran on the ring stage 2 built, or on a fresh one after the clear
+            assert len(built) == 1 + clear, format_poly(f)
+    accepted = [f for f, expected in zip(cases, want) if json.loads(expected)[0]]
+    assert len(accepted) == 7 and all(any(f is g for g in calls) for f in accepted)
 
 
 def test_norm_stage_rejects_without_polynomial_arithmetic(monkeypatch):

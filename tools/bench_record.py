@@ -8,7 +8,11 @@ every side the recorder writes:
 - layer rows: microseconds per call of `int_poly_modpow` (X^e mod f with
   e = q^n - 2), `is_irreducible` and `is_primitive_poly`, each on the same
   seeded sample of monic polynomials with f(0) != 0, at degrees 20, 40 and 64
-  over F_2, 10, 20 and 40 over F_3 and 8 over F_9; seconds per call of
+  over F_2, 10, 20 and 40 over F_3 and 8 over F_9; microseconds per
+  `is_primitive_poly` call on primitive inputs, where every stage runs:
+  x^63 + x + 1 over F_2 and the pools of perfbench/expected/certify.json
+  (F_3 degree 20, F_4 degree 12, F_9 degree 8), each call on an emptied
+  ring cache as a caller with a new f finds it; seconds per call of
   the element tally `primitive_trace_one_count` at m = 8 and 10; and
   milliseconds per repeated `subfield_maps` call (`build`: a cache lookup
   where the tables are cached), to build the tables uncached
@@ -95,7 +99,7 @@ def layer_rows(src: str) -> dict:
         from tsrforge.fields import int_poly_modpow
     from tsrforge.polys import Polynomial
     from tsrforge.primitivity import is_irreducible, is_primitive_poly, primitive_elements
-    from tsrforge import fields
+    from tsrforge import fields, primitivity
     from tsrforge.search import _alpha_field, _iter_primitive, search_primitive_tsr, verify_conjecture
     from tsrforge.tables import TABLES, fiber_census, generate_table
     from tsrforge.tsr import TsrSpec, TsrState, tsr_period, tsr_step
@@ -115,6 +119,15 @@ def layer_rows(src: str) -> dict:
         }
         for name, call in calls.items():
             rows[f"{name}.F{q}.deg{n}_us"] = round(per_call(call, SAMPLE) * 1e6, 1)
+    certify = json.loads((Path(src) / "perfbench" / "expected" / "certify.json").read_text())["primitive"]
+    pools = {"F2.deg63": [Polynomial.make(make_field(2), [1, 1] + [0] * 61 + [1])]}
+    for key, pool in certify.items():
+        q, n = map(int, key[1:].split("_deg"))
+        pools[f"F{q}.deg{n}"] = [Polynomial.make(make_field(q), c) for c in pool]
+    uncache = getattr(getattr(primitivity, "_ring", None), "cache_clear", lambda: None)
+    for case, pool in pools.items():
+        rows[f"is_primitive_poly.primitive.{case}_us"] = round(
+            per_call(lambda i: uncache() or is_primitive_poly(pool[i]), len(pool)) * 1e6, 1)
     for m in TALLY_M:
         rows[f"primitive_trace_one_count.m{m}_s"] = round(per_call(lambda _: primitive_trace_one_count(m), 1), 4)
     for order, base_order in SUBFIELD_CASES:
