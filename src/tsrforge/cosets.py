@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ExistenceViolation, ScaleExceeded
-from .fields import int_pow, make_field, subfield_maps
+from .fields import conjugates, int_pow, make_field, subfield_maps
 from .guards import check_field
 from .polys import Polynomial
 from .primitivity import _generates, is_primitive_poly
@@ -92,24 +92,22 @@ def count_trace_one_classes(m: int) -> tuple[int, int]:
         raise ScaleExceeded(f"m = {m} outside supported range")
     check_field(1 << m, "census field")
     field = make_field(1 << m)
-    mul = field.ops.mul
     seen = bytearray(field.order)
     r = 0
     trace_one = 0
     for c in range(1, field.order):
         if seen[c]:
             continue
-        size = 0
-        total = 0
-        cur = c
-        while not seen[cur]:
-            seen[cur] = 1
-            size += 1
-            total ^= cur
-            cur = mul(cur, cur)
-        if cur != c or m % size:
-            raise ExistenceViolation(
-                f"squaring orbit of {c} does not close after a divisor of {m} steps ({size} taken)")
+        try:
+            orbit = conjugates(c, 2, field.ops, m)
+        except ExistenceViolation:
+            orbit = []  # not closed after m steps
+        if not orbit or m % len(orbit):
+            raise ExistenceViolation(f"squaring orbit of {c} does not close after a divisor of {m} steps")
+        size, total = len(orbit), 0
+        for y in orbit:
+            seen[y] = 1
+            total ^= y
         # Tr(c) is the orbit sum taken m/size times: the sum when m/size is odd
         if (m // size) % 2 and total == 1:
             trace_one += size
@@ -160,13 +158,8 @@ def conjugate_class_summary(m: int, leader: int) -> ConjugateClassSummary:
     frob = x ** (2 ** m)
     t = descend(x + frob)
     nm = descend(x * frob)
-    quads = []
-    ti, ni = t, nm
-    for _ in range(m):
-        quads.append(Polynomial.make(base, [ni, -ti, base.one()]))
-        ti = ti * ti
-        ni = ni * ni
-    return ConjugateClassSummary(leader, t, nm, tuple(quads))
+    quads = tuple(Polynomial.make(base, [nm ** (1 << i), -(t ** (1 << i)), base.one()]) for i in range(m))
+    return ConjugateClassSummary(leader, t, nm, quads)
 
 
 def trace_one_class_summaries(m: int) -> list[ConjugateClassSummary]:

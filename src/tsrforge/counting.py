@@ -7,7 +7,7 @@ the other.
 
 from .errors import BadDegree, FiberSizeViolation, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
-from .fields import Field, base_digits, int_pow, make_field, prime_power, subfield_maps
+from .fields import Field, base_digits, conjugates, make_field, prime_power, subfield_maps
 from .guards import check_custom, check_enumeration, guard_bits
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
@@ -111,13 +111,12 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
 def _orbit_leads(lams: list, q: int) -> list[int]:
     """Per lams[i], the index of the first member of its orbit under lam -> lam^q;
     lams is closed under that map, as the primitive elements of a field are."""
-    ops, index = lams[0].owner.ops, {lam.int_value: i for i, lam in enumerate(lams)}
+    field, index = lams[0].owner, {lam.int_value: i for i, lam in enumerate(lams)}
     leads = [-1] * len(lams)
     for i, lam in enumerate(lams):
-        y = lam.int_value
-        while leads[index[y]] < 0:
-            leads[index[y]] = i
-            y = int_pow(y, q, ops)
+        if leads[i] < 0:
+            for y in conjugates(lam.int_value, q, field.ops, field.extension_degree):
+                leads[index[y]] = i
     return leads
 
 

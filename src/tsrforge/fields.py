@@ -17,12 +17,13 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import (
     BaseNotSubfield,
     CompositeCharacteristic,
+    ExistenceViolation,
     ReducibleModulus,
     ZeroElement,
 )
 from .factorint import factor_integer, is_prime_int
 from .guards import check_enumeration
-from .kernel import FieldOps, ListKernel, PackedKernel
+from .kernel import FieldOps, ListKernel, PackedKernel, power
 
 # Conway polynomials, little-endian coefficient tuples over F_p.  Each entry
 # was verified primitive (order test) and norm-compatible with its subfield
@@ -86,15 +87,21 @@ def _encode(digits: Sequence[int], p: int) -> int:
 
 
 def int_pow(a: int, e: int, ops: FieldOps) -> int:
-    """a^e on canonical encodings by square-and-multiply; e >= 0."""
-    mul, result = ops.mul, 1
-    while e:
-        if e & 1:
-            result = mul(result, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
-    return result
+    """a^e on canonical encodings; e >= 0."""
+    return power(a, e, ops.mul, 1)
+
+
+def conjugates(x: int, e: int, ops: FieldOps, limit: int) -> list[int]:
+    """The orbit x, x^e, x^(e^2), ... of the canonical int x under y -> y^e, up
+    to its return to x; ExistenceViolation if it has not closed after `limit` steps."""
+    mul, orbit = ops.mul, [x]
+    y = power(x, e, mul, 1)
+    while y != x:
+        if len(orbit) >= limit:
+            raise ExistenceViolation(f"orbit of {x} under y -> y^{e} does not close after {limit} steps")
+        orbit.append(y)
+        y = power(y, e, mul, 1)
+    return orbit
 
 
 @lru_cache(maxsize=None)
@@ -417,17 +424,6 @@ def subfield_degree(field: Field, base_order: int) -> int:
     return j
 
 
-def frobenius(x: FieldElement, base_order: int, i: int = 1) -> FieldElement:
-    """x raised to base_order^i: the i-th power of the relative Frobenius."""
-    field = x.owner
-    j = subfield_degree(field, base_order)
-    cycle = field.extension_degree // j
-    i %= cycle
-    if i == 0 or x.is_zero():
-        return x
-    return x ** (base_order ** i)
-
-
 def subfield_maps(field: Field, base_order: int):
     """(base_field, embed, descend) realizing GF(base_order) inside `field`.
 
@@ -512,13 +508,7 @@ def least_root(field: Field, coeffs: Sequence[int], base_order: int) -> Optional
                 t[d] = add(t[d], c)
         parts = [g for c in range(p) if len(g := kernel.gcd(f, [add(t[0], ops.neg(c))] + t[1:])) > 1]
         f = min(parts, key=len, default=f)
-    if len(f) != 2:
-        return None
-    x = ops.neg(f[0])
-    best, y = x, int_pow(x, base_order, ops)
-    while y != x:
-        best, y = min(best, y), int_pow(y, base_order, ops)
-    return best
+    return min(conjugates(ops.neg(f[0]), base_order, ops, k)) if len(f) == 2 else None
 
 
 def format_element(x: FieldElement, gen_symbol: str = "a") -> str:

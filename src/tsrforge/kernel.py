@@ -2,8 +2,10 @@
 
 A field's FieldOps carries one kernel, picked when fields._field_ops builds
 the ops; callers run its mul, divrem (quot, rem with deg rem < deg b, for a
-trimmed nonzero b), monic gcd and ring directly, and int_poly_modpow on it.
-Lists come out trimmed; the zero polynomial is [].
+trimmed nonzero b), monic gcd and ring (F_q[X]/(f)) directly.  Lists come
+out trimmed; the zero polynomial is [].  `power` is the package's one
+square-and-multiply: field elements, ring residues, polynomials and
+matrices all raise to a power through it.
 
 - F_p runs packed (Kronecker substitution): a polynomial is one int with a
   w-bit slot per coefficient, so a product is one big-int multiply.  `norm`
@@ -19,7 +21,7 @@ Lists come out trimmed; the zero polynomial is [].
 import sys
 from array import array
 from operator import and_
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 # slot bytes -> array typecode; arrays hold native-order items, so a
 # big-endian host packs slot by slot with to_bytes instead
@@ -42,12 +44,16 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def int_poly_modpow(base: Sequence[int], e: int, mod: Sequence[int], ops: FieldOps) -> list[int]:
-    """base^e mod mod by square-and-multiply; e >= 0, mod trimmed of degree >= 1."""
+def power(v, e: int, mul: Callable, one):
+    """v^e by left-to-right square-and-multiply, so every multiply is by v itself; e >= 0."""
     if e < 0:
         raise ValueError(f"exponent e = {e} must be >= 0")
-    ring = ops.kernel.ring(mod)
-    return ring.list(ring.pow(ring.reduce(base), e))
+    r = v if e else one
+    for bit in bin(e)[3:]:  # the binary digits of e after its leading 1
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, v)
+    return r
 
 
 class _Ring:
@@ -64,6 +70,8 @@ class _Ring:
     def xpow(self, e: int):
         """X^e mod f, e >= 0, by Straus's interleaving: X^e = prod (X^(q^i))^(d_i) for
         e = sum d_i q^i, at (q - 1).bit_length() - 1 squarings shared by all d_i."""
+        if e < 0:
+            raise ValueError(f"exponent e = {e} must be >= 0")
         digits = []
         while e:
             e, d = divmod(e, self.q)
@@ -78,13 +86,8 @@ class _Ring:
         return self.one if r is None else r
 
     def pow(self, v, e: int):
-        """v^e by left-to-right square-and-multiply; e >= 0."""
-        r = v if e else self.one
-        for bit in f"{e:b}"[1:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, v)
-        return r
+        """v^e; e >= 0."""
+        return power(v, e, self.mul, self.one)
 
 
 class ListKernel:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, NonSquareMatrix
 from .fields import Field, FieldElement
-from .kernel import FieldOps
+from .kernel import FieldOps, power
 from .polys import Polynomial, _common_field, _encodings
 
 
@@ -108,15 +108,9 @@ class Matrix:
         if e < 0:
             raise ValueError("negative matrix powers are not supported")
         n, ops = self.rows, self.field.ops
-        result = [[int(i == j) for j in range(n)] for i in range(n)]
-        acc = _int_rows(self)
-        while e:
-            if e & 1:
-                result = _int_matmul(result, acc, ops)
-            e >>= 1
-            if e:
-                acc = _int_matmul(acc, acc, ops)
-        return Matrix.from_rows(self.field, result)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = power(_int_rows(self), e, lambda a, b: _int_matmul(a, b, ops), identity)
+        return Matrix.from_rows(self.field, rows)
 
     def __str__(self) -> str:
         return "\n".join("[" + " ".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows))

@@ -17,7 +17,7 @@ from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly
 from .fields import Field, FieldElement, format_element
-from .kernel import _trim, int_poly_modpow
+from .kernel import _trim, power
 
 NEG_INF = float("-inf")
 
@@ -130,16 +130,7 @@ class Polynomial:
         return Polynomial(field, tuple(acc))
 
     def pow(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError(f"exponent e = {e} must be >= 0")
-        result = Polynomial.one(self.field)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            acc = acc * acc
-        return result
+        return Polynomial(self.field, tuple(power(self.ints, e, self.field.ops.kernel.mul, [1])))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -179,11 +170,12 @@ def poly_mod(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_modpow(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
-    """base^e mod modulus by square-and-multiply."""
+    """base^e mod modulus, in the kernel's ring F_q[X]/(modulus); e >= 0."""
     if modulus.degree < 1:
         raise DivisionByZeroPoly("modulus must have degree >= 1")
     field = _common_field(base.field, modulus.field)
-    return Polynomial(field, tuple(int_poly_modpow(base.ints, e, modulus.ints, field.ops)))
+    ring = field.ops.kernel.ring(modulus.ints)
+    return Polynomial(field, tuple(ring.list(ring.pow(ring.reduce(base.ints), e))))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

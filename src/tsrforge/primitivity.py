@@ -33,7 +33,7 @@ from operator import attrgetter
 from .errors import (BadDegree, BaseNotSubfield, CoefficientNotDescended, ZeroConstantTerm,
                      ZeroElement)
 from .factorint import Factorization, factor_integer
-from .fields import Field, FieldElement, frobenius, int_pow, subfield_degree, subfield_maps
+from .fields import Field, FieldElement, conjugates, int_pow, subfield_degree, subfield_maps
 from .kernel import FieldOps
 from .polys import Polynomial, format_poly
 
@@ -174,37 +174,30 @@ def is_primitive_element(x: FieldElement) -> bool:
 def primitive_elements(field: Field) -> list:
     """Primitive elements in ascending canonical encoding; x and x^p have the
     same order, so one test decides each orbit of x -> x^p."""
-    q, p, ops = field.order, field.characteristic, field.ops
+    q, ops = field.order, field.ops
     verdict = bytearray(q)  # 0 unseen, 1 not primitive, 2 primitive
     for x in range(1, q):
         if not verdict[x]:
-            v, y = 1 + _generates(x, q, ops), x
-            while not verdict[y]:
+            v = 1 + _generates(x, q, ops)
+            for y in conjugates(x, field.characteristic, ops, field.extension_degree):
                 verdict[y] = v
-                y = int_pow(y, p, ops)
     return [field.element(x) for x in range(1, q) if verdict[x] == 2]
 
 
 def minimal_polynomial(x: FieldElement, base_order: int) -> Polynomial:
     """Monic minimal polynomial of x over GF(base_order).
 
-    Product of (X - y) over the Frobenius orbit {x, x^q, ...}, with the
-    coefficients descended into the base field.
+    Product of (X - y) over the Frobenius orbit {x, x^q, ...} on the field's
+    kernel, with the coefficients descended into the base field.
     """
     field = x.owner
     base, _, descend = subfield_maps(field, base_order)
     if x.is_zero():
         return Polynomial.x(base)
-    orbit = [x]
-    y = frobenius(x, base_order)
-    while y != x:
-        orbit.append(y)
-        y = frobenius(y, base_order)
-    prod = Polynomial.one(field)
-    X = Polynomial.x(field)
-    for y in orbit:
-        prod = prod * (X - Polynomial.constant(field, y))
-    return _descend_poly(prod, base, descend)
+    ops, prod = field.ops, [1]
+    for y in conjugates(x.int_value, base_order, ops, field.extension_degree):
+        prod = ops.kernel.mul(prod, [ops.neg(y), 1])
+    return _descend_poly(Polynomial(field, tuple(prod)), base, descend)
 
 
 def conjugate_product(f: Polynomial, base_order: int) -> Polynomial:
@@ -216,12 +209,11 @@ def conjugate_product(f: Polynomial, base_order: int) -> Polynomial:
     field = f.field
     base, _, descend = subfield_maps(field, base_order)
     m = field.extension_degree // subfield_degree(field, base_order)
-    prod = f
-    g = f
+    ops, prod, g = field.ops, f.ints, f.ints
     for _ in range(m - 1):
-        g = Polynomial.make(field, [frobenius(c, base_order) for c in g.coeffs])
-        prod = prod * g
-    return _descend_poly(prod, base, descend)
+        g = [int_pow(c, base_order, ops) for c in g]
+        prod = ops.kernel.mul(prod, g)
+    return _descend_poly(Polynomial(field, tuple(prod)), base, descend)
 
 
 def _descend_poly(p: Polynomial, base: Field, descend) -> Polynomial:

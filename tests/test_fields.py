@@ -1,9 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from tsrforge.errors import BaseNotSubfield, CompositeCharacteristic, ScaleExceeded
-from tsrforge.fields import (FieldElement, format_element, int_pow, least_root,
+from tsrforge.errors import BaseNotSubfield, CompositeCharacteristic, ExistenceViolation, ScaleExceeded
+from tsrforge.fields import (FieldElement, conjugates, format_element, int_pow, least_root,
                              make_extension_field, make_field, make_prime_field,
                              subfield_degree, subfield_maps)
 
@@ -262,3 +263,35 @@ def test_format_element():
     assert texts == ["0", "1", "2", "a", "a+1", "a+2", "2a", "2a+1", "2a+2"]
     f2 = make_field(2)
     assert format_element(f2.one()) == "1"
+
+
+@pytest.mark.parametrize("q", [1 << k for k in range(2, 13)] + [9, 81, 125, 121])
+def test_conjugates_walk_each_frobenius_orbit(q):
+    field = make_field(q)
+    ops, p, k = field.ops, field.characteristic, field.extension_degree
+    for e in sorted({p, p ** (k // 2)}):  # Frobenius over F_p and over F_{p^(k/2)}
+        seen = set()
+        for x in range(q):
+            orbit = conjugates(x, e, ops, k)
+            ref = [x]  # x^(e^i), each raised from x itself
+            while len(ref) < k and int_pow(x, e ** len(ref), ops) != x:
+                ref.append(int_pow(x, e ** len(ref), ops))
+            assert orbit == ref and k % len(orbit) == 0 and len(set(orbit)) == len(orbit), (x, e)
+            assert int_pow(orbit[-1], e, ops) == x
+            seen.update(orbit)
+        assert seen == set(range(q))
+
+
+def test_conjugates_refuse_a_map_that_does_not_close():
+    steps = []
+
+    def mul(a, b):  # y -> y^2 sends every y to 1, so the orbit of 2 never returns
+        steps.append(a)
+        return 1
+
+    ops = SimpleNamespace(mul=mul)
+    assert conjugates(1, 2, ops, 3) == [1]
+    steps.clear()
+    with pytest.raises(ExistenceViolation, match="orbit of 2 under y -> y\\^2 does not close after 3 steps"):
+        conjugates(2, 2, ops, 3)
+    assert len(steps) == 3  # one squaring per step, and no more than the limit

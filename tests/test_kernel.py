@@ -10,7 +10,6 @@ import pytest
 
 from tsrforge import kernel
 from tsrforge.fields import make_extension_field, make_field
-from tsrforge.kernel import int_poly_modpow
 from tsrforge.polys import Polynomial
 from tsrforge.primitivity import is_irreducible
 
@@ -65,6 +64,12 @@ def _ref_modpow(base, e, mod, p):
     return _ref_divrem(result, mod, p)[1]
 
 
+def _modpow(base, e, mod, ops):
+    """base^e mod mod in the kernel's ring F_p[X]/(mod)."""
+    ring = ops.kernel.ring(mod)
+    return ring.list(ring.pow(ring.reduce(base), e))
+
+
 def _rand(rng, p, deg):
     return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
 
@@ -88,7 +93,7 @@ def test_packed_kernel_matches_schoolbook(p):
     for mod in polys[3:]:
         for base in polys:  # the zero base, constants, and bases above deg mod
             for e in (0, 1, 2, 3, p, p + 1, rng.randrange(1 << 40), p ** len(mod) - 2):
-                assert int_poly_modpow(base, e, mod, ops) == _ref_modpow(base, e, mod, p), (base, e, mod)
+                assert _modpow(base, e, mod, ops) == _ref_modpow(base, e, mod, p), (base, e, mod)
 
 
 @pytest.mark.parametrize("p, deg", [(2, 254), (2, 255), (2, 300)]
@@ -106,7 +111,7 @@ def test_packed_kernel_matches_schoolbook_across_the_slot_width_boundary(p, deg)
     assert ops.kernel.gcd(_ref_mul(a, small, p), _ref_mul(b, small, p)) == \
         _ref_gcd(_ref_mul(a, small, p), _ref_mul(b, small, p), p)
     for base, e, m in ((a, 0, mod), (b, 3, mod), (_ref_mul(a, b, p), 2, mod), (full[:-1], 2, full)):
-        assert int_poly_modpow(base, e, m, ops) == _ref_modpow(base, e, m, p)
+        assert _modpow(base, e, m, ops) == _ref_modpow(base, e, m, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -197,3 +202,74 @@ def test_bitmask_multiply_in_characteristic_2(k):
             assert field.ops.mul(x, y) == _clmul_mod(x, y, mod)
         if x:
             assert _clmul_mod(x, field.ops.inv(x), mod) == 1
+
+
+def _repeated(v, e, mul, one):
+    r = one
+    for _ in range(e):
+        r = mul(r, v)
+    return r
+
+
+def _exponents(rng):
+    return [0, 1, 2, 3] + [(1 << k) + d for k in range(2, 7) for d in (-1, 1)] + [rng.randrange(4, 130) for _ in range(3)]
+
+
+@pytest.mark.parametrize("q", [2, 7, 16, 81, 1 << 17])
+def test_power_matches_repeated_multiplication_on_field_ints(q):
+    # F_2, F_7 by % p; F_16 and F_81 by tables; F_{2^17} by vectors
+    ops, rng = make_field(q).ops, random.Random(q)
+    for v in [0, 1, q - 1] + [rng.randrange(q) for _ in range(3)]:
+        for e in _exponents(rng):
+            calls = []
+
+            def mul(a, b):
+                calls.append(b is v or a is b)  # left to right: a square, or a multiply by v itself
+                return ops.mul(a, b)
+
+            assert kernel.power(v, e, mul, 1) == _repeated(v, e, ops.mul, 1), (v, e)
+            assert all(calls) and len(calls) == max(e.bit_length() + bin(e).count("1") - 2, 0), (v, e)
+
+
+@pytest.mark.parametrize("q, n", [(3, 6), (2, 9), (9, 4), (4, 5)])
+def test_power_matches_repeated_multiplication_in_packed_and_list_rings(q, n):
+    ops, rng = make_field(q).ops, random.Random(q * 10 + n)
+    ring = ops.kernel.ring([rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)])
+    for v in [ring.one, ring.x, ring.reduce([rng.randrange(q) for _ in range(n)])]:
+        for e in _exponents(rng):
+            assert ring.pow(v, e) == _repeated(v, e, ring.mul, ring.one), e
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_polynomial_pow_matches_repeated_multiplication(q):
+    field, rng = make_field(q), random.Random(q)
+    for f in [Polynomial.zero(field), Polynomial.one(field), Polynomial.x(field),
+              Polynomial.make(field, [rng.randrange(q) for _ in range(3)] + [rng.randrange(1, q)])]:
+        for e in _exponents(rng)[:12]:
+            assert f.pow(e) == _repeated(f, e, Polynomial.__mul__, Polynomial.one(field)), (f, e)
+
+
+@pytest.mark.parametrize("q, n", [(5, 0), (5, 1), (5, 3), (4, 2), (2, 4)])
+def test_matrix_power_matches_repeated_multiplication(q, n):
+    from tsrforge.matrices import Matrix
+
+    field, rng = make_field(q), random.Random(q * 10 + n)
+    A = Matrix(field, n, n, tuple(rng.randrange(q) for _ in range(n * n)))
+    for e in _exponents(rng):
+        assert A.power(e) == _repeated(A, e, Matrix.__mul__, Matrix.identity(field, n)), e
+
+
+def test_negative_exponents_are_refused():
+    # int_pow and xpow looped forever on e < 0, and ring.pow(v, -1) gave v^3
+    from tsrforge.fields import int_pow
+
+    with pytest.raises(ValueError, match="e = -1 must be >= 0"):
+        int_pow(3, -1, make_field(16).ops)
+    with pytest.raises(ValueError, match="e = -2 must be >= 0"):
+        kernel.power(3, -2, make_field(16).ops.mul, 1)
+    for q in (2, 4):  # a packed and a list ring
+        ring = make_field(q).ops.kernel.ring([1, 1, 1])
+        with pytest.raises(ValueError, match="e = -3 must be >= 0"):
+            ring.xpow(-3)
+        with pytest.raises(ValueError, match="e = -1 must be >= 0"):
+            ring.pow(ring.x, -1)

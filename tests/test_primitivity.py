@@ -515,3 +515,45 @@ def test_verdicts_survive_python_O():
     expected = [_reference_route(parse_poly(text, make_field(q))) for q, text in _O_CASES[:-1]]
     assert rows[:-1] == json.loads(json.dumps(expected))
     assert rows[-1] == [True, False, None]  # the norm decides
+
+
+def _ref_minimal_polynomial(x, base_order):
+    """Product of (X - y) over the Frobenius orbit of x, in Polynomial objects."""
+    field = x.owner
+    base, _, descend = subfield_maps(field, base_order)
+    orbit, y = [x], x ** base_order
+    while y != x:
+        orbit.append(y)
+        y = y ** base_order
+    prod, X = Polynomial.one(field), Polynomial.x(field)
+    for y in orbit:
+        prod = prod * (X - Polynomial.constant(field, y))
+    return Polynomial.make(base, [descend(c) for c in prod.coeffs])
+
+
+def _ref_conjugate_product(f, base_order):
+    """Product of the coefficient-Frobenius conjugates of f, in Polynomial objects."""
+    field = f.field
+    base, _, descend = subfield_maps(field, base_order)
+    prod, g, order = f, f, base_order
+    while order < field.order:  # one more conjugate per step up to the field
+        g = Polynomial.make(field, [c ** base_order for c in g.coeffs])
+        prod, order = prod * g, order * base_order
+    return Polynomial.make(base, [descend(c) for c in prod.coeffs])
+
+
+# every default field up to order 2^12, 3^6 and 5^4, over each of its proper subfields
+_TOWERS = [(p ** k, p ** j) for p, top in ((2, 12), (3, 6), (5, 4))
+           for k in range(2, top + 1) for j in range(1, k) if k % j == 0]
+
+
+@pytest.mark.parametrize("q, base_order", _TOWERS)
+def test_minimal_polynomial_and_conjugate_product_match_the_object_route(q, base_order):
+    field, rng = make_field(q), random.Random(q * 7 + base_order)
+    xs = [0, 1, field.characteristic] + [rng.randrange(q) for _ in range(12)]
+    for x in map(field.element, xs):
+        assert minimal_polynomial(x, base_order) == _ref_minimal_polynomial(x, base_order), x
+    for deg in (0, 1, 3):
+        f = Polynomial.make(field, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+        assert conjugate_product(f, base_order) == _ref_conjugate_product(f, base_order), f
+    assert conjugate_product(Polynomial.zero(field), base_order).is_zero()

@@ -5,14 +5,14 @@
 Each --side LABEL=PATH names the root of a tsrforge source checkout.  For
 every side the recorder writes:
 
-- layer rows: microseconds per call of `int_poly_modpow` (X^e mod f with
+- layer rows: microseconds per call of `poly_modpow` (X^e mod f with
   e = q^n - 2), `is_irreducible` and `is_primitive_poly`, each on the same
   seeded sample of monic polynomials with f(0) != 0, at degrees 20, 40 and 64
   over F_2, 10, 20 and 40 over F_3 and 8 over F_9; microseconds per
   `is_primitive_poly` call on primitive inputs, where every stage runs:
   x^63 + x + 1 over F_2 and the pools of perfbench/expected/certify.json
   (F_3 degree 20, F_4 degree 12, F_9 degree 8), each call on an emptied
-  ring cache as a caller with a new f finds it; seconds per call of
+  ring cache as a caller with a new f finds it; milliseconds per call of
   the element tally `primitive_trace_one_count` at m = 8 and 10; and
   milliseconds per repeated `subfield_maps` call (`build`: a cache lookup
   where the tables are cached), to build the tables uncached
@@ -30,11 +30,15 @@ every side the recorder writes:
   F_{2^10} and F_121, and `verify_conjecture` in the composition form at
   (2, 2, 7) and the direct form at (5, 2, 3); microseconds per
   `Polynomial.compose` f(g(X)) on the first (f, g) hit of
-  `search_primitive_tsr` at (4, 2, 3) and (3, 3, 3);
+  `search_primitive_tsr` at (4, 2, 3) and (3, 3, 3); microseconds per
+  `minimal_polynomial` call on a seeded sample of elements of F_4096 over
+  F_2 and of F_729 over F_9, and per `conjugate_product` call on the
+  search's step-5 polynomial at (q, m, n) = (16, 3, 3) and (9, 2, 3);
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
 
+Every layer row keeps SIGNIFICANT figures, so a small row moves in fine steps.
 Layer rows are timed in a fresh interpreter that imports that side's src/,
 LAYER_ROUNDS short rounds per side; a round keeps the fastest of REPEATS
 passes, and `layers` keeps each row's fastest round, as a busy shared host
@@ -69,9 +73,17 @@ SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]
 COMPOSE_POINTS = [(4, 2, 3), (3, 3, 3)]  # compose f(g(X)) on the search's first hit
 FIBER_ROWS = [("t4", 4), ("t2", 6), ("t5", 13)]  # (table, key): F_81, F_64, F_169
 PRIMITIVE_ELEMENT_ORDERS = (1 << 10, 121)
+MINPOLY_CASES = [(1 << 12, 2), (729, 9)]  # (field, base) orders of minimal_polynomial
+CONJUGATE_POINTS = [(16, 3, 3), (9, 2, 3)]  # conjugate_product on the search's step-5 polynomial
+SIGNIFICANT = 4
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def sig(x: float) -> float:
+    """x rounded to SIGNIFICANT figures."""
+    return float(f"{x:.{SIGNIFICANT}g}")
 
 
 def per_call(call, count: int) -> float:
@@ -93,12 +105,9 @@ def layer_rows(src: str) -> dict:
     from tsrforge.cosets import primitive_trace_one_count
     from tsrforge.counting import enumerate_special_primitives
     from tsrforge.fields import base_digits, make_field, subfield_maps
-    try:
-        from tsrforge.kernel import int_poly_modpow
-    except ImportError:  # checkouts before the kernel module
-        from tsrforge.fields import int_poly_modpow
-    from tsrforge.polys import Polynomial
-    from tsrforge.primitivity import is_irreducible, is_primitive_poly, primitive_elements
+    from tsrforge.polys import Polynomial, poly_modpow
+    from tsrforge.primitivity import (conjugate_product, is_irreducible, is_primitive_poly,
+                                      minimal_polynomial, primitive_elements)
     from tsrforge import fields, primitivity
     from tsrforge.search import _alpha_field, _iter_primitive, search_primitive_tsr, verify_conjecture
     from tsrforge.tables import TABLES, fiber_census, generate_table
@@ -110,15 +119,14 @@ def layer_rows(src: str) -> dict:
         polys = [Polynomial.make(field, [rng.randrange(1, q)]
                                  + base_digits(rng.randrange(q ** (n - 1)), q, n - 1) + [1])
                  for _ in range(SAMPLE)]
-        ints = [[c.int_value for c in f.coeffs] for f in polys]
-        e = q ** n - 2
+        x, e = Polynomial.x(field), q ** n - 2
         calls = {
-            "int_poly_modpow": lambda i: int_poly_modpow([0, 1], e, ints[i], field.ops),
+            "poly_modpow": lambda i: poly_modpow(x, e, polys[i]),
             "is_irreducible": lambda i: is_irreducible(polys[i]),
             "is_primitive_poly": lambda i: is_primitive_poly(polys[i]),
         }
         for name, call in calls.items():
-            rows[f"{name}.F{q}.deg{n}_us"] = round(per_call(call, SAMPLE) * 1e6, 1)
+            rows[f"{name}.F{q}.deg{n}_us"] = sig(per_call(call, SAMPLE) * 1e6)
     certify = json.loads((Path(src) / "perfbench" / "expected" / "certify.json").read_text())["primitive"]
     pools = {"F2.deg63": [Polynomial.make(make_field(2), [1, 1] + [0] * 61 + [1])]}
     for key, pool in certify.items():
@@ -126,24 +134,24 @@ def layer_rows(src: str) -> dict:
         pools[f"F{q}.deg{n}"] = [Polynomial.make(make_field(q), c) for c in pool]
     uncache = getattr(getattr(primitivity, "_ring", None), "cache_clear", lambda: None)
     for case, pool in pools.items():
-        rows[f"is_primitive_poly.primitive.{case}_us"] = round(
-            per_call(lambda i: uncache() or is_primitive_poly(pool[i]), len(pool)) * 1e6, 1)
+        rows[f"is_primitive_poly.primitive.{case}_us"] = sig(
+            per_call(lambda i: uncache() or is_primitive_poly(pool[i]), len(pool)) * 1e6)
     for m in TALLY_M:
-        rows[f"primitive_trace_one_count.m{m}_s"] = round(per_call(lambda _: primitive_trace_one_count(m), 1), 4)
+        rows[f"primitive_trace_one_count.m{m}_ms"] = sig(per_call(lambda _: primitive_trace_one_count(m), 1) * 1e3)
     for order, base_order in SUBFIELD_CASES:
         big = make_field(order)
         base, embed, descend = subfield_maps(big, base_order)  # also builds big.ops, untimed
         xs = [base.element(i % base.order) for i in range(ROUND_TRIPS)]
         case = f"F{order}.F{base_order}_ms"
-        rows[f"subfield_maps.build.{case}"] = round(per_call(lambda _: subfield_maps(big, base_order), 1) * 1e3, 3)
-        rows[f"subfield_tables.uncached.{case}"] = round(
-            per_call(lambda _: fields._subfield_tables.__wrapped__(big, base), 1) * 1e3, 3)
-        rows[f"subfield_maps.roundtrip{ROUND_TRIPS}.{case}"] = round(
-            per_call(lambda i: descend(embed(xs[i])), ROUND_TRIPS) * ROUND_TRIPS * 1e3, 3)
+        rows[f"subfield_maps.build.{case}"] = sig(per_call(lambda _: subfield_maps(big, base_order), 1) * 1e3)
+        rows[f"subfield_tables.uncached.{case}"] = sig(
+            per_call(lambda _: fields._subfield_tables.__wrapped__(big, base), 1) * 1e3)
+        rows[f"subfield_maps.roundtrip{ROUND_TRIPS}.{case}"] = sig(
+            per_call(lambda i: descend(embed(xs[i])), ROUND_TRIPS) * ROUND_TRIPS * 1e3)
     for q, m in ALPHA_POINTS:
         f = next(_iter_primitive(make_field(q), m))
         _alpha_field(q, m, f)  # builds the fields and the subfield tables, untimed
-        rows[f"_alpha_field.q{q}m{m}_us"] = round(per_call(lambda _: _alpha_field(q, m, f), 1) * 1e6, 1)
+        rows[f"_alpha_field.q{q}m{m}_us"] = sig(per_call(lambda _: _alpha_field(q, m, f), 1) * 1e6)
     walk = json.loads((Path(src) / "perfbench" / "expected" / "walk.json").read_text())["strata"]
     specs = [TsrSpec.from_json(walk[name][0]) for name in WALK_STRATA]
     for name, spec in zip(WALK_STRATA, specs):
@@ -156,8 +164,8 @@ def layer_rows(src: str) -> dict:
             return steps
 
         steps = orbit(0)  # also fills the step's caches, untimed
-        rows[f"tsr_step.{name}_us"] = round(per_call(orbit, 1) / steps * 1e6, 2)
-    rows["tsr_period.walk4_us"] = round(per_call(lambda i: tsr_period(specs[i]), len(specs)) * 1e6, 1)
+        rows[f"tsr_step.{name}_us"] = sig(per_call(orbit, 1) / steps * 1e6)
+    rows["tsr_period.walk4_us"] = sig(per_call(lambda i: tsr_period(specs[i]), len(specs)) * 1e6)
     scans = {f"search_primitive_tsr.q{q}m{m}n{n}_ms": lambda _, q=q, m=m, n=n: search_primitive_tsr(q, m, n)
              for q, m, n in SEARCH_POINTS}
     for form in ("P_mnq", "P_qmn"):
@@ -174,10 +182,19 @@ def layer_rows(src: str) -> dict:
     scans["verify_conjecture.direct.q5m2n3_ms"] = lambda _: verify_conjecture(5, 2, 3, "direct")
     for name, call in scans.items():
         call(0)  # builds the fields and their tables, untimed
-        rows[name] = round(per_call(call, 1) * 1e3, 3)
+        rows[name] = sig(per_call(call, 1) * 1e3)
     for q, m, n in COMPOSE_POINTS:
         prov = search_primitive_tsr(q, m, n).provenance
-        rows[f"compose.q{q}m{m}n{n}_us"] = round(per_call(lambda _: prov.f.compose(prov.g), 1) * 1e6, 2)
+        rows[f"compose.q{q}m{m}n{n}_us"] = sig(per_call(lambda _: prov.f.compose(prov.g), 1) * 1e6)
+    for order, base_order in MINPOLY_CASES:
+        field, rng = make_field(order), random.Random(order)
+        xs = [field.element(rng.randrange(1, order)) for _ in range(SAMPLE)]
+        minimal_polynomial(xs[0], base_order)  # builds the subfield tables, untimed
+        rows[f"minimal_polynomial.F{order}.F{base_order}_us"] = sig(
+            per_call(lambda i: minimal_polynomial(xs[i], base_order), SAMPLE) * 1e6)
+    for q, m, n in CONJUGATE_POINTS:
+        step5 = search_primitive_tsr(q, m, n).provenance.step5
+        rows[f"conjugate_product.q{q}m{m}n{n}_us"] = sig(per_call(lambda _: conjugate_product(step5, q), 1) * 1e6)
     return rows
 
 
