@@ -279,4 +279,4 @@ class _PackedRing(_Ring):
 
     def frob(self, v: int) -> int:
         """v^p, the q-power step of Rabin's test: over F_2 one squaring."""
-        return self.pow(v, self.pk.p)
+        return power(v, self.q, self.mul, 1)
