@@ -86,6 +86,7 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     """
     if form not in ("P_qmn", "P_mnq"):
         raise UnknownKind(f"unknown enumeration form {form!r}")
+    prime_power(q)
     check_shape(m, n)
     # guard before the primitive-element scan; phi counts that scan's output
     space = q ** (n - 1) * euler_phi(q ** m - 1)

@@ -32,4 +32,8 @@ def check_field(size: int, what: str = "state space") -> None:
 
 def check_custom(size: int, bits: int, what: str) -> None:
     if size > (1 << bits):
-        raise ScaleExceeded(f"{what} of {size} exceeds the 2^{bits} guard")
+        try:
+            shown = f"{size}"
+        except ValueError:  # more digits than int-to-str conversion allows
+            shown = f"a {size.bit_length()}-bit number"
+        raise ScaleExceeded(f"{what} of {shown} exceeds the 2^{bits} guard")

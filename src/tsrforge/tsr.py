@@ -8,7 +8,7 @@ column (B, c_1 B, ..., c_{n-1} B).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from math import prod
 from typing import Optional
@@ -16,16 +16,29 @@ from typing import Optional
 from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB,
                      ZeroConstantTerm)
 from .factorint import merged_factorization, multiplicative_order_from
-from .fields import Field, FieldElement, base_digits, make_field
+from .fields import Field, FieldElement, _encode, base_digits, make_field
 from .guards import check_field
-from .kernel import _trim
+from .kernel import PackedKernel, _trim
 from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
 from .polys import Polynomial, _common_field, poly_modpow
 from .primitivity import is_primitive_poly
 
-# blocks remembered per tap table; a larger q^m computes the other blocks on each step
+# entries kept per tap table and by the decoder; a larger q^m computes the others on each step
 TAP_TABLE_CAP = 1 << 12
+
+
+class _Memo(dict):
+    """key -> fill(memo, key), remembering at most TAP_TABLE_CAP keys."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self.fill(self, key)
+        if len(self) < TAP_TABLE_CAP:
+            self[key] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -55,13 +68,29 @@ class TsrSpec:
         return self.field.order
 
     @cached_property
-    def _taps(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...], dict], ...]:
-        """(j, rows of c_j B as canonical ints, block -> block (c_j B) table) per nonzero
-        tap, c_0 = 1; tsr_step fills each table, up to TAP_TABLE_CAP blocks."""
-        mul = self.field.ops.mul
-        taps = (1,) + tuple(ci.int_value for ci in self.c)
-        return tuple((j, tuple(tuple(mul(cj, b) for b in row) for row in _int_rows(self.B)), {})
-                     for j, cj in enumerate(taps) if cj)
+    def _taps(self) -> tuple:
+        """(norm, mask, decoder, ((j, table), ...)): a block packs into one int, a PackedKernel(p)
+        slot per F_p digit, so blocks add as ints and one norm.  Per nonzero tap c_j (c_0 = 1), table
+        maps a block to block (c_j B), packed, by linearity; decoder maps a normed sum to (block,)."""
+        m, p, k, mul = self.m, self.field.characteristic, self.field.extension_degree, self.field.ops.mul
+        pk = PackedKernel(p).wide(self.n)
+        mask = pk.mask(m * k)
+
+        def part(rows, table, block):  # m products, plus the part of block with digit i cleared
+            i = max((i for i, x in enumerate(block) if x), default=0)
+            digits = [d for y in rows[i] for d in base_digits(mul(block[i], y), p, k)]
+            return pk.norm(pk.pack(digits) + (table[block[:i] + (0,) * (m - i)] if i else 0), mask)
+
+        def decode(_, x):
+            digits = pk.unpack(x) + [0] * (m * k)
+            return (tuple(_encode(digits[i:i + k], p) for i in range(0, m * k, k)),)
+
+        return pk.norm, mask, _Memo(decode), tuple(
+            (j, _Memo(partial(part, [[mul(cj, b) for b in row] for row in _int_rows(self.B)])))
+            for j, cj in enumerate((1,) + tuple(ci.int_value for ci in self.c)) if cj)
+
+    def __getstate__(self):  # _taps holds closures; it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_taps"}
 
     def to_json(self) -> dict:
         return {
@@ -154,11 +183,7 @@ def build_transition_matrix(spec: TsrSpec) -> Matrix:
     for t in range(n - 1):
         for i in range(m):
             rows[(t + 1) * m + i][t * m + i] = one
-    taps = (one,) + spec.c
-    for j in range(n):
-        cj = taps[j]
-        if cj.is_zero():
-            continue
+    for j, cj in enumerate((one,) + spec.c):
         for i in range(m):
             for k in range(m):
                 rows[j * m + i][(n - 1) * m + k] = spec.B.at(i, k) * cj
@@ -178,29 +203,21 @@ def _checked_blocks(spec: TsrSpec, state: TsrState) -> tuple[tuple[int, ...], ..
 
 
 def tsr_step(spec: TsrSpec, state: TsrState) -> TsrState:
+    """The next state: its last block is the normed int sum of the packed parts block_j (c_j B)
+    of spec._taps, decoded.  It is built without __post_init__, as its field is known."""
     field, blocks = spec.field, state.blocks
     if state.field is not field:
         blocks = _checked_blocks(spec, state)
     elif len(blocks) != spec.n or len(blocks[0]) != spec.m:
         raise DimensionMismatch("state shape does not match the spec")
-    add, _, mul, _, _ = field.ops
-    # new last block = sum over j of block_j (c_j B), one table lookup per nonzero tap
-    new_last = None
-    for j, rows, table in spec._taps:
-        block = blocks[j]
-        part = table.get(block)
-        if part is None:
-            acc = [0] * spec.m
-            for x, row in zip(block, rows):
-                if x:
-                    for t, y in enumerate(row):
-                        if y:
-                            acc[t] = add(acc[t], mul(x, y))
-            part = tuple(acc)
-            if len(table) < TAP_TABLE_CAP:
-                table[block] = part
-        new_last = part if new_last is None else tuple(map(add, new_last, part))
-    return TsrState(blocks[1:] + (new_last,), state.step_index + 1, field)
+    norm, mask, decoder, tables = spec._taps
+    total = 0
+    for j, table in tables:
+        total += table[blocks[j]]
+    new = object.__new__(TsrState)
+    new.__dict__.update(blocks=blocks[1:] + decoder[norm(total, mask)],
+                        step_index=state.step_index + 1, field=field)
+    return new
 
 
 def tap_polynomial(spec: TsrSpec) -> Polynomial:
@@ -266,9 +283,7 @@ def _peel(f: Polynomial, g: Polynomial, m: int, n: int):
     field = f.field
     D = g.degree
     lead = g.leading
-    g_pow = [Polynomial.one(field)]
-    for _ in range(m):
-        g_pow.append(g_pow[-1] * g)
+    g_pow = [g.pow(k) for k in range(m + 1)]
     rem = f
     h_coeffs = [field.zero()] * (m + 1)
     for k in range(m, -1, -1):

@@ -331,6 +331,29 @@ def test_search_and_enumerate_reject_bad_shape(capsys):
         assert "bad arguments" in err and name in err
 
 
+def test_enumerate_censuses_name_a_q_that_is_not_a_prime_power(capsys):
+    for form in ("P_mnq", "P_qmn"):
+        for q in ("1", "0", "6"):
+            code, out, err = run_cli(capsys, "enumerate", form, q, "2", "2")
+            assert code == 2
+            assert out == ""
+            assert err == f"bad arguments: {q} is not a prime power\n"
+
+
+def test_guard_names_a_size_too_long_to_print_by_its_bit_length(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    for argv, what in ((("2", "1", "99999"), "tap space"), (("2", "99999", "1"), "block field")):
+        code, out, err = run_cli(capsys, "search-tsr", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"guard violation: {what} of a 100000-bit number exceeds the 2^24 guard\n"
+        assert "Traceback" not in err
+    # a size that prints is still printed in full
+    code, _, err = run_cli(capsys, "search-tsr", "2", "1", "30")
+    assert code == 2
+    assert err == "guard violation: tap space of 1073741824 exceeds the 2^24 guard\n"
+
+
 def test_guard_bits_flag_tightens_both_guards(capsys, monkeypatch):
     # pin the variable so the flag's os.environ write is rolled back afterwards
     monkeypatch.setenv(ENV_VAR, "24")

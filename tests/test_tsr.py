@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -230,7 +232,83 @@ def test_step_past_the_table_cap_over_f65537():
     for _ in range(tsr.TAP_TABLE_CAP + 1000):
         state, vec = tsr_step(spec, state), _row_times(vec, T)
         assert state.flatten() == vec
-    assert [len(table) for _, _, table in spec._taps] == [tsr.TAP_TABLE_CAP] * 2
+    _, _, decoder, tables = spec._taps
+    assert [len(table) for _, table in tables] == [tsr.TAP_TABLE_CAP] * 2
+    assert len(decoder) == tsr.TAP_TABLE_CAP
+
+
+# (q, m, n) with q^(mn) <= 6561, blocks of 1 to 4 F_p digits
+WHOLE_ORBIT_CASES = [(2, 3, 3), (2, 4, 2), (3, 2, 3), (4, 2, 2), (8, 2, 2), (9, 2, 2),
+                     (16, 1, 3), (16, 2, 1), (25, 1, 2), (25, 2, 1)]
+
+
+@pytest.mark.parametrize("q, m, n", WHOLE_ORBIT_CASES)
+def test_every_state_of_a_whole_orbit_matches_the_transition_matrix(q, m, n):
+    # a primitive register: the orbit of any nonzero state is all q^(mn) - 1 of them
+    rng = random.Random(q * 1000 + m * 10 + n)
+    spec = next(s for s in (_random_spec(rng, q, m, n) for _ in range(1000)) if is_primitive_tsr(s))
+    T = build_transition_matrix(spec)
+    s0 = TsrState.from_ints(spec, [1] + [0] * (m * n - 1))
+    state, vec = s0, s0.flatten()
+    for steps in range(1, q ** (m * n)):
+        state, vec = tsr_step(spec, state), _row_times(vec, T)
+        assert state.flatten() == vec
+        assert state.step_index == steps
+    assert state.blocks == s0.blocks
+    _, _, decoder, tables = spec._taps
+    assert all(len(table) <= q ** m for _, table in tables) and len(decoder) <= q ** m
+
+
+def test_tables_and_decoder_stay_under_a_small_cap(monkeypatch):
+    # past the cap every missing block and sum is computed again, over F_16 and F_9
+    monkeypatch.setattr(tsr, "TAP_TABLE_CAP", 5)
+    for q in (16, 9):
+        spec = _random_spec(random.Random(q), q, 2, 3)
+        T = build_transition_matrix(spec)
+        state = TsrState.from_ints(spec, [1, 2, 0, 3, 1, 1])
+        vec = state.flatten()
+        for _ in range(300):
+            state, vec = tsr_step(spec, state), _row_times(vec, T)
+            assert state.flatten() == vec
+        _, _, decoder, tables = spec._taps
+        assert [len(table) for _, table in tables] == [5] * len(tables)
+        assert len(decoder) == 5
+
+
+@pytest.mark.parametrize("q", [2, 9, 25, 65537])
+def test_hand_built_states_step_like_from_ints_over_each_field(q):
+    spec = _random_spec(random.Random(q), q, 2, 3)
+    field = spec.field
+    values = [1, q - 1, 0, 2 % q, 0, 1]
+    rows = (tuple(values[0:2]), tuple(values[2:4]), tuple(values[4:6]))
+    expected = TsrState.from_ints(spec, values)
+    for hand_built in (TsrState(rows), TsrState(tuple(tuple(field.element(v) for v in r) for r in rows))):
+        state, reference = hand_built, expected
+        for _ in range(5):
+            state, reference = tsr_step(spec, state), tsr_step(spec, reference)
+            assert state == reference
+    other = make_field(3 if q == 2 else 2)
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        tsr_step(spec, TsrState(tuple(tuple(FieldElement(other, 1) for _ in r) for r in rows)))
+
+
+def test_a_stepped_state_is_an_ordinary_tsr_state():
+    spec = _fib_spec()
+    stepped = tsr_step(spec, tsr_step(spec, TsrState.from_ints(spec, [1, 0, 0, 1])))
+    built = TsrState(stepped.blocks, 2, spec.field)
+    assert type(stepped) is TsrState
+    assert stepped == built and hash(stepped) == hash(built) and {built: 1}[stepped] == 1
+    assert repr(stepped) == repr(built)
+    assert vars(stepped) == vars(built)
+    assert stepped.flatten() == built.flatten()
+    assert dataclasses.replace(stepped, step_index=0) == TsrState(stepped.blocks, 0, spec.field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stepped.step_index = 3
+    restored = pickle.loads(pickle.dumps(stepped))
+    assert restored == built and tsr_step(spec, restored) == tsr_step(spec, built)
+    # a spec that has stepped pickles without its tables, and steps alike when restored
+    spec_back = pickle.loads(pickle.dumps(spec))
+    assert spec_back == spec and tsr_step(spec_back, built) == tsr_step(spec, built)
 
 
 def test_out_of_range_encodings_are_refused():
