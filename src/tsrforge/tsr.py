@@ -69,9 +69,8 @@ class TsrSpec:
 
     @cached_property
     def _taps(self) -> tuple:
-        """(norm, mask, decoder, ((j, table), ...)): a block packs into one int, a PackedKernel(p)
-        slot per F_p digit, so blocks add as ints and one norm.  Per nonzero tap c_j (c_0 = 1), table
-        maps a block to block (c_j B), packed, by linearity; decoder maps a normed sum to (block,)."""
+        """(norm, mask, decoder, ((j, table), ...)): per nonzero tap c_j (c_0 = 1) a table maps a block
+        to block (c_j B) as one int, a PackedKernel(p) slot per F_p digit; decoder: normed sum -> (block,)."""
         m, p, k, mul = self.m, self.field.characteristic, self.field.extension_degree, self.field.ops.mul
         pk = PackedKernel(p).wide(self.n)
         mask = pk.mask(m * k)
@@ -203,8 +202,7 @@ def _checked_blocks(spec: TsrSpec, state: TsrState) -> tuple[tuple[int, ...], ..
 
 
 def tsr_step(spec: TsrSpec, state: TsrState) -> TsrState:
-    """The next state: its last block is the normed int sum of the packed parts block_j (c_j B)
-    of spec._taps, decoded.  It is built without __post_init__, as its field is known."""
+    """The next state: its last block is the packed parts of spec._taps summed, normed and decoded."""
     field, blocks = spec.field, state.blocks
     if state.field is not field:
         blocks = _checked_blocks(spec, state)
@@ -214,9 +212,11 @@ def tsr_step(spec: TsrSpec, state: TsrState) -> TsrState:
     total = 0
     for j, table in tables:
         total += table[blocks[j]]
-    new = object.__new__(TsrState)
-    new.__dict__.update(blocks=blocks[1:] + decoder[norm(total, mask)],
-                        step_index=state.step_index + 1, field=field)
+    new = object.__new__(TsrState)  # without __post_init__, as the field is known
+    fields = new.__dict__
+    fields["blocks"] = blocks[1:] + decoder[norm(total, mask)]
+    fields["step_index"] = state.step_index + 1
+    fields["field"] = field
     return new
 
 
