@@ -23,7 +23,7 @@ from .errors import (
 )
 from .factorint import factor_integer, is_prime_int
 from .guards import check_enumeration
-from .kernel import FieldOps, ListKernel, PackedKernel, power
+from .kernel import FieldOps, _encode, _kernel, base_digits, power
 
 # Conway polynomials, little-endian coefficient tuples over F_p.  Each entry
 # was verified primitive (order test) and norm-compatible with its subfield
@@ -58,15 +58,6 @@ CONWAY_POLYNOMIALS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def base_digits(v: int, base: int, k: int) -> list[int]:
-    """The k little-endian base-`base` digits of v: the canonical decoding."""
-    digits = []
-    for _ in range(k):
-        digits.append(v % base)
-        v //= base
-    return digits
-
-
 def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k for a prime p; CompositeCharacteristic otherwise."""
     factors = factor_integer(q).factors if q >= 2 else ()
@@ -76,14 +67,6 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 TABLE_MAX_ORDER = 1 << 16  # extension fields up to this order multiply by exp/log tables
-
-
-def _encode(digits: Sequence[int], p: int) -> int:
-    """Inverse of base_digits: sum of digits[i] * p**i."""
-    v = 0
-    for d in reversed(digits):
-        v = v * p + d
-    return v
 
 
 def int_pow(a: int, e: int, ops: FieldOps) -> int:
@@ -106,34 +89,34 @@ def conjugates(x: int, e: int, ops: FieldOps, limit: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _field_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
-    """F_p by % p, with the packed polynomial kernel; F_{p^k} by exp/log tables
-    up to TABLE_MAX_ORDER, else by vectors, with the list kernel (kernel.py)."""
-    if k == 1:
-        kernel = PackedKernel(p)
-        if p == 2:
-            return FieldOps(xor, pos, and_, pos, kernel)
-        return FieldOps(lambda a, b: (a + b) % p, lambda a: -a % p,
-                        lambda a, b: a * b % p, lambda a: pow(a, p - 2, p), kernel)
-    add, neg, mul, inv = (_table_ops if p ** k <= TABLE_MAX_ORDER else _vector_ops)(p, k, modulus)
-    return FieldOps(add, neg, mul, inv, ListKernel(p ** k, add, neg, mul, inv))
+    """F_p by % p; F_{p^k} by exp/log tables up to TABLE_MAX_ORDER, else by
+    vectors; every field with the packed polynomial kernel on its modulus (kernel.py)."""
+    if k > 1:
+        ops = (_table_ops if p ** k <= TABLE_MAX_ORDER else _vector_ops)(p, k, modulus)
+    else:
+        ops = (xor, pos, and_, pos) if p == 2 else (lambda a, b: (a + b) % p, lambda a: -a % p,
+                                                    lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
+    return FieldOps(*ops, _kernel(p, 8, modulus))
 
 
 def _vector_ops(p: int, k: int, modulus: tuple[int, ...]):
-    """(add, neg, mul, inv) on coefficient vectors over F_p, reduced by the modulus.
+    """(add, neg, mul, inv) on coefficient vectors over F_p: a product is one block
+    of the field's kernel, folded by the modulus.
 
     Over F_2 the canonical int is the bit vector: its binary digits, one
     byte '0' or '1' each, become the low bytes of the packed slots.
     """
-    ring = PackedKernel(p).ring(list(modulus))
-    size, q = ring.pk.size, p ** k
+    kernel = _kernel(p, 8, modulus)
+    (fold, mask), size, q = kernel.fold(1), kernel.size, p ** k
     if p == 2:
         to_slot, to_bit = {48: "\0" * size, 49: "\0" * (size - 1) + "\1"}, bytes.maketrans(b"\0\1", b"01")
         spread = lambda a: int.from_bytes(f"{a:b}".translate(to_slot).encode("latin-1"), "big")
         gather = lambda x: int(x.to_bytes(k * size, "big")[size - 1::size].translate(to_bit), 2)
     else:
-        spread, gather = lambda a: ring.pk.pack(base_digits(a, p, k)), lambda x: _encode(ring.list(x), p)
-    mul = lambda a, b: gather(ring.mul(spread(a), spread(b)))
-    inv = lambda a: gather(ring.pow(spread(a), q - 2))
+        spread = lambda a: int.from_bytes(kernel._bytes(base_digits(a, p, k)), "little")
+        gather = lambda x: _encode(kernel._digits(x.to_bytes(k * size, "little")), p)
+    mul = lambda a, b: gather(fold(spread(a) * spread(b), mask))
+    inv = lambda a: gather(power(spread(a), q - 2, lambda x, y: fold(x * y, mask), 1))
     if p == 2:
         return xor, pos, mul, inv
     return (lambda a, b: _encode([(x + y) % p for x, y in zip(base_digits(a, p, k), base_digits(b, p, k))], p),
@@ -309,6 +292,9 @@ class Field:
     def ops(self) -> FieldOps:
         """add, neg, mul and inv on canonical encodings, built once per equal field."""
         return _field_ops(self.characteristic, self.extension_degree, self._modulus_vec)
+
+    def __getstate__(self):  # ops hold closures and memos; they are rebuilt from p, k and the modulus
+        return {k: v for k, v in self.__dict__.items() if k != "ops"}
 
     @property
     def modulus_coeffs(self) -> Optional[tuple[int, ...]]:
@@ -495,18 +481,17 @@ def least_root(field: Field, coeffs: Sequence[int], base_order: int) -> Optional
     conjugates; the least is returned, or None when f does not end linear.
     """
     ops, p, k = field.ops, field.characteristic, field.extension_degree
-    add, kernel, lead = ops.add, ops.kernel, ops.inv(coeffs[-1])
+    lead = ops.inv(coeffs[-1])
     f = [ops.mul(c, lead) for c in coeffs]
     for i in range(1, k):  # beta = a^i
         if len(f) <= 2:
             break
-        ring, t = kernel.ring(f), [0] * (len(f) - 1)
-        v = ring.reduce([0, p ** i])
-        for j in range(k):  # t = v + v^p + ... + v^(p^(k-1)), v = beta X
-            v = ring.pow(v, p) if j else v
-            for d, c in enumerate(ring.list(v)):
-                t[d] = add(t[d], c)
-        parts = [g for c in range(p) if len(g := kernel.gcd(f, [add(t[0], ops.neg(c))] + t[1:])) > 1]
+        ring = ops.kernel.ring(f)
+        v = t = ring.reduce([0, p ** i])
+        for _ in range(k - 1):  # t = v + v^p + ... + v^(p^(k-1)), v = beta X
+            v = ring.pow(v, p)
+            t = ring.add(t, v)
+        parts = [g for c in range(p) if len(g := ring.list(ring.gcd(t, c))) > 1]  # c: a constant residue
         f = min(parts, key=len, default=f)
     return min(conjugates(ops.neg(f[0]), base_order, ops, k)) if len(f) == 2 else None
 

@@ -1,25 +1,25 @@
-"""Polynomial kernels: polynomials over F_q as little-endian lists of canonical ints.
+"""The polynomial kernel: polynomials over F_q, q = p^k, as ints (two-level Kronecker substitution).
 
-A field's FieldOps carries one kernel, picked when fields._field_ops builds
-the ops; callers run its mul, divrem (quot, rem with deg rem < deg b, for a
-trimmed nonzero b), monic gcd and ring (F_q[X]/(f)) directly.  Lists come
-out trimmed; the zero polynomial is [].  `power` is the package's one
-square-and-multiply: field elements, ring residues, polynomials and
-matrices all raise to a power through it.
+Each field's FieldOps carries its PackedKernel; callers run its mul, divrem
+(quot, rem with deg rem < deg b, for a trimmed nonzero b), monic gcd and ring
+(F_q[X]/(f)) on little-endian lists of canonical ints, which come out trimmed
+(the zero polynomial is []).  `power` is the package's one square-and-multiply.
 
-- F_p runs packed (Kronecker substitution): a polynomial is one int with a
-  w-bit slot per coefficient, so a product is one big-int multiply.  `norm`
-  reduces every slot mod p at once: an AND over F_2, else the exact
-  slot-wise quotient floor(v*m / 2^s) = floor(v/p) for v < 2^top (Granlund
-  & Montgomery), on slots of about 2*top bits.  Reduction by a fixed f of
-  degree d is Barrett's: quot(c) = floor(floor(c / X^d) * mu / X^(d-1)) with
-  mu = floor(X^(2d-1) / f), found once per modulus.  Powers, and Rabin's
-  q-power steps with them, stay packed; lists convert at the edge only.
-- F_{p^k}, k >= 2, runs list loops on the field's add/neg/mul/inv.
+Base-p digit j of coefficient i sits in the w-bit slot i*(2k-1) + j, so a product
+is one big-int multiply whose blocks of 2k - 1 slots hold coefficients as
+polynomials in y of degree <= 2k - 2.  A fold reduces every block at once: the
+norm takes each slot mod p (an AND over F_2, else floor(v*m / 2^s) = floor(v/p)
+for v < 2^top, as Granlund & Montgomery), then digits k..2k-2 go by the field
+modulus m(y) with Barrett's quotient floor(floor(c / y^k) * floor(y^(2k-2) / m)
+/ y^(k-2)), one multiply for all blocks (none for k = 2; over F_p the norm is
+all).  Reduction by f of degree d in X is Barrett's again on whole blocks, with
+mu = floor(X^n / f) once per modulus.  Lists convert at the edge only, by a
+memoised spread per coefficient and a gather per block.
 """
 
 import sys
 from array import array
+from functools import lru_cache
 from operator import and_
 from typing import Callable, NamedTuple
 
@@ -29,13 +29,43 @@ _ARRAY_CODES = {array(t).itemsize: t for t in "BHIQ"} if sys.byteorder == "littl
 
 
 class FieldOps(NamedTuple):
-    """add, neg, mul and inv on canonical encodings (inv of nonzero only), and a kernel."""
+    """add, neg, mul and inv on canonical encodings (inv of nonzero only), and the field's kernel."""
 
     add: Callable[[int, int], int]
     neg: Callable[[int], int]
     mul: Callable[[int, int], int]
     inv: Callable[[int], int]
-    kernel: "ListKernel | PackedKernel"
+    kernel: "PackedKernel"
+
+
+class _Memo(dict):
+    """key -> fill(memo, key), remembering at most `cap` keys (spreads, gathers, inverses: 2^12)."""
+
+    def __init__(self, fill, cap: int = 1 << 12):
+        self.fill, self.cap = fill, cap
+
+    def __missing__(self, key):
+        value = self.fill(self, key)
+        if len(self) < self.cap:
+            self[key] = value
+        return value
+
+
+def base_digits(v: int, base: int, k: int) -> list[int]:
+    """The k little-endian base-`base` digits of v: the canonical decoding."""
+    digits = []
+    for _ in range(k):
+        digits.append(v % base)
+        v //= base
+    return digits
+
+
+def _encode(digits, p: int) -> int:
+    """Inverse of base_digits: sum of digits[i] * p**i."""
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d
+    return v
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -56,9 +86,204 @@ def power(v, e: int, mul: Callable, one):
     return r
 
 
+@lru_cache(maxsize=None)
+def _kernel(p: int, bits: int, modulus: tuple[int, ...]) -> "PackedKernel":
+    return PackedKernel(p, bits, modulus)
+
+
+class PackedKernel:
+    """Polynomials over F_q, q = p^k with the monic modulus m(y) of degree k
+    ((0, 1), y itself, for F_p), on ints with a block of 2k - 1 w-bit slots per
+    coefficient.  A slot holds a sum of fewer than 2^bits products of two
+    digits until the next fold."""
+
+    def __init__(self, p: int, bits: int = 8, modulus: tuple[int, ...] = (0, 1)):
+        k = len(modulus) - 1
+        bits = max(bits, (2 * k).bit_length())  # a division step adds k products to a normed slot
+        top = (((1 << bits) - 1) * (p - 1) ** 2).bit_length()  # bits of a slot before a norm
+        s = top + p.bit_length()
+        m = -((-1 << s) // p)  # ceil(2^s / p)
+        size = -(-(top if p == 2 else top + m.bit_length()) // 8)
+        self.size = next((n for n in sorted(_ARRAY_CODES) if n >= size), size)
+        self.p, self.k, self.q, self.bits, self.modulus = p, k, p ** k, bits, tuple(modulus)
+        self.w, self.code = 8 * self.size, _ARRAY_CODES.get(self.size)
+        self.W = (2 * k - 1) * self.w  # bits of a block
+        if p == 2:
+            self.norm, slot = and_, 1
+        else:
+            self.norm, slot = (lambda x, mask: x - p * (x * m >> s & mask)), (1 << self.w - s) - 1
+        self.pattern = slot.to_bytes(self.size, "little")
+        self.folds = _Memo(lambda _, b: self._fold(1 << b))  # by bit length of the block count
+        self.inverse = _Memo(lambda _, v: self._inverse(v))
+        if k > 1:
+            self.spread = _Memo(lambda _, v: bytes(self._bytes(base_digits(v, p, k) + [0] * (k - 1))))
+            self.gather = _Memo(lambda _, raw: _encode(self._digits(raw), p))
+
+    def wide(self, terms: int) -> "PackedKernel":
+        """A kernel whose slots hold sums of the products of `terms` coefficient pairs."""
+        n = terms * self.k
+        return self if n >> self.bits == 0 else _kernel(self.p, n.bit_length(), self.modulus)
+
+    def fold(self, blocks: int) -> tuple[Callable[[int, int], int], int]:
+        """(fold, mask): fold(x, mask) reduces every block of an x of at most `blocks` blocks."""
+        return self.folds[blocks.bit_length()]
+
+    def _fold(self, blocks: int):
+        norm, p, k, w, size = self.norm, self.p, self.k, self.w, self.size
+        mask = int.from_bytes(self.pattern * (blocks * (2 * k - 1)), "little")  # the norm's, on every slot
+        if k == 1:
+            return norm, mask
+        # the low k - 1 slots of every block, where c >> k*w puts digits k..2k-2
+        high = int.from_bytes((b"\xff" * size * (k - 1) + bytes(size * k)) * blocks, "little")
+        mu = _kernel(p, 8, (0, 1)).divrem([0] * (2 * k - 2) + [1], list(self.modulus))[0]
+        mu = int.from_bytes(self._bytes(mu), "little")
+        neg_m = int.from_bytes(self._bytes([-c % p for c in self.modulus]), "little")
+        kw, sw = k * w, (k - 2) * w
+        lazy = (k - 1) ** 2 * (p - 1) + 2 < 1 << self.bits  # room for the last norm to take the quotient mod p
+
+        def fold(x: int, mask: int) -> int:
+            c = norm(x, mask)
+            h = c >> kw & high
+            if k > 2:
+                h = h * mu if lazy else norm(h * mu, mask)
+                h = h >> sw & high
+            return norm(c + h * neg_m, mask)
+
+        return fold, mask
+
+    def _inverse(self, v: int) -> tuple[int, int]:
+        """(1/v, -1/v) for a nonzero block v."""
+        fold, mask = self.fold(1)
+        inv = pow(v, -1, self.p) if self.k == 1 else power(v, self.q - 2, lambda a, b: fold(a * b, mask), 1)
+        return inv, fold(inv * (self.p - 1), mask)
+
+    def _bytes(self, digits):
+        """The slots of `digits`, little-endian, as a bytes-like object."""
+        if self.code:
+            return array(self.code, digits)
+        return b"".join([d.to_bytes(self.size, "little") for d in digits])
+
+    def _digits(self, raw) -> list[int]:
+        """The slot values of raw bytes."""
+        if self.code:
+            return array(self.code, raw).tolist()
+        return [int.from_bytes(raw[i:i + self.size], "little") for i in range(0, len(raw), self.size)]
+
+    def pack(self, coeffs) -> int:
+        if self.k == 1:
+            return int.from_bytes(self._bytes(coeffs), "little")
+        return int.from_bytes(b"".join(map(self.spread.__getitem__, coeffs)), "little")
+
+    def unpack(self, x: int) -> list[int]:
+        """The trimmed coefficient list of a folded x."""
+        step = self.W // 8
+        raw = x.to_bytes(-(-x.bit_length() // self.W) * step, "little")
+        if self.k == 1:
+            return self._digits(raw)
+        gather, n = self.gather, self.k * self.size
+        return [gather[raw[i:i + n]] for i in range(0, len(raw), step)]
+
+    def lead(self, x: int) -> int:
+        """The top block of a nonzero x."""
+        return x >> (x.bit_length() - 1) // self.W * self.W
+
+    def packed_divrem(self, a: int, b: int, fold, mask: int) -> tuple[int, int]:
+        """(quot * lead(b), rem) of folded a by folded b != 0, one quotient block per step."""
+        W = self.W
+        db = (b.bit_length() - 1) // W
+        nb = fold(b * self.inverse[b >> db * W][1], mask)  # -b / lead(b)
+        quot = 0
+        for top in range((a.bit_length() - 1) // W, db - 1, -1):
+            c = a >> top * W
+            if c:
+                quot |= c << (top - db) * W
+                a = fold(a + (c * nb << (top - db) * W), mask)
+        return quot, a
+
+    def packed_gcd(self, a: int, b: int, fold, mask: int) -> int:
+        """The monic gcd of folded a and b."""
+        while b:
+            a, b = b, self.packed_divrem(a, b, fold, mask)[1]
+        return fold(a * self.inverse[self.lead(a)][0], mask) if a else 0
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        pk = self.wide(min(len(a), len(b)))
+        fold, mask = pk.fold(len(a) + len(b))
+        return pk.unpack(fold(pk.pack(a) * pk.pack(b), mask))
+
+    def divrem(self, a, b):
+        (fold, mask), b = self.fold(max(len(a), len(b))), self.pack(b)
+        quot, rem = self.packed_divrem(self.pack(a), b, fold, mask)
+        return self.unpack(fold(quot * self.inverse[self.lead(b)][0], mask)), self.unpack(rem)
+
+    def gcd(self, a, b):
+        return self.unpack(self.packed_gcd(self.pack(a), self.pack(b), *self.fold(max(len(a), len(b)))))
+
+    def compose(self, f, g):
+        """f(g(X)) by Horner's rule, packed."""
+        pk = self.wide(len(g) + 1)
+        (fold, mask), g, acc = pk.fold(len(f) * len(g) + 1), pk.pack(g), 0
+        for c in reversed(f):
+            acc = fold(acc * g + pk.pack([c]), mask)
+        return pk.unpack(acc)
+
+    def ring(self, f):
+        return _Ring(self.wide(len(f)), f)
+
+
 class _Ring:
-    """F_q[X]/(f) for a trimmed f of degree >= 1, on its kernel's form of a
-    polynomial: q, one, x (X mod f), reduce, mul, list and frob (v -> v^q)."""
+    """F_q[X]/(f), f trimmed of degree >= 1, on packed residues (c < p is c): one, x, list, frob (v^q)."""
+
+    def __init__(self, pk: PackedKernel, f):
+        d, W = len(f) - 1, pk.W
+        n = max(2 * d - 2, d)  # Barrett's X^n: deg c <= 2d - 2 for a product of residues
+        self.pk, self.d, self.q, self.one, self.list = pk, d, pk.q, 1, pk.unpack
+        self.fold, self.mask = fold, mask = pk.fold(2 * d + 1)
+        self.shifts = d * W, (n - d) * W
+        f = pk.pack(f)
+        self.f = f if pk.lead(f) == 1 else fold(f * pk.inverse[pk.lead(f)][0], mask)  # monic
+        self.f_neg = fold(self.f * (pk.p - 1), mask)
+        self.mu = 1 if d < 3 else pk.packed_divrem(1 << n * W, self.f, fold, mask)[0]
+        self.x = 1 << W if d > 1 else self.reduce([0, 1])
+        self.chain = [self.x]  # X^(q^k) mod f for k < len(chain)
+        # v^q by a power costs two products or one for q <= 4; past that the q-power matrix wins
+        self.rows = [] if self.q > 4 else None
+
+    def reduce(self, coeffs):
+        pk = self.pk
+        return pk.packed_divrem(pk.pack(coeffs), self.f, *pk.fold(max(len(coeffs), 2 * self.d + 1)))[1]
+
+    def mul(self, a: int, b: int) -> int:
+        """a*b mod f for reduced a, b: Barrett's quotient, then c - quot*f."""
+        fold, mask, (dw, nw) = self.fold, self.mask, self.shifts
+        c = fold(a * b, mask)
+        quot = c >> dw if self.mu == 1 else fold((c >> dw) * self.mu >> nw, mask)
+        return fold(c + quot * self.f_neg, mask)
+
+    def add(self, a: int, b: int) -> int:
+        return self.fold(a + b, self.mask)
+
+    def gcd(self, v: int, w: int) -> int:
+        """The monic gcd of v - w and f."""
+        return self.pk.packed_gcd(self.f, self.fold(v + w * (self.pk.p - 1), self.mask), self.fold, self.mask)
+
+    def frob(self, v: int) -> int:
+        """v^q, the q-power step of Rabin's test: over F_2 one squaring; for q > 4 sum v_i X^(qi)
+        mod f (v_i^q = v_i) on the rows of the q-power matrix, built on the first step."""
+        if self.rows is None:
+            return power(v, self.q, self.mul, 1)
+        rows = self.rows
+        if not rows:
+            rows += [1, power(self.x, self.q, self.mul, 1)]
+            while len(rows) < self.d:
+                rows.append(self.mul(rows[-1], rows[1]))
+        W, block, acc = self.pk.W, (1 << self.pk.k * self.pk.w) - 1, 0
+        for row in rows:
+            acc += (v & block) * row
+            v >>= W
+        return self.fold(acc, self.mask)
 
     def conjugate(self, k: int):
         """X^(q^k) mod f, memoised: the chain grows by q-power steps on X as k asks."""
@@ -88,195 +313,3 @@ class _Ring:
     def pow(self, v, e: int):
         """v^e; e >= 0."""
         return power(v, e, self.mul, self.one)
-
-
-class ListKernel:
-    """Loops over a field's add/neg/mul/inv: the kernel of F_{p^k}, k >= 2."""
-
-    def __init__(self, q: int, add, neg, mul, inv):
-        self.q, self.ops = q, (add, neg, mul, inv)
-
-    def mul(self, a, b):
-        if not a or not b:
-            return []
-        add, _, mul, _ = self.ops
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] = add(out[j], mul(x, y))
-        return _trim(out)
-
-    def monic_tail(self, b):
-        """(1/lead(b), [-b_i/lead(b) for i < deg b]): what divrem reduces by."""
-        _, neg, mul, inv = self.ops
-        inv_lead = inv(b[-1])
-        return inv_lead, [mul(neg(c), inv_lead) for c in b[:-1]]
-
-    def divrem(self, a, b, monic_tail=None):
-        rem = _trim(list(a))
-        db = len(b) - 1
-        if len(rem) <= db:
-            return [], rem
-        add, _, mul, _ = self.ops
-        inv_lead, tail = monic_tail or self.monic_tail(b)
-        quot = [0] * (len(rem) - db)
-        for top in range(len(rem) - 1, db - 1, -1):
-            c = rem[top]
-            if c:
-                quot[top - db] = mul(c, inv_lead)
-                for i, t in enumerate(tail, top - db):
-                    if t:
-                        rem[i] = add(rem[i], mul(c, t))
-        del rem[db:]
-        return quot, _trim(rem)
-
-    def gcd(self, a, b):
-        a, b = _trim(list(a)), _trim(list(b))
-        while b:
-            a, b = b, self.divrem(a, b)[1]
-        if a:
-            _, _, mul, inv = self.ops
-            inv_lead = inv(a[-1])
-            a = [mul(c, inv_lead) for c in a]
-        return a
-
-    def ring(self, f):
-        return _ListRing(self, f)
-
-
-class _ListRing(_Ring):
-    def __init__(self, kernel: ListKernel, f):
-        self.kernel, self.f, self.q, self.one, self.rows = kernel, f, kernel.q, [1], None
-        self.tail = kernel.monic_tail(f)
-        self.x = self.reduce([0, 1])
-        self.chain = [self.x]  # X^(q^k) mod f for k < len(chain)
-
-    def reduce(self, coeffs):
-        return self.kernel.divrem(coeffs, self.f, self.tail)[1]
-
-    def mul(self, a, b):
-        return self.reduce(self.kernel.mul(a, b))
-
-    def list(self, v):
-        return v
-
-    def frob(self, v):
-        """v^q = sum of v_i X^(qi) mod f, as v_i^q = v_i in F_q: the q-power matrix,
-        whose rows are built on the first call from one X^q mod f."""
-        if self.rows is None:
-            x_q = self.pow(self.x, self.q)
-            self.rows = [[1], x_q]
-            for _ in range(len(self.f) - 3):
-                self.rows.append(self.mul(self.rows[-1], x_q))
-        add, _, mul, _ = self.kernel.ops
-        acc = [0] * len(self.rows)
-        for c, row in zip(v, self.rows):
-            if c:
-                for j, y in enumerate(row):
-                    if y:
-                        acc[j] = add(acc[j], mul(c, y))
-        return _trim(acc)
-
-
-class PackedKernel:
-    """Polynomials over F_p on ints with one w-bit slot per coefficient: the
-    kernel of prime fields.  A slot holds a sum of fewer than 2^bits
-    products of two coefficients until the next norm."""
-
-    def __init__(self, p: int, bits: int = 8):
-        top = (((1 << bits) - 1) * (p - 1) ** 2).bit_length()  # bits of a slot before a norm
-        s = top + p.bit_length()
-        m = -((-1 << s) // p)  # ceil(2^s / p)
-        size = -(-(top if p == 2 else top + m.bit_length()) // 8)
-        self.size = next((n for n in sorted(_ARRAY_CODES) if n >= size), size)
-        self.p, self.bits, self.w, self.code = p, bits, 8 * self.size, _ARRAY_CODES.get(self.size)
-        if p == 2:
-            self.norm, slot = and_, 1
-        else:
-            self.norm, slot = (lambda x, mask: x - p * (x * m >> s & mask)), (1 << self.w - s) - 1
-        self.pattern = slot.to_bytes(self.size, "little")
-
-    def wide(self, terms: int) -> "PackedKernel":
-        """A kernel whose slots hold sums of `terms` products."""
-        return self if terms >> self.bits == 0 else PackedKernel(self.p, terms.bit_length())
-
-    def mask(self, slots: int) -> int:
-        """The norm's mask over `slots` slots."""
-        return int.from_bytes(self.pattern * slots, "little")
-
-    def pack(self, coeffs) -> int:
-        if self.code:
-            return int.from_bytes(array(self.code, coeffs), "little")
-        return int.from_bytes(b"".join([c.to_bytes(self.size, "little") for c in coeffs]), "little")
-
-    def unpack(self, x: int) -> list[int]:
-        """The trimmed coefficient list of a normed x."""
-        size = self.size
-        raw = x.to_bytes(-(-x.bit_length() // self.w) * size, "little")
-        if self.code:
-            return array(self.code, raw).tolist()
-        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-
-    def packed_divrem(self, a: int, b: int, mask: int) -> tuple[int, int]:
-        """(quot, rem) of normed a by normed b != 0, one quotient slot per step."""
-        w, p = self.w, self.p
-        db = (b.bit_length() - 1) // w
-        inv = pow(b >> db * w, -1, p)
-        nb = self.norm(b * (-inv % p), mask)  # -b / lead(b)
-        quot = 0
-        for top in range((a.bit_length() - 1) // w, db - 1, -1):
-            c = a >> top * w
-            if c:
-                quot |= c * inv % p << (top - db) * w
-                a = self.norm(a + (c * nb << (top - db) * w), mask)
-        return quot, a
-
-    def mul(self, a, b):
-        if not a or not b:
-            return []
-        pk = self.wide(min(len(a), len(b)))
-        return pk.unpack(pk.norm(pk.pack(a) * pk.pack(b), pk.mask(len(a) + len(b))))
-
-    def divrem(self, a, b):
-        quot, rem = self.packed_divrem(self.pack(a), self.pack(b), self.mask(max(len(a), len(b))))
-        return self.unpack(quot), self.unpack(rem)
-
-    def gcd(self, a, b):
-        mask = self.mask(max(len(a), len(b)))
-        a, b = self.pack(a), self.pack(b)
-        while b:
-            a, b = b, self.packed_divrem(a, b, mask)[1]
-        if a:
-            a = self.norm(a * pow(a >> (a.bit_length() - 1) // self.w * self.w, -1, self.p), mask)
-        return self.unpack(a)
-
-    def ring(self, f):
-        return _PackedRing(self.wide(len(f)), f)
-
-
-class _PackedRing(_Ring):
-    def __init__(self, pk: PackedKernel, f):
-        d, p = len(f) - 1, pk.p
-        self.pk, self.d, self.q, self.one, self.list = pk, d, p, 1, pk.unpack
-        self.mask = pk.mask(2 * d + 1)
-        self.f = pk.norm(pk.pack(f) * pow(f[-1], -1, p), self.mask)  # monic
-        self.f_neg = pk.norm(self.f * (p - 1), self.mask)
-        self.mu = pk.packed_divrem(1 << (2 * d - 1) * pk.w, self.f, self.mask)[0]
-        self.x = self.reduce([0, 1])
-        self.chain = [self.x]  # X^(q^k) mod f for k < len(chain)
-
-    def reduce(self, coeffs):
-        pk = self.pk
-        return pk.packed_divrem(pk.pack(coeffs), self.f, pk.mask(max(len(coeffs), 2 * self.d + 1)))[1]
-
-    def mul(self, a: int, b: int) -> int:
-        """a*b mod f for reduced a, b: Barrett's quotient, then c - quot*f."""
-        norm, mask, w, d = self.pk.norm, self.mask, self.pk.w, self.d
-        c = norm(a * b, mask)
-        return norm(c + norm((c >> d * w) * self.mu >> (d - 1) * w, mask) * self.f_neg, mask)
-
-    def frob(self, v: int) -> int:
-        """v^p, the q-power step of Rabin's test: over F_2 one squaring."""
-        return power(v, self.q, self.mul, 1)

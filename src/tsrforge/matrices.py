@@ -172,8 +172,7 @@ def matrix_charpoly(M: Matrix) -> Polynomial:
     if not M.is_square:
         raise NonSquareMatrix("characteristic polynomial of a non-square matrix")
     n = M.rows
-    ops = M.field.ops
-    add, neg, mul, inv, _ = ops
+    add, neg, mul, inv, _ = M.field.ops
     H = _int_rows(M)
     # similarity-reduce to upper Hessenberg form
     for col in range(n - 2):
@@ -199,7 +198,8 @@ def matrix_charpoly(M: Matrix) -> Polynomial:
     # p_m(X) = charpoly of the leading m x m block of H, as a monic int list
     p = [[1]]
     for m in range(1, n + 1):
-        t = ops.kernel.mul([neg(H[m - 1][m - 1]), 1], p[m - 1])
+        h = neg(H[m - 1][m - 1])  # t = (X - H[m-1][m-1]) p_{m-1}
+        t = [add(a, mul(h, b)) for a, b in zip([0] + p[m - 1], p[m - 1] + [0])]
         prod = 1
         for i in range(1, m):
             prod = mul(prod, H[m - i][m - i - 1])

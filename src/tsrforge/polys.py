@@ -16,7 +16,8 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly
-from .fields import Field, FieldElement, format_element
+from .fields import Field, FieldElement, format_element, int_pow
+from .guards import check_enumeration
 from .kernel import _trim, power
 
 NEG_INF = float("-inf")
@@ -121,13 +122,7 @@ class Polynomial:
     def compose(self, g: "Polynomial") -> "Polynomial":
         """f(g(X)) by Horner on the field's kernel."""
         field = _common_field(self.field, g.field)
-        add, mul = field.ops.add, field.ops.kernel.mul
-        acc = []
-        for c in reversed(self.ints):
-            acc = mul(acc, g.ints) or [0]
-            acc[0] = add(acc[0], c)
-            _trim(acc)
-        return Polynomial(field, tuple(acc))
+        return Polynomial(field, tuple(field.ops.kernel.compose(self.ints, g.ints)))
 
     def pow(self, e: int) -> "Polynomial":
         return Polynomial(self.field, tuple(power(self.ints, e, self.field.ops.kernel.mul, [1])))
@@ -231,7 +226,9 @@ def _parse_coefficient(text: str, field: Field, gen_symbol: str) -> FieldElement
         if m:
             mult = int(m.group(1)) if m.group(1) else 1
             exp = int(m.group(2)) if m.group(2) else 1
-            contrib = field.element([0] * exp + [mult])
+            if exp and field.extension_degree == 1:
+                raise ValueError("coefficient vector too long")
+            contrib = field.element(int_pow(field.characteristic, exp, field.ops)).scale_int(mult)
         elif term.isdigit():
             contrib = field.element(int(term) % field.characteristic)
         else:
@@ -299,4 +296,5 @@ def parse_poly(text: str, field: Field, var: str = "x", gen_symbol: str = "a") -
             inner = chunk[1:-1] if chunk.startswith("(") and chunk.endswith(")") else chunk
             add(0, _parse_coefficient(inner, field, gen_symbol), negate)
     top = max(coeff_acc) if coeff_acc else 0
+    check_enumeration(top, "polynomial degree")  # before the dense list is built
     return Polynomial.make(field, [coeff_acc.get(i, field.zero()) for i in range(top + 1)])

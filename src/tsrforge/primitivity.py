@@ -109,15 +109,10 @@ def is_irreducible(f: Polynomial) -> bool:
         raise BadDegree("irreducibility is defined for degree >= 1")
     if n == 1:
         return True
-    ops = f.field.ops
-    fm = f.monic().ints
-    ring = _ring(ops.kernel, fm)
+    ring = _ring(f.field.ops.kernel, f.monic().ints)
     checks = {n // l for l in factor_integer(n).primes}
-    minus_one = ops.neg(1)
     for k in sorted(checks):
-        h = ring.list(ring.conjugate(k)) + [0, 0]  # X^(q^k) - X
-        h[1] = ops.add(h[1], minus_one)
-        if len(ops.kernel.gcd(h, fm)) != 1:
+        if ring.gcd(ring.conjugate(k), ring.x) != ring.one:  # gcd(X^(q^k) - X, f)
             return False
     return ring.conjugate(n) == ring.x
 
@@ -187,8 +182,8 @@ def primitive_elements(field: Field) -> list:
 def minimal_polynomial(x: FieldElement, base_order: int) -> Polynomial:
     """Monic minimal polynomial of x over GF(base_order).
 
-    Product of (X - y) over the Frobenius orbit {x, x^q, ...} on the field's
-    kernel, with the coefficients descended into the base field.
+    Product of (X - y) over the Frobenius orbit {x, x^q, ...}, a linear factor at
+    a time on the field's ops, with the coefficients descended into the base field.
     """
     field = x.owner
     base, _, descend = subfield_maps(field, base_order)
@@ -196,7 +191,7 @@ def minimal_polynomial(x: FieldElement, base_order: int) -> Polynomial:
         return Polynomial.x(base)
     ops, prod = field.ops, [1]
     for y in conjugates(x.int_value, base_order, ops, field.extension_degree):
-        prod = ops.kernel.mul(prod, [ops.neg(y), 1])
+        prod = [ops.add(a, ops.mul(ops.neg(y), b)) for a, b in zip([0] + prod, prod + [0])]  # (X - y) prod
     return _descend_poly(Polynomial(field, tuple(prod)), base, descend)
 
 

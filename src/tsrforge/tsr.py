@@ -18,7 +18,7 @@ from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB
 from .factorint import merged_factorization, multiplicative_order_from
 from .fields import Field, FieldElement, _encode, base_digits, make_field
 from .guards import check_field
-from .kernel import PackedKernel, _trim
+from .kernel import PackedKernel, _Memo, _trim
 from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
 from .polys import Polynomial, _common_field, poly_modpow
@@ -26,19 +26,6 @@ from .primitivity import is_primitive_poly
 
 # entries kept per tap table and by the decoder; a larger q^m computes the others on each step
 TAP_TABLE_CAP = 1 << 12
-
-
-class _Memo(dict):
-    """key -> fill(memo, key), remembering at most TAP_TABLE_CAP keys."""
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self.fill(self, key)
-        if len(self) < TAP_TABLE_CAP:
-            self[key] = value
-        return value
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,7 @@ class TsrSpec:
         to block (c_j B) as one int, a PackedKernel(p) slot per F_p digit; decoder: normed sum -> (block,)."""
         m, p, k, mul = self.m, self.field.characteristic, self.field.extension_degree, self.field.ops.mul
         pk = PackedKernel(p).wide(self.n)
-        mask = pk.mask(m * k)
+        mask = int.from_bytes(pk.pattern * (m * k), "little")
 
         def part(rows, table, block):  # m products, plus the part of block with digit i cleared
             i = max((i for i, x in enumerate(block) if x), default=0)
@@ -84,8 +71,8 @@ class TsrSpec:
             digits = pk.unpack(x) + [0] * (m * k)
             return (tuple(_encode(digits[i:i + k], p) for i in range(0, m * k, k)),)
 
-        return pk.norm, mask, _Memo(decode), tuple(
-            (j, _Memo(partial(part, [[mul(cj, b) for b in row] for row in _int_rows(self.B)])))
+        return pk.norm, mask, _Memo(decode, TAP_TABLE_CAP), tuple(
+            (j, _Memo(partial(part, [[mul(cj, b) for b in row] for row in _int_rows(self.B)]), TAP_TABLE_CAP))
             for j, cj in enumerate((1,) + tuple(ci.int_value for ci in self.c)) if cj)
 
     def __getstate__(self):  # _taps holds closures; it is rebuilt on first use
@@ -113,8 +100,8 @@ class TsrSpec:
 class TsrState:
     """n row vectors of width m, as canonical ints of `field`, plus the number of steps taken.
 
-    from_ints and tsr_step set `field`; tsr_step checks in full only a state that
-    does not carry its spec's field.  FieldElements of one field are normalised to
+    from_ints and tsr_step set `field` (blocks of one width); tsr_step checks in full only a
+    state that does not carry its spec's field.  FieldElements of one field are normalised to
     ints of that field; any other hand-built state is kept as given.
     """
 
@@ -123,6 +110,8 @@ class TsrState:
     field: Optional[Field] = None
 
     def __post_init__(self):
+        if self.field is not None and len({len(block) for block in self.blocks}) > 1:
+            raise DimensionMismatch("state blocks differ in width")
         if self.field is None:
             entries = list(chain.from_iterable(self.blocks))
             owners = {e.owner for e in entries if isinstance(e, FieldElement)}

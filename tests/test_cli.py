@@ -438,3 +438,38 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert (code, out, err) == (res.returncode, res.stdout, res.stderr), argv
         assert ENV_VAR not in os.environ
+
+
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from tsrforge import cli
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["test-primitive", "2", "x^99999999999"], 2, "stderr",
+     "guard violation: polynomial degree of 99999999999 exceeds the 2^22 guard\n"),
+    # a^N is the power of the modulus root: a^99999999999 = a^0 = 1 in F_4
+    (["test-primitive", "4", "x^2+x+a^99999999999"], 1, "stdout",
+     '{"certificate": null, "field_order": 4, "poly": "x^2 + x + 1", "primitive": false}\n'),
+])
+def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
+    # a child under a 512 MB address-space cap and a time limit: before the degree
+    # guard and a^N by a power, both ended in a MemoryError traceback
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop(ENV_VAR, None)
+    res = subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == code and getattr(res, stream) == text, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_degree_guard_moves_with_guard_bits(capsys):
+    assert run_cli(capsys, "--guard-bits", "3", "test-primitive", "2", "x^9 + x + 1") == \
+        (2, "", "guard violation: polynomial degree of 9 exceeds the 2^3 guard\n")
+    assert run_cli(capsys, "--guard-bits", "4", "test-primitive", "2", "x^9 + x + 1")[0] in (0, 1)

@@ -295,3 +295,24 @@ def test_conjugates_refuse_a_map_that_does_not_close():
     with pytest.raises(ExistenceViolation, match="orbit of 2 under y -> y\\^2 does not close after 3 steps"):
         conjugates(2, 2, ops, 3)
     assert len(steps) == 3  # one squaring per step, and no more than the limit
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 1 << 17])
+def test_values_over_a_field_with_built_ops_pickle(q):
+    # the ops hold closures and memos; a pickled field leaves them out and rebuilds them
+    import pickle
+
+    from tsrforge.polys import Polynomial
+    from tsrforge.tsr import TsrSpec, TsrState, tsr_step
+
+    field = make_field(q)
+    x, y = field.element(q - 1), field.element(2)
+    f = Polynomial.make(field, [1, q - 1, 2])
+    spec = TsrSpec.from_json({"q": q, "m": 1, "n": 2, "c": [1], "B": [[q - 1]]})
+    state = tsr_step(spec, TsrState.from_ints(spec, [1, 2]))
+    for value in (field, x * y, f * f, spec, state):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and "ops" in vars(field) and "ops" not in vars(pickle.loads(pickle.dumps(field)))
+    back_x, back_f = pickle.loads(pickle.dumps((x, f)))
+    assert back_x * y == x * y and back_f * back_f == f * f
+    assert tsr_step(spec, pickle.loads(pickle.dumps(state))) == tsr_step(spec, state)

@@ -273,3 +273,157 @@ def test_negative_exponents_are_refused():
             ring.xpow(-3)
         with pytest.raises(ValueError, match="e = -1 must be >= 0"):
             ring.pow(ring.x, -1)
+
+
+# --- F_{p^k}: the packed kernel against a schoolbook on the field's modulus alone ---
+
+class _RefField:
+    """F_{p^k} on canonical ints by digit lists mod p, reduced by the modulus; no tsrforge arithmetic."""
+
+    def __init__(self, field):
+        self.p, self.k, self.q = field.characteristic, field.extension_degree, field.order
+        self.mod = field.modulus_coeffs
+
+    def digits(self, v):
+        out = []
+        for _ in range(self.k):
+            v, d = divmod(v, self.p)
+            out.append(d)
+        return out
+
+    def encode(self, digits):
+        return sum(d * self.p ** i for i, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self.encode([(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.encode([-x % self.p for x in self.digits(a)])
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top]
+            for i, m in enumerate(self.mod):
+                prod[top - k + i] = (prod[top - k + i] - c * m) % p
+        return self.encode(prod[:k])
+
+    def inv(self, a):
+        r, e = 1, self.q - 2
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a, e = self.mul(a, a), e >> 1
+        return r
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return _ref_trim(out)
+
+    def poly_divrem(self, a, b):
+        rem, inv = _ref_trim(list(a)), self.inv(b[-1])
+        quot = [0] * max(len(rem) - len(b) + 1, 0)
+        while len(rem) >= len(b):
+            c, shift = self.mul(rem[-1], inv), len(rem) - len(b)
+            quot[shift] = c
+            for i, y in enumerate(b):
+                rem[shift + i] = self.add(rem[shift + i], self.neg(self.mul(c, y)))
+            _ref_trim(rem)
+        return _ref_trim(quot), rem
+
+    def poly_gcd(self, a, b):
+        a, b = _ref_trim(list(a)), _ref_trim(list(b))
+        while b:
+            a, b = b, self.poly_divrem(a, b)[1]
+        return [self.mul(c, self.inv(a[-1])) for c in a] if a else a
+
+    def poly_compose(self, f, g):
+        acc = []
+        for c in reversed(f):
+            acc = self.poly_mul(acc, g) or [0]
+            acc[0] = self.add(acc[0], c)
+            _ref_trim(acc)
+        return acc
+
+    def poly_modpow(self, base, e, mod):
+        result, acc = [1], self.poly_divrem(base, mod)[1]
+        while e:
+            if e & 1:
+                result = self.poly_divrem(self.poly_mul(result, acc), mod)[1]
+            e >>= 1
+            acc = self.poly_divrem(self.poly_mul(acc, acc), mod)[1]
+        return self.poly_divrem(result, mod)[1]
+
+
+# F_4 .. F_1024 by tables and F_{2^17} by vectors; the last degrees of each row are
+# where a product's slots widen: min(len a, len b) * k reaches 2^8
+EXTENSION_DEGREES = {4: (127, 128), 8: (85, 86), 16: (63, 64), 1024: (25, 26), 9: (127, 128),
+                     25: (127, 128), 27: (85, 86), 81: (63, 64), 169: (127, 128), 1 << 17: (15, 16)}
+
+
+@pytest.mark.parametrize("q", list(EXTENSION_DEGREES))
+def test_extension_kernel_matches_schoolbook(q):
+    field = make_field(q)
+    ref, kern, rng = _RefField(field), field.ops.kernel, random.Random(q)
+    polys = [[]] + [_rand(rng, q, d) for d in range(13 if q < 1 << 10 else 7)]
+    for a in polys:
+        for b in [[], [1], [q - 1]] + [_rand(rng, q, d) for d in (0, 1, 4, 12)] + [a]:
+            assert kern.mul(a, b) == ref.poly_mul(a, b), (a, b)
+            assert kern.compose(a, b[:4]) == ref.poly_compose(a, b[:4]), (a, b)
+            assert kern.gcd(a, b) == ref.poly_gcd(a, b), (a, b)
+            if b:
+                assert kern.divrem(a, b) == ref.poly_divrem(a, b), (a, b)
+    narrow, wide = EXTENSION_DEGREES[q]
+    a, b, small = _rand(rng, q, narrow), _rand(rng, q, wide), _rand(rng, q, 4)
+    full = [q - 1] * (wide + 1)  # every digit of every coefficient p - 1
+    for x, y in ((a, a), (a, b), (b, b), (full, full), (b, small)):
+        assert kern.mul(x, y) == ref.poly_mul(x, y)
+    assert kern.divrem(b, small) == ref.poly_divrem(b, small)
+    assert kern.gcd(ref.poly_mul(a, small), b) == ref.poly_gcd(ref.poly_mul(a, small), b)
+
+
+@pytest.mark.parametrize("q", list(EXTENSION_DEGREES))
+def test_extension_rings_match_schoolbook(q):
+    # mul of F_q[X]/(f), f with a random unit lead, at every degree up to 12 and where a
+    # ring's slots widen, (deg f + 1) * k reaches 2^8; frob (v^q), pow and xpow up to a
+    # degree the schoolbook reaches in a few seconds
+    field = make_field(q)
+    ref, kern, rng = _RefField(field), field.ops.kernel, random.Random(q + 1)
+    for d in list(range(1, 13)) + [256 // field.extension_degree - 1, 256 // field.extension_degree]:
+        f = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+        ring = kern.ring(f)
+        a, b = [rng.randrange(q) for _ in range(d)], [rng.randrange(q) for _ in range(d)]
+        ra, rb = ring.reduce(a), ring.reduce(b)
+        assert ring.list(ring.mul(ra, rb)) == ref.poly_divrem(ref.poly_mul(a, b), f)[1], d
+        if d <= (12 if q < 100 else 4):
+            assert ring.list(ring.frob(ra)) == ref.poly_modpow(a, q, f), d
+            for e in (0, 1, 2, 5, q + 1):
+                assert ring.list(ring.pow(ra, e)) == ref.poly_modpow(a, e, f), (d, e)
+            e = rng.randrange(q ** min(d, 3))
+            assert ring.list(ring.xpow(e)) == ref.poly_modpow([0, 1], e, f), (d, e)
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_extension_kernel_slot_by_slot_matches_schoolbook(q, monkeypatch):
+    # without array typecodes, as on a big-endian host, slots, spreads and gathers go one by one
+    monkeypatch.setattr(kernel, "_ARRAY_CODES", {})
+    field = make_field(q)
+    pk, ref, rng = kernel.PackedKernel(field.characteristic, 8, field.modulus_coeffs), _RefField(field), random.Random(q)
+    assert pk.code is None
+    a, b, c, mod = _rand(rng, q, 9), _rand(rng, q, 5), _rand(rng, q, 3), _rand(rng, q, 4)
+    assert pk.mul(a, b) == ref.poly_mul(a, b)
+    assert pk.divrem(a, b) == ref.poly_divrem(a, b)
+    assert pk.gcd(ref.poly_mul(a, c), ref.poly_mul(b, c)) == ref.poly_gcd(ref.poly_mul(a, c), ref.poly_mul(b, c))
+    assert pk.compose(c, b) == ref.poly_compose(c, b)
+    ring = pk.ring(mod)
+    assert ring.list(ring.pow(ring.reduce(a), q + 3)) == ref.poly_modpow(a, q + 3, mod)
+    assert ring.list(ring.frob(ring.reduce(a))) == ref.poly_modpow(a, q, mod)

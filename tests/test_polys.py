@@ -377,3 +377,16 @@ def test_int_storage_matches_field_element_schoolbook(field):
             assert list((a + b).coeffs) == _school_add(ca, cb, field)
             assert list((a - b).coeffs) == _school_add(ca, cb, field, -1)
             assert list(a.compose(b).coeffs) == _school_compose(ca, cb, field)
+
+
+def test_a_power_of_the_generator_is_reduced_by_the_modulus():
+    # a^N is the N-th power of the modulus root at any N; below the extension
+    # degree it is the basis vector it always was
+    f4, f9 = make_field(4), make_field(9)
+    assert parse_poly("x^2 + x + a^2", f4) == parse_poly("x^2 + x + a + 1", f4)
+    assert parse_poly("x + a^99999999999", f4) == parse_poly("x + 1", f4)  # a^3 = 1
+    assert parse_poly("x + 2a^9", f9) == parse_poly("x + 2a", f9)  # a^8 = 1
+    assert parse_poly("x + 2a^1", f9).coeffs[0].coeffs == (0, 2)
+    assert parse_poly("x + 3a^0", make_field(2)) == parse_poly("x + 1", make_field(2))
+    with pytest.raises(ValueError, match="coefficient vector too long"):
+        parse_poly("x + a", make_field(3))

@@ -357,10 +357,10 @@ def test_norm_stage_rejects_without_polynomial_arithmetic(monkeypatch):
         raise AssertionError("stage 1 should have decided")
 
     # every polynomial product, reduction and power of the test runs in a
-    # ring of the field's kernel, and Rabin's gcds on the kernel's gcd
+    # ring of the field's kernel, and every gcd on the kernel's packed_gcd
     monkeypatch.setattr(primitivity, "is_irreducible", not_reached)
     monkeypatch.setattr(type(f.field.ops.kernel), "ring", not_reached)
-    monkeypatch.setattr(type(f.field.ops.kernel), "gcd", not_reached)
+    monkeypatch.setattr(type(f.field.ops.kernel), "packed_gcd", not_reached)
     assert is_primitive_poly(f) == (False, None)
 
 

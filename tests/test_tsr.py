@@ -180,6 +180,15 @@ def test_hand_built_state_refusals():
         TsrState.from_ints(spec, [1, 2, 3])
 
 
+def test_a_state_built_with_a_field_refuses_blocks_of_different_widths():
+    # over F_2 with m = n = 2 this state used to step to ((1,), (0, 0)) without a word
+    spec = _spec(2, 2, 2, [1], [[0, 1], [1, 1]])
+    with pytest.raises(DimensionMismatch, match="state blocks differ in width"):
+        tsr_step(spec, TsrState(((1, 0), (1,)), 0, spec.field))
+    with pytest.raises(DimensionMismatch, match="state blocks differ in width"):
+        TsrState(((1,), (1, 0)), 3, spec.field)
+
+
 def test_hand_built_states_step_like_from_ints():
     spec = _spec(16, 2, 2, [7], [[0, 1], [1, 1]])
     rows = ((1, 2), (3, 15))

@@ -33,7 +33,11 @@ every side the recorder writes:
   `search_primitive_tsr` at (4, 2, 3) and (3, 3, 3); microseconds per
   `minimal_polynomial` call on a seeded sample of elements of F_4096 over
   F_2 and of F_729 over F_9, and per `conjugate_product` call on the
-  search's step-5 polynomial at (q, m, n) = (16, 3, 3) and (9, 2, 3);
+  search's step-5 polynomial at (q, m, n) = (16, 3, 3) and (9, 2, 3); and
+  microseconds per ring product a*b mod f in the field kernel's ring
+  F_q[X]/(f) (`ring.mul` on reduced residues) for a seeded monic f and
+  SAMPLE seeded pairs, at F_4 degree 12, F_16 degree 4, F_9 degree 8, F_81
+  degree 2 and F_1024 degree 2;
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
@@ -41,16 +45,19 @@ every side the recorder writes:
 Every layer row keeps SIGNIFICANT figures, so a small row moves in fine steps.
 Layer rows are timed in a fresh interpreter that imports that side's src/,
 LAYER_ROUNDS short rounds per side; a round keeps the fastest of REPEATS
-passes, and `layers` keeps each row's fastest round, as a busy shared host
-can slow a pass but not speed it up (a host that switches between speeds
-moves whole rounds, so a median of rounds moves with it).  The file keeps
-every round under `layer_rounds`, so a row that moved can be told apart
-from a host whose whole round moved.  Layer rounds and
+passes, `layers` keeps each row's fastest round, as a busy shared host
+can slow a pass but not speed it up, and `layers_median` its median of
+rounds, which one lucky round cannot move.  The file keeps every round
+under `layer_rounds`, so a row that moved can be told apart from a host
+whose whole round moved.  Each side records its git sha and a sha256 of
+its src/ files (`src_sha256`), which names the code even where the side is
+not a git work tree.  Layer rounds and
 benchmark runs alternate between the sides, which run first in turn, so
 host drift falls on both.  Stdlib only and offline; nothing is installed.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -75,6 +82,7 @@ FIBER_ROWS = [("t4", 4), ("t2", 6), ("t5", 13)]  # (table, key): F_81, F_64, F_1
 PRIMITIVE_ELEMENT_ORDERS = (1 << 10, 121)
 MINPOLY_CASES = [(1 << 12, 2), (729, 9)]  # (field, base) orders of minimal_polynomial
 CONJUGATE_POINTS = [(16, 3, 3), (9, 2, 3)]  # conjugate_product on the search's step-5 polynomial
+RING_CASES = [(4, 12), (16, 4), (9, 8), (81, 2), (1024, 2)]  # (q, deg f) of ring products
 SIGNIFICANT = 4
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
@@ -195,6 +203,11 @@ def layer_rows(src: str) -> dict:
     for q, m, n in CONJUGATE_POINTS:
         step5 = search_primitive_tsr(q, m, n).provenance.step5
         rows[f"conjugate_product.q{q}m{m}n{n}_us"] = sig(per_call(lambda _: conjugate_product(step5, q), 1) * 1e6)
+    for q, n in RING_CASES:
+        rng = random.Random(q * 1000 + n)
+        ring = make_field(q).ops.kernel.ring([rng.randrange(q) for _ in range(n)] + [1])
+        xs = [ring.reduce([rng.randrange(q) for _ in range(n)]) for _ in range(SAMPLE + 1)]
+        rows[f"ring_mul.F{q}.deg{n}_us"] = sig(per_call(lambda i: ring.mul(xs[i], xs[i + 1]), SAMPLE) * 1e6)
     return rows
 
 
@@ -225,7 +238,11 @@ def git_sha(src: str) -> dict:
         return res.stdout.strip() if res.returncode == 0 else None
 
     status = git("status", "--porcelain", "--", "src")
-    return {"sha": git("rev-parse", "HEAD"), "src_dirty": bool(status) if status is not None else None}
+    digest = hashlib.sha256()
+    for path in sorted((Path(src) / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes() + b"\0")
+    return {"sha": git("rev-parse", "HEAD"), "src_dirty": bool(status) if status is not None else None,
+            "src_sha256": digest.hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -250,8 +267,10 @@ def main(argv=None) -> int:
             for w in WORKLOADS:
                 runs[label, w].append(run_bench(src, w, seed))
     for label, src in order:
-        doc["sides"][label] = dict(git_sha(src), e2e={}, layer_rounds=layers[label], layers={
-            row: min(r[row] for r in layers[label]) for row in layers[label][0]})
+        rounds = layers[label]
+        doc["sides"][label] = dict(git_sha(src), e2e={}, layer_rounds=rounds,
+                                   layers={row: min(r[row] for r in rounds) for row in rounds[0]},
+                                   layers_median={row: statistics.median(r[row] for r in rounds) for row in rounds[0]})
     for (label, w), results in runs.items():
         doc["sides"][label]["e2e"][w] = {
             "median": {name: statistics.median(r[name] for r in results) for name in results[0]},
