@@ -8,7 +8,7 @@ the other.
 from .errors import BadDegree, FiberSizeViolation, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
 from .fields import Field, base_digits, conjugates, make_field, prime_power, subfield_maps
-from .guards import check_custom, check_enumeration, guard_bits
+from .guards import check_enumeration, check_field
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
 from .polys import Polynomial, format_poly
@@ -73,7 +73,7 @@ def count_matrices_with_charpoly(p: Polynomial, m: int) -> int:
         raise BadDegree(f"polynomial degree {p.degree} != m = {m}")
     field = p.field
     q = field.order
-    check_custom(q ** (m * m), 20, "matrix space")
+    check_enumeration(q ** (m * m), "matrix space")
     return sum(matrix_charpoly(M) == p for M in _all_matrices(field, m))
 
 
@@ -90,7 +90,7 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     check_shape(m, n)
     # guard before the primitive-element scan; phi counts that scan's output
     space = q ** (n - 1) * euler_phi(q ** m - 1)
-    check_custom(space, guard_bits("field"), "candidate space")
+    check_field(space, "candidate space")
     big = make_field(q ** m)
     base, embed, _ = subfield_maps(big, q)
     prims = primitive_elements(big)
@@ -170,11 +170,11 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[
     field = make_field(q)
     space = q ** (n - 1) * gl_order(q, m)
     check_enumeration(space)
-    mats = list(gl_matrices(field, m))
-    psi_of = [matrix_charpoly(B) for B in mats]
+    # B is invertible iff Psi_B(0) = (-1)^m det B is nonzero
+    pairs = [(B, psi) for B in _all_matrices(field, m) if (psi := matrix_charpoly(B)).ints[0]]
     taps = [tuple(field.element(d) for d in base_digits(enc, q, n - 1))
             for enc in range(q ** (n - 1))]
-    psis = dict.fromkeys(psi_of)  # the distinct Psi_B
+    psis = dict.fromkeys(psi for _, psi in pairs)  # the distinct Psi_B
     charpoly = {}  # (tap index, Psi_B) -> charpoly
     for t, c in enumerate(taps):
         g = Polynomial.make(field, (field.one(),) + c)
@@ -183,7 +183,7 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[
     distinct = list(dict.fromkeys(charpoly.values()))
     primitive = dict(zip(distinct, deterministic_map(lambda f: is_primitive_poly(f)[0], distinct, threads)))
     return [TsrSpec(field, m, n, c, B) for t, c in enumerate(taps)
-            for B, psi in zip(mats, psi_of) if primitive[charpoly[t, psi]]]
+            for B, psi in pairs if primitive[charpoly[t, psi]]]
 
 
 def check_shape(m: int, n: int) -> None:

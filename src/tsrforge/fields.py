@@ -30,7 +30,6 @@ from .kernel import FieldOps, _encode, _kernel, base_digits, power
 # entries before being frozen here.  Missing (p, k) pairs fall back to the
 # lexicographically least primitive monic polynomial of degree k.
 CONWAY_POLYNOMIALS: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 1): (1, 1),
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
     (2, 4): (1, 1, 0, 0, 1),
@@ -42,18 +41,13 @@ CONWAY_POLYNOMIALS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 10): (1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1),
     (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (2, 12): (1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1),
-    (3, 1): (1, 1),
     (3, 2): (2, 2, 1),
     (3, 3): (1, 2, 0, 1),
     (3, 4): (2, 0, 0, 2, 1),
-    (5, 1): (3, 1),
     (5, 2): (2, 4, 1),
     (5, 3): (3, 3, 0, 1),
-    (7, 1): (4, 1),
     (7, 2): (3, 6, 1),
-    (11, 1): (9, 1),
     (11, 2): (2, 7, 1),
-    (13, 1): (11, 1),
     (13, 2): (2, 12, 1),
 }
 
@@ -339,17 +333,6 @@ class Field:
         """All elements in ascending canonical integer encoding."""
         for v in range(self.order):
             yield self.element(v)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.characteristic == other.characteristic
-            and self.extension_degree == other.extension_degree
-            and self._modulus_vec == other._modulus_vec
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.characteristic, self.extension_degree, self._modulus_vec))
 
     def __repr__(self) -> str:
         if self.extension_degree == 1:

@@ -6,7 +6,7 @@ wraps them as FieldElements, once, when first read.  All values are
 immutable after construction.  The characteristic polynomial uses
 Hessenberg reduction with field division followed by the
 leading-principal-minor recurrence, O(d^3) field operations and valid in
-any characteristic.
+any characteristic; the determinant and invertibility read its constant term.
 """
 
 from __future__ import annotations
@@ -138,33 +138,16 @@ def _int_matmul(a: list[list[int]], b: list[list[int]], ops: FieldOps) -> list[l
 
 
 def matrix_det(M: Matrix) -> FieldElement:
-    """Determinant by Gaussian elimination with row swaps."""
+    """det M = (-1)^n chi_M(0), read off the characteristic polynomial."""
     if not M.is_square:
         raise NonSquareMatrix("determinant of a non-square matrix")
-    n = M.rows
-    add, neg, mul, inv, _ = M.field.ops
-    a = _int_rows(M)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return M.field.zero()
-        if piv != col:
-            a[piv], a[col] = a[col], a[piv]
-            det = neg(det)
-        top = a[col]
-        det = mul(det, top[col])
-        inv_piv = inv(top[col])
-        for row in a[col + 1:]:
-            if row[col]:
-                t = neg(mul(row[col], inv_piv))
-                for c in range(col, n):
-                    row[c] = add(row[c], mul(t, top[c]))
-    return FieldElement(M.field, det)
+    c = matrix_charpoly(M).ints[0]
+    return FieldElement(M.field, M.field.ops.neg(c) if M.rows % 2 else c)
 
 
 def matrix_is_invertible(M: Matrix) -> bool:
-    return M.is_square and not matrix_det(M).is_zero()
+    """M is square and chi_M(0) = (-1)^n det M is nonzero."""
+    return M.is_square and matrix_charpoly(M).ints[0] != 0
 
 
 def matrix_charpoly(M: Matrix) -> Polynomial:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
-from .errors import DivisionByZeroPoly
+from .errors import DivisionByZeroPoly, ScaleExceeded
 from .fields import Field, FieldElement, format_element, int_pow
-from .guards import check_enumeration
+from .guards import check_enumeration, guard_bits
 from .kernel import _trim, power
 
 NEG_INF = float("-inf")
@@ -210,6 +210,30 @@ def format_poly(p: Polynomial, var: str = "x", gen_symbol: str = "a") -> str:
     return " + ".join(parts)
 
 
+_INT_DIGITS = 4300  # the most digits int() converts from a str, by default
+
+
+def _decimal(digits: str, mod: int = 0) -> int:
+    """int(digits), or int(digits) % mod when mod is given, read _INT_DIGITS digits at a time."""
+    out = 0
+    for i in range(0, len(digits), _INT_DIGITS):
+        chunk = digits[i:i + _INT_DIGITS]
+        out = out * 10 ** len(chunk) + int(chunk)
+        if mod:
+            out %= mod
+    return out
+
+
+def _x_degree(digits: str) -> int:
+    """An exponent of x; one too long for int() whose digit count alone puts it
+    past the degree guard (10^(d-1) > 2^bits once d > bits/3 + 1) is refused by that count."""
+    digits = digits.lstrip("0") or "0"
+    bits = guard_bits("enumeration")
+    if len(digits) > max(_INT_DIGITS, bits // 3 + 1):
+        raise ScaleExceeded(f"polynomial degree of a {len(digits)}-digit number exceeds the 2^{bits} guard")
+    return _decimal(digits)
+
+
 def _parse_coefficient(text: str, field: Field, gen_symbol: str) -> FieldElement:
     """Parse a coefficient expression like '2a^2+a+1', '3', '' (meaning 1)."""
     text = text.strip().replace(" ", "")
@@ -224,13 +248,14 @@ def _parse_coefficient(text: str, field: Field, gen_symbol: str) -> FieldElement
         neg = sign == "-"
         m = re.fullmatch(rf"(\d*)\*?(?:{re.escape(gen_symbol)})(?:\^(\d+))?", term)
         if m:
-            mult = int(m.group(1)) if m.group(1) else 1
-            exp = int(m.group(2)) if m.group(2) else 1
-            if exp and field.extension_degree == 1:
+            exp = m.group(2) or "1"
+            if field.extension_degree == 1 and any(map(int, exp)):
                 raise ValueError("coefficient vector too long")
-            contrib = field.element(int_pow(field.characteristic, exp, field.ops)).scale_int(mult)
+            # a^(q-1) = 1, so a^N is a^(N mod (q - 1)); a multiplier acts mod p
+            a_exp = int_pow(field.characteristic, _decimal(exp, field.order - 1), field.ops)
+            contrib = field.element(a_exp).scale_int(_decimal(m.group(1) or "1", field.characteristic))
         elif term.isdigit():
-            contrib = field.element(int(term) % field.characteristic)
+            contrib = field.element(_decimal(term, field.characteristic))
         else:
             raise ValueError(f"cannot parse coefficient term {term!r}")
         total = total - contrib if neg else total + contrib
@@ -288,7 +313,7 @@ def parse_poly(text: str, field: Field, var: str = "x", gen_symbol: str = "a") -
         m = vre.match(chunk)
         if m:
             coeff_text = m.group("coeff")
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = _x_degree(m.group("exp") or "1")
             if coeff_text.startswith("(") and coeff_text.endswith(")"):
                 coeff_text = coeff_text[1:-1]
             add(exp, _parse_coefficient(coeff_text, field, gen_symbol), negate)

@@ -280,9 +280,7 @@ def find_trace_one_quadratic(m: int) -> Polynomial:
     check_field(2 ** (2 * m), "quadratic splitting field")
     field = make_field(2 ** m)
     one = field.one()
-    for lam in field.elements():
-        if lam.is_zero() or not is_primitive_element(lam):
-            continue
+    for lam in primitive_elements(field):
         cand = Polynomial.make(field, [lam, lam, one])
         if is_primitive_poly(cand)[0]:
             return cand

@@ -454,6 +454,12 @@ raise SystemExit(cli.main(sys.argv[1:]))
     # a^N is the power of the modulus root: a^99999999999 = a^0 = 1 in F_4
     (["test-primitive", "4", "x^2+x+a^99999999999"], 1, "stdout",
      '{"certificate": null, "field_order": 4, "poly": "x^2 + x + 1", "primitive": false}\n'),
+    # digit strings past int()'s 4300-digit limit: the degree is refused by its
+    # digit count, and a^N is read as N mod (q - 1) (10^5000 - 1 = 0 mod 3)
+    (["test-primitive", "2", "x^" + "9" * 5000 + "+1"], 2, "stderr",
+     "guard violation: polynomial degree of a 5000-digit number exceeds the 2^22 guard\n"),
+    (["test-primitive", "4", "x+a^" + "9" * 5000], 1, "stdout",
+     '{"certificate": null, "field_order": 4, "poly": "x + 1", "primitive": false}\n'),
 ])
 def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
     # a child under a 512 MB address-space cap and a time limit: before the degree
@@ -467,6 +473,17 @@ def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text)
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == code and getattr(res, stream) == text, res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_long_constants_and_multipliers_are_read_mod_p(capsys):
+    # 1...1 (5000 ones) = 2 and 2 * 10^5000 = 2 mod 3; 3...3 (4301 threes) = 1 mod 2 in F_4
+    code, out, err = run_cli(capsys, "test-primitive", "3", "x^2+" + "1" * 5000 + "x+2" + "0" * 5000)
+    assert (code, err) == (0, "") and json_lines(out)[0]["poly"] == "x^2 + 2x + 2"
+    code, out, err = run_cli(capsys, "test-primitive", "4", "x^2+x+" + "3" * 4301 + "a")
+    assert (code, err) == (0, "") and json_lines(out)[0]["poly"] == "x^2 + x + a"
+    # a zero exponent of x as long as that is still x^0
+    code, out, err = run_cli(capsys, "test-primitive", "2", "x^2+x+x^" + "0" * 5000)
+    assert (code, err) == (0, "") and json_lines(out)[0]["poly"] == "x^2 + x + 1"
 
 
 def test_degree_guard_moves_with_guard_bits(capsys):

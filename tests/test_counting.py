@@ -9,7 +9,8 @@ from tsrforge.errors import (BadDegree, FiberSizeViolation, ScaleExceeded,
                              UnknownKind)
 from tsrforge.factorint import euler_phi
 from tsrforge.fields import make_field
-from tsrforge.matrices import matrix_is_invertible
+from tsrforge.guards import ENV_VAR
+from tsrforge.matrices import matrix_charpoly, matrix_is_invertible
 from tsrforge.polys import format_poly, parse_poly
 from tsrforge.primitivity import is_primitive_element, is_primitive_poly
 from tsrforge.tsr import is_primitive_tsr
@@ -103,6 +104,17 @@ def test_matrix_census_non_primitive_no_crash():
         count_matrices_with_charpoly(parse_poly("x^3 + x + 1", f2), 2)
 
 
+def test_matrix_census_guard_moves_with_the_environment(monkeypatch):
+    f2 = make_field(2)
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    with pytest.raises(ScaleExceeded, match=r"^matrix space of 33554432 exceeds the 2\^22 guard$"):
+        count_matrices_with_charpoly(parse_poly("x^5 + x^2 + 1", f2), 5)
+    monkeypatch.setenv(ENV_VAR, "10")
+    with pytest.raises(ScaleExceeded, match=r"^matrix space of 65536 exceeds the 2\^10 guard$"):
+        count_matrices_with_charpoly(parse_poly("x^4 + x + 1", f2), 4)
+    assert count_matrices_with_charpoly(parse_poly("x^2 + x + 1", f2), 2) == 2
+
+
 def test_matrix_census_matches_gl_conjugation():
     # companion orbit under GL-conjugation has size |GL|/|centralizer|; for an
     # irreducible charpoly the centralizer is F_{q^m}^*, so the count is
@@ -156,12 +168,15 @@ def test_tsrp_bruteforce_tests_each_charpoly_once(monkeypatch):
         taps = [tuple(field.element(d) for d in base_digits(enc, q, n - 1))
                 for enc in range(q ** (n - 1))]
         specs = [TsrSpec(field, m, n, c, B) for c in taps for B in gl_matrices(field, m)]
-        tested = []
+        tested, chis = [], []
         monkeypatch.setattr(counting, "is_primitive_poly",
                             lambda f: tested.append(f) or is_primitive_poly(f))
+        monkeypatch.setattr(counting, "matrix_charpoly", lambda M: chis.append(M) or matrix_charpoly(M))
         # the same registers in the same (taps, B) order as one test per register
         assert enumerate_tsrp_bruteforce(q, m, n) == [s for s in specs if is_primitive_tsr(s)]
         assert len(tested) == len(set(tested)) == len({tsr_charpoly_formula(s) for s in specs})
+        # one characteristic polynomial per m x m matrix, which also decides invertibility
+        assert len(chis) == len(set(chis)) == q ** (m * m)
         monkeypatch.undo()
 
 

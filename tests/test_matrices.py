@@ -81,6 +81,9 @@ def test_invertibility_matches_det():
     for _ in range(40):
         A = _rand_matrix(rng, f3, 2)
         assert matrix_is_invertible(A) == (not matrix_det(A).is_zero())
+    # the 0 x 0 matrix: its determinant is the empty product, one
+    empty = Matrix.zeros(f3, 0, 0)
+    assert matrix_det(empty) == f3.one() and matrix_is_invertible(empty)
 
 
 def test_charpoly_known():
@@ -220,7 +223,7 @@ def _cofactor_det(A):
 @pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=FIELD_IDS)
 def test_int_kernels_match_field_element_arithmetic(field):
     rng = random.Random(field.order)
-    for n in range(1, 5):
+    for n in range(1, 6):  # n = 5: the block size of the (2,5,5) ladder point
         for make in (_rand_matrix, _sparse_matrix, _sparse_matrix):
             A, B = make(rng, field, n), make(rng, field, n)
             det = _cofactor_det(A)

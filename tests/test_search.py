@@ -259,6 +259,10 @@ def test_find_trace_one_quadratic():
         assert is_primitive_element(lam)
         assert quad.coeff(1) == lam
         assert is_primitive_poly(quad)[0]
+    # the least primitive lam that works, in ascending encoding, as a scan of every element finds it
+    assert [format_poly(find_trace_one_quadratic(m)) for m in range(1, 9)] == [
+        "x^2 + x + 1", "x^2 + ax + a", "x^2 + ax + a", "x^2 + ax + a", "x^2 + (a^2+a)x + (a^2+a)",
+        "x^2 + ax + a", "x^2 + a^3x + a^3", "x^2 + (a^2+a)x + (a^2+a)"]
 
 
 # stdout of `search-tsr q m n --emit provenance` where alpha is split out of

@@ -9,6 +9,8 @@ every side the recorder writes:
   e = q^n - 2), `is_irreducible` and `is_primitive_poly`, each on the same
   seeded sample of monic polynomials with f(0) != 0, at degrees 20, 40 and 64
   over F_2, 10, 20 and 40 over F_3 and 8 over F_9; microseconds per
+  `matrix_is_invertible` call on SAMPLE seeded m x m matrices over F_2 at
+  m = 2, 3 and 5 and over F_5 at m = 2; microseconds per
   `is_primitive_poly` call on primitive inputs, where every stage runs:
   x^63 + x + 1 over F_2 and the pools of perfbench/expected/certify.json
   (F_3 degree 20, F_4 degree 12, F_9 degree 8), each call on an emptied
@@ -25,7 +27,8 @@ every side the recorder writes:
   and microseconds per `tsr_period` call on those four registers; and
   milliseconds per call of the candidate scans: `search_primitive_tsr` at
   (2, 3, 9), (4, 3, 3) and (13, 3, 3), the P_mnq and P_qmn censuses at
-  (4, 2, 3), `generate_table("t3")`, `fiber_census` on the rows t4 key 4
+  (4, 2, 3), the register census `enumerate_tsrp_bruteforce` at (3, 2, 3)
+  and (5, 2, 1), `generate_table("t3")`, `fiber_census` on the rows t4 key 4
   (F_81), t2 key 6 (F_64) and t5 key 13 (F_169), `primitive_elements` of
   F_{2^10} and F_121, and `verify_conjecture` in the composition form at
   (2, 2, 7) and the direct form at (5, 2, 3); microseconds per
@@ -68,7 +71,8 @@ import time
 from pathlib import Path
 
 LAYER_CASES = [(2, 20), (2, 40), (2, 64), (3, 10), (3, 20), (3, 40), (9, 8)]
-SAMPLE = 8  # polynomials per (q, degree)
+SAMPLE = 8  # polynomials per (q, degree), matrices per (q, m)
+INVERTIBLE_CASES = [(2, 2), (2, 3), (2, 5), (5, 2)]  # (q, m) of matrix_is_invertible
 REPEATS = 9  # timed passes over each sample; the fastest pass is kept
 LAYER_ROUNDS = 16  # fresh interpreters per side, alternating; every round and each row's fastest are kept
 TALLY_M = (8, 10)  # element tally sizes, one call per pass
@@ -77,6 +81,7 @@ ALPHA_POINTS = [(16, 3), (4, 5), (64, 2), (9, 3)]  # (q, m) of _alpha_field
 ROUND_TRIPS = 500
 WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
 SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]
+TSRP_POINTS = [(3, 2, 3), (5, 2, 1)]  # (q, m, n) of enumerate_tsrp_bruteforce
 COMPOSE_POINTS = [(4, 2, 3), (3, 3, 3)]  # compose f(g(X)) on the search's first hit
 FIBER_ROWS = [("t4", 4), ("t2", 6), ("t5", 13)]  # (table, key): F_81, F_64, F_169
 PRIMITIVE_ELEMENT_ORDERS = (1 << 10, 121)
@@ -111,8 +116,9 @@ def layer_rows(src: str) -> dict:
     import random
 
     from tsrforge.cosets import primitive_trace_one_count
-    from tsrforge.counting import enumerate_special_primitives
+    from tsrforge.counting import enumerate_special_primitives, enumerate_tsrp_bruteforce
     from tsrforge.fields import base_digits, make_field, subfield_maps
+    from tsrforge.matrices import Matrix, matrix_is_invertible
     from tsrforge.polys import Polynomial, poly_modpow
     from tsrforge.primitivity import (conjugate_product, is_irreducible, is_primitive_poly,
                                       minimal_polynomial, primitive_elements)
@@ -135,6 +141,11 @@ def layer_rows(src: str) -> dict:
         }
         for name, call in calls.items():
             rows[f"{name}.F{q}.deg{n}_us"] = sig(per_call(call, SAMPLE) * 1e6)
+    for q, m in INVERTIBLE_CASES:
+        field, rng = make_field(q), random.Random(q * 100 + m)
+        mats = [Matrix(field, m, m, tuple(rng.randrange(q) for _ in range(m * m))) for _ in range(SAMPLE)]
+        rows[f"matrix_is_invertible.F{q}.m{m}_us"] = sig(
+            per_call(lambda i: matrix_is_invertible(mats[i]), SAMPLE) * 1e6)
     certify = json.loads((Path(src) / "perfbench" / "expected" / "certify.json").read_text())["primitive"]
     pools = {"F2.deg63": [Polynomial.make(make_field(2), [1, 1] + [0] * 61 + [1])]}
     for key, pool in certify.items():
@@ -179,6 +190,9 @@ def layer_rows(src: str) -> dict:
     for form in ("P_mnq", "P_qmn"):
         scans[f"enumerate_special_primitives.{form}.q4m2n3_ms"] = \
             lambda _, form=form: enumerate_special_primitives(4, 2, 3, form)
+    for q, m, n in TSRP_POINTS:
+        scans[f"enumerate_tsrp_bruteforce.q{q}m{m}n{n}_ms"] = \
+            lambda _, q=q, m=m, n=n: enumerate_tsrp_bruteforce(q, m, n)
     for table, key in FIBER_ROWS:
         _, q, ext, (shape,), _ = next(row for row in TABLES[table] if row[0] == key)
         scans[f"fiber_census.F{q ** ext}.{table}k{key}_ms"] = \
