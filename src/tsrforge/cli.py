@@ -246,6 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.guard_bits is not None and args.guard_bits < 0:
+        print(f"bad arguments: --guard-bits {args.guard_bits} must be an integer >= 0", file=sys.stderr)
+        return EXIT_ARGS
     saved = os.environ.get(ENV_VAR)
     if args.guard_bits is not None:
         os.environ[ENV_VAR] = str(args.guard_bits)

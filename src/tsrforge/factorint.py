@@ -1,8 +1,8 @@
 """Integer factorization and arithmetic functions on factored integers.
 
-Trial division up to 10^6 handles small factors; Pollard rho with Brent
-cycling splits the remaining cofactors, with deterministic Miller-Rabin
-(exact below 2^64) certifying primality of every reported prime.
+Trial division by the twelve Miller-Rabin bases 2..37 strips the smallest
+primes; Pollard rho with Brent cycling splits the cofactor, with deterministic
+Miller-Rabin (exact below 2^64) certifying primality of every reported prime.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from functools import lru_cache
 from .errors import FactorizationOverflow
 
 _LIMIT = 1 << 64
-_TRIAL_BOUND = 10**6
 _RHO_RETRY_CAP = 64
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # Miller-Rabin's bases and the trial divisors
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def is_prime_int(n: int) -> bool:
     """Deterministic primality for any n below 3.3e24 (Miller-Rabin base set)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -56,7 +56,7 @@ def is_prime_int(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -98,7 +98,7 @@ def _brent_rho(n: int, seed: int) -> int:
 
 
 def _split(n: int, out: dict[int, int]) -> None:
-    """Recursively factor n > 1 (no prime factors below the trial bound)."""
+    """Recursively factor n > 1 (no prime factor in _BASES)."""
     if is_prime_int(n):
         out[n] = out.get(n, 0) + 1
         return
@@ -124,24 +124,12 @@ def factor_integer(n: int) -> Factorization:
         raise FactorizationOverflow(f"{n} exceeds the 2^64 factorization bound")
     out: dict[int, int] = {}
     rest = n
-    for p in (2, 3, 5):
+    for p in _BASES:
         while rest % p == 0:
             out[p] = out.get(p, 0) + 1
             rest //= p
-    # 2/3/5 wheel over the trial range
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    p, idx = 7, 0
-    while p <= _TRIAL_BOUND and p * p <= rest:
-        while rest % p == 0:
-            out[p] = out.get(p, 0) + 1
-            rest //= p
-        p += increments[idx]
-        idx = (idx + 1) & 7
     if rest > 1:
-        if rest <= _TRIAL_BOUND * _TRIAL_BOUND and p * p > rest:
-            out[rest] = out.get(rest, 0) + 1
-        else:
-            _split(rest, out)
+        _split(rest, out)
     return Factorization(n, tuple(sorted(out.items())))
 
 

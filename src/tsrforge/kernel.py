@@ -221,12 +221,14 @@ class PackedKernel:
     def gcd(self, a, b):
         return self.unpack(self.packed_gcd(self.pack(a), self.pack(b), *self.fold(max(len(a), len(b)))))
 
-    def compose(self, f, g):
-        """f(g(X)) by Horner's rule, packed."""
+    def compose(self, f, g, n: int = 0):
+        """sum of f_i g^i X^(n(d - i)), d = len(f) - 1, by Horner's rule, packed: f(g(X)) for n = 0."""
         pk = self.wide(len(g) + 1)
-        (fold, mask), g, acc = pk.fold(len(f) * len(g) + 1), pk.pack(g), 0
+        (fold, mask), g, acc = pk.fold(len(f) * max(len(g), n) + 1), pk.pack(g), 0
+        step, shift = n * pk.W, 0
         for c in reversed(f):
-            acc = fold(acc * g + pk.pack([c]), mask)
+            acc = fold(acc * g + (pk.pack([c]) << shift), mask)
+            shift += step
         return pk.unpack(acc)
 
     def ring(self, f):

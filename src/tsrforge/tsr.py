@@ -16,9 +16,9 @@ from typing import Optional
 from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB,
                      ZeroConstantTerm)
 from .factorint import merged_factorization, multiplicative_order_from
-from .fields import Field, FieldElement, _encode, base_digits, make_field
+from .fields import Field, FieldElement, base_digits, make_field
 from .guards import check_field
-from .kernel import PackedKernel, _Memo, _trim
+from .kernel import _Memo
 from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
 from .polys import Polynomial, _common_field, poly_modpow
@@ -57,19 +57,19 @@ class TsrSpec:
     @cached_property
     def _taps(self) -> tuple:
         """(norm, mask, decoder, ((j, table), ...)): per nonzero tap c_j (c_0 = 1) a table maps a block
-        to block (c_j B) as one int, a PackedKernel(p) slot per F_p digit; decoder: normed sum -> (block,)."""
-        m, p, k, mul = self.m, self.field.characteristic, self.field.extension_degree, self.field.ops.mul
-        pk = PackedKernel(p).wide(self.n)
-        mask = int.from_bytes(pk.pattern * (m * k), "little")
+        to block (c_j B) packed as one int by the field's kernel; decoder: normed sum -> (block,)."""
+        m, mul = self.m, self.field.ops.mul
+        pk = self.field.ops.kernel.wide(self.n)
+        mask = pk.fold(m)[1]
 
-        def part(rows, table, block):  # m products, plus the part of block with digit i cleared
+        def part(rows, table, block):  # m products, plus the part of block with its last nonzero entry cleared
             i = max((i for i, x in enumerate(block) if x), default=0)
-            digits = [d for y in rows[i] for d in base_digits(mul(block[i], y), p, k)]
-            return pk.norm(pk.pack(digits) + (table[block[:i] + (0,) * (m - i)] if i else 0), mask)
+            prods = pk.pack([mul(block[i], y) for y in rows[i]])
+            return pk.norm(prods + (table[block[:i] + (0,) * (m - i)] if i else 0), mask)
 
         def decode(_, x):
-            digits = pk.unpack(x) + [0] * (m * k)
-            return (tuple(_encode(digits[i:i + k], p) for i in range(0, m * k, k)),)
+            entries = pk.unpack(x)
+            return (tuple(entries) + (0,) * (m - len(entries)),)
 
         return pk.norm, mask, _Memo(decode, TAP_TABLE_CAP), tuple(
             (j, _Memo(partial(part, [[mul(cj, b) for b in row] for row in _int_rows(self.B)]), TAP_TABLE_CAP))
@@ -149,18 +149,10 @@ class Decomposition:
 
 
 def _homogenize(h: Polynomial, g: Polynomial, m: int, n: int) -> Polynomial:
-    """g^m h(X^n / g) with denominators cleared: sum of h_k X^{nk} g^{m-k}, k = 0..m."""
+    """g^m h(X^n / g) with denominators cleared: sum of h_k X^{nk} g^{m-k}, k = 0..m, by Horner's rule in g."""
     field = _common_field(h.field, g.field)
-    ops = field.ops
-    g_pow = [[1]]
-    for _ in range(m):
-        g_pow.append(ops.kernel.mul(g_pow[-1], g.ints))
-    terms = [(n * k, hk, g_pow[m - k]) for k, hk in enumerate(h.ints[:m + 1]) if hk]
-    acc = [0] * max((shift + len(gp) for shift, _, gp in terms), default=0)
-    for shift, hk, gp in terms:
-        for i, y in enumerate(gp, shift):
-            acc[i] = ops.add(acc[i], ops.mul(hk, y))
-    return Polynomial(field, tuple(_trim(acc)))
+    hs = (h.ints + (0,) * m)[:m + 1]  # h_0..h_m, padded when deg h < m
+    return Polynomial(field, tuple(field.ops.kernel.compose(hs[::-1], g.ints, n)))
 
 
 def build_transition_matrix(spec: TsrSpec) -> Matrix:

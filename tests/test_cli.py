@@ -390,9 +390,13 @@ def test_guard_env_variable(capsys, monkeypatch):
 
 def test_bad_guard_bits_are_refused_by_name(capsys, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "24")
-    code, out, err = run_cli(capsys, "--guard-bits", "-1", "enumerate", "P_qmn", "2", "2", "2")
-    assert (code, out) == (2, "")
-    assert err == "bad arguments: TSRFORGE_GUARD_BITS = '-1' must be an integer >= 0\n"
+    # the flag is refused before any command runs, by its own name
+    for argv in (("enumerate", "P_qmn", "2", "2", "2"), ("field", "4"), ("search-tsr", "2", "2", "3")):
+        for value in ("-1", "-3"):
+            code, out, err = run_cli(capsys, "--guard-bits", value, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"bad arguments: --guard-bits {value} must be an integer >= 0\n"
+            assert os.environ[ENV_VAR] == "24"
     for value in ("-3", "abc"):
         monkeypatch.setenv(ENV_VAR, value)
         code, out, err = run_cli(capsys, "enumerate", "P_qmn", "2", "2", "2")

@@ -4,7 +4,7 @@ import pytest
 
 from tsrforge.errors import FactorizationOverflow
 from tsrforge.factorint import (Factorization, euler_phi, factor_integer,
-                                merged_factorization, moebius,
+                                is_prime_int, merged_factorization, moebius,
                                 multiplicative_order_from)
 
 
@@ -38,7 +38,40 @@ def test_factor_random_round_trip():
             for k in range(1, exp + 1):
                 assert prime ** k <= n
             prod *= prime ** exp
+            assert is_prime_int(prime)
         assert prod == n
+
+
+def _factor_cold(n):
+    """factor_integer without its cache, so bulk checks leave the cache to the program."""
+    return factor_integer.__wrapped__(n).as_dict()
+
+
+def test_factor_matches_a_smallest_prime_factor_sieve():
+    bound = 1 << 15
+    spf = list(range(bound))
+    for p in range(2, 182):  # 181^2 > 2^15
+        if spf[p] == p:
+            for k in range(p * p, bound, p):
+                spf[k] = min(spf[k], p)
+    for n in range(1, bound):
+        expected, rest = {}, n
+        while rest > 1:
+            expected[spf[rest]] = expected.get(spf[rest], 0) + 1
+            rest //= spf[rest]
+        assert _factor_cold(n) == expected, n
+
+
+def test_factor_products_of_two_primes_past_the_trial_divisors():
+    # a^i b^j with 41 <= a <= b < 200: no factor is one of the twelve trial divisors
+    primes = [p for p in range(41, 200) if is_prime_int(p)]
+    for x, a in enumerate(primes):
+        for b in primes[x:]:
+            for i in range(6):
+                for j in range(6):
+                    if i + j and a ** i * b ** j <= 2 ** 64:
+                        expected = {a: i + j} if a == b else {p: e for p, e in ((a, i), (b, j)) if e}
+                        assert _factor_cold(a ** i * b ** j) == expected, (a, i, b, j)
 
 
 def test_factor_overflow():

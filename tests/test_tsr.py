@@ -489,6 +489,20 @@ def test_primitive_orbit_is_full():
     assert len(seen) == 15
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_homogenize_matches_polynomial_arithmetic(q):
+    """g^m h(X^n / g) against sum of h_k X^{nk} g^{m-k} in Polynomial arithmetic, deg h <= m."""
+    field, rng = make_field(q), random.Random(q)
+    for trial in range(60):
+        m, n = rng.randrange(4), (1, rng.randrange(1, 5))[trial % 2]
+        h = Polynomial.make(field, [rng.randrange(q) for _ in range(rng.randrange(m + 2))])
+        g = Polynomial.make(field, [1] + [rng.randrange(q) for _ in range(rng.randrange(4))])
+        ref = Polynomial.zero(field)
+        for k, hk in enumerate(h.coeffs):
+            ref = ref + g.pow(m - k).shift(n * k).scale(hk)
+        assert tsr._homogenize(h, g, m, n) == ref, (h, g, m, n)
+
+
 def test_mn_decompose_round_trip():
     rng = random.Random(83)
     for q, m, n in ((2, 2, 2), (2, 2, 3), (3, 2, 2), (5, 2, 3), (2, 3, 2)):

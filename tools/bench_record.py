@@ -40,7 +40,14 @@ every side the recorder writes:
   microseconds per ring product a*b mod f in the field kernel's ring
   F_q[X]/(f) (`ring.mul` on reduced residues) for a seeded monic f and
   SAMPLE seeded pairs, at F_4 degree 12, F_16 degree 4, F_9 degree 8, F_81
-  degree 2 and F_1024 degree 2;
+  degree 2 and F_1024 degree 2; milliseconds per cold pass of
+  `factor_integer.__wrapped__` (the function without its cache) over the 45
+  distinct q^n - 1 that a `construct` request names (the ladder's q^(mn)
+  and the (q, degree) of every certify pool), and microseconds per cold
+  call on FACTOR_SAMPLE seeded integers below 2^64; and microseconds per
+  `tsr._homogenize` call g^m h(X^n / g) on SAMPLE seeded (h, g) pairs,
+  h monic of degree m with h(0) != 0 and g(0) = 1 of degree <= n - 1, at
+  each `tsrp` shape (q, m, n) of perfbench/expected/census.json;
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
@@ -88,6 +95,7 @@ PRIMITIVE_ELEMENT_ORDERS = (1 << 10, 121)
 MINPOLY_CASES = [(1 << 12, 2), (729, 9)]  # (field, base) orders of minimal_polynomial
 CONJUGATE_POINTS = [(16, 3, 3), (9, 2, 3)]  # conjugate_product on the search's step-5 polynomial
 RING_CASES = [(4, 12), (16, 4), (9, 8), (81, 2), (1024, 2)]  # (q, deg f) of ring products
+FACTOR_SAMPLE = 16  # seeded integers below 2^64, factored cold
 SIGNIFICANT = 4
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
@@ -125,7 +133,8 @@ def layer_rows(src: str) -> dict:
     from tsrforge import fields, primitivity
     from tsrforge.search import _alpha_field, _iter_primitive, search_primitive_tsr, verify_conjecture
     from tsrforge.tables import TABLES, fiber_census, generate_table
-    from tsrforge.tsr import TsrSpec, TsrState, tsr_period, tsr_step
+    from tsrforge.factorint import factor_integer
+    from tsrforge.tsr import TsrSpec, TsrState, _homogenize, tsr_period, tsr_step
 
     rows = {}
     for q, n in LAYER_CASES:
@@ -222,6 +231,30 @@ def layer_rows(src: str) -> dict:
         ring = make_field(q).ops.kernel.ring([rng.randrange(q) for _ in range(n)] + [1])
         xs = [ring.reduce([rng.randrange(q) for _ in range(n)]) for _ in range(SAMPLE + 1)]
         rows[f"ring_mul.F{q}.deg{n}_us"] = sig(per_call(lambda i: ring.mul(xs[i], xs[i + 1]), SAMPLE) * 1e6)
+    sys.path.insert(0, str(Path(src) / "perfbench"))
+    import workloads
+
+    scan = json.loads((Path(src) / "perfbench" / "expected" / "scan.json").read_text())["ladder"]
+    named = {(q, m * n) for q, m, n in (map(int, key.split(",")) for key in scan)}
+    named |= {(2, shape[0]) for pools in (workloads.F2_TRINOMIALS, workloads.F2_PENTANOMIALS)
+              for pool in pools.values() for shape in pool}
+    named |= {(q, p - 1) for q, primes in workloads.PHI_PRIMES.items() for p in primes}
+    named |= set(workloads.REDUCIBLE_SMALL.items()) | {(2, 64)}
+    named |= {(int(q), int(n)) for q, n in (key[1:].split("_deg") for key in certify)}
+    group_orders = sorted({q ** n - 1 for q, n in named})
+    rows[f"factor_integer.cold.construct{len(group_orders)}_ms"] = sig(
+        per_call(lambda _: [factor_integer.__wrapped__(v) for v in group_orders], 1) * 1e3)
+    rng = random.Random(64)
+    values = [rng.randrange(2, 1 << 64) for _ in range(FACTOR_SAMPLE)]
+    rows["factor_integer.cold.random64_us"] = sig(
+        per_call(lambda i: factor_integer.__wrapped__(values[i]), FACTOR_SAMPLE) * 1e6)
+    census = json.loads((Path(src) / "perfbench" / "expected" / "census.json").read_text())["tsrp"]
+    for q, m, n in (map(int, key.split(",")) for key in census):
+        field, rng = make_field(q), random.Random(q * 100 + m * 10 + n)
+        pairs = [(Polynomial.make(field, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - 1)] + [1]),
+                  Polynomial.make(field, [1] + [rng.randrange(q) for _ in range(n - 1)])) for _ in range(SAMPLE)]
+        rows[f"_homogenize.q{q}m{m}n{n}_us"] = sig(
+            per_call(lambda i: _homogenize(pairs[i][0], pairs[i][1], m, n), SAMPLE) * 1e6)
     return rows
 
 
