@@ -12,7 +12,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .counting import (closed_form_count, enumerate_special_primitives,
+from .counting import (_KIND_ARGS, closed_form_count, enumerate_special_primitives,
                        enumerate_tsrp_bruteforce, tsrp_upper_bound)
 from .errors import (BadDegree, BaseNotSubfield, BudgetExhausted,
                      CompositeCharacteristic, DimensionMismatch,
@@ -21,7 +21,7 @@ from .errors import (BadDegree, BaseNotSubfield, BudgetExhausted,
                      UnknownKind, ZeroConstantTerm, ZeroElement)
 from .factorint import euler_phi
 from .fields import format_element, make_field, make_prime_field
-from .guards import ENV_VAR
+from .guards import ENV_VAR, guard_bits
 from .polys import Polynomial, format_poly, parse_poly
 from .primitivity import is_primitive_element, is_primitive_poly
 from .search import search_primitive_tsr
@@ -38,8 +38,7 @@ _BAD_INPUT = (BadDegree, ZeroConstantTerm, UnknownKind, InvalidParity,
               CompositeCharacteristic, ReducibleModulus, ZeroElement,
               ValueError)
 
-_COUNT_KINDS = ("lfsr_prim", "lfsr_irr", "sigma_prim", "sigma_irr",
-                "gl_order", "tsr_order1", "tsr_m1")
+_COUNT_KINDS = tuple(_KIND_ARGS)
 _ENUM_KINDS = _COUNT_KINDS + ("P_qmn", "P_mnq", "tsrp")
 _THREADS_HELP = "accepted for compatibility; work runs serially and output never changes"
 
@@ -253,6 +252,7 @@ def main(argv=None) -> int:
     if args.guard_bits is not None:
         os.environ[ENV_VAR] = str(args.guard_bits)
     try:
+        guard_bits("field")  # a bad TSRFORGE_GUARD_BITS is refused before the command runs
         return args.fn(args)
     except ScaleExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)

@@ -72,8 +72,6 @@ def is_prime_int(n: int) -> bool:
 def _brent_rho(n: int, seed: int) -> int:
     """One Brent-cycle attempt at a nontrivial factor of composite odd n."""
     y, c, m = (seed * 2 + 1) % n, (seed * 2 + 3) % n, 128
-    if c == 0:
-        c = 1
     g = r = q = 1
     x = ys = y
     while g == 1:

@@ -83,39 +83,15 @@ def conjugates(x: int, e: int, ops: FieldOps, limit: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _field_ops(p: int, k: int, modulus: tuple[int, ...]) -> FieldOps:
-    """F_p by % p; F_{p^k} by exp/log tables up to TABLE_MAX_ORDER, else by
-    vectors; every field with the packed polynomial kernel on its modulus (kernel.py)."""
+    """F_p by % p; F_{p^k} by exp/log tables up to TABLE_MAX_ORDER, else by element_ops
+    of the packed polynomial kernel on its modulus (kernel.py), which every field carries."""
+    kernel = _kernel(p, 8, modulus)
     if k > 1:
-        ops = (_table_ops if p ** k <= TABLE_MAX_ORDER else _vector_ops)(p, k, modulus)
+        ops = _table_ops(p, k, modulus) if p ** k <= TABLE_MAX_ORDER else kernel.element_ops()
     else:
         ops = (xor, pos, and_, pos) if p == 2 else (lambda a, b: (a + b) % p, lambda a: -a % p,
                                                     lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
-    return FieldOps(*ops, _kernel(p, 8, modulus))
-
-
-def _vector_ops(p: int, k: int, modulus: tuple[int, ...]):
-    """(add, neg, mul, inv) on coefficient vectors over F_p: a product is one block
-    of the field's kernel, folded by the modulus.
-
-    Over F_2 the canonical int is the bit vector: its binary digits, one
-    byte '0' or '1' each, become the low bytes of the packed slots.
-    """
-    kernel = _kernel(p, 8, modulus)
-    (fold, mask), size, q = kernel.fold(1), kernel.size, p ** k
-    if p == 2:
-        to_slot, to_bit = {48: "\0" * size, 49: "\0" * (size - 1) + "\1"}, bytes.maketrans(b"\0\1", b"01")
-        spread = lambda a: int.from_bytes(f"{a:b}".translate(to_slot).encode("latin-1"), "big")
-        gather = lambda x: int(x.to_bytes(k * size, "big")[size - 1::size].translate(to_bit), 2)
-    else:
-        spread = lambda a: int.from_bytes(kernel._bytes(base_digits(a, p, k)), "little")
-        gather = lambda x: _encode(kernel._digits(x.to_bytes(k * size, "little")), p)
-    mul = lambda a, b: gather(fold(spread(a) * spread(b), mask))
-    inv = lambda a: gather(power(spread(a), q - 2, lambda x, y: fold(x * y, mask), 1))
-    if p == 2:
-        return xor, pos, mul, inv
-    return (lambda a, b: _encode([(x + y) % p for x, y in zip(base_digits(a, p, k), base_digits(b, p, k))], p),
-            lambda a: _encode([-x % p for x in base_digits(a, p, k)], p),
-            mul, inv)
+    return FieldOps(*ops, kernel)
 
 
 def _table_ops(p: int, k: int, modulus: tuple[int, ...]):
@@ -164,7 +140,7 @@ def _generator_powers(p: int, k: int, modulus: tuple[int, ...]) -> list[int]:
     """g^0 .. g^(q-2) for a primitive g: x when the modulus is primitive, else the least one."""
     q = p ** k
     for g in [p] + [v for v in range(2, q) if v != p]:
-        step = _times_x(p, k, modulus) if g == p else partial(_vector_ops(p, k, modulus)[2], g)
+        step = _times_x(p, k, modulus) if g == p else partial(_kernel(p, 8, modulus).element_ops()[2], g)
         powers = [1]
         v = step(1)
         while v != 1 and len(powers) < q - 1:
@@ -479,8 +455,8 @@ def least_root(field: Field, coeffs: Sequence[int], base_order: int) -> Optional
     return min(conjugates(ops.neg(f[0]), base_order, ops, k)) if len(f) == 2 else None
 
 
-def format_element(x: FieldElement, gen_symbol: str = "a") -> str:
-    """Render in the generator symbol, e.g. '2a^2+a+1', '0', '3'."""
+def format_element(x: FieldElement) -> str:
+    """Render in the generator symbol a, e.g. '2a^2+a+1', '0', '3'."""
     coeffs = x.coeffs
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
@@ -491,6 +467,6 @@ def format_element(x: FieldElement, gen_symbol: str = "a") -> str:
             terms.append(str(c))
         else:
             coeff = "" if c == 1 else str(c)
-            power = gen_symbol if i == 1 else f"{gen_symbol}^{i}"
+            power = "a" if i == 1 else f"a^{i}"
             terms.append(coeff + power)
     return "+".join(terms) if terms else "0"

@@ -14,13 +14,14 @@ modulus m(y) with Barrett's quotient floor(floor(c / y^k) * floor(y^(2k-2) / m)
 / y^(k-2)), one multiply for all blocks (none for k = 2; over F_p the norm is
 all).  Reduction by f of degree d in X is Barrett's again on whole blocks, with
 mu = floor(X^n / f) once per modulus.  Lists convert at the edge only, by a
-memoised spread per coefficient and a gather per block.
+memoised spread per coefficient and a gather per block, both through the one
+element codec (_block, _value), which also gives F_{p^k} its element_ops.
 """
 
 import sys
 from array import array
 from functools import lru_cache
-from operator import and_
+from operator import and_, pos, xor
 from typing import Callable, NamedTuple
 
 # slot bytes -> array typecode; arrays hold native-order items, so a
@@ -115,9 +116,30 @@ class PackedKernel:
         self.pattern = slot.to_bytes(self.size, "little")
         self.folds = _Memo(lambda _, b: self._fold(1 << b))  # by bit length of the block count
         self.inverse = _Memo(lambda _, v: self._inverse(v))
-        if k > 1:
-            self.spread = _Memo(lambda _, v: bytes(self._bytes(base_digits(v, p, k) + [0] * (k - 1))))
-            self.gather = _Memo(lambda _, raw: _encode(self._digits(raw), p))
+        if k > 1:  # the element codec: a canonical int as one block, base-p digit j in slot j, and back
+            size, n = self.size, k * self.size  # n: the bytes of a folded block's k digits
+            if p == 2:  # the binary digits, one byte '0' or '1' each, become the slots' low bytes
+                to_slot, to_bit = {48: "\0" * size, 49: "\0" * (size - 1) + "\1"}, bytes.maketrans(b"\0\1", b"01")
+                self._block = lambda v: int.from_bytes(f"{v:b}".translate(to_slot).encode("latin-1"), "big")
+                self._value = lambda x: int(x.to_bytes(n, "big")[size - 1::size].translate(to_bit), 2)
+            else:
+                self._block = lambda v: int.from_bytes(self._bytes(base_digits(v, p, k)), "little")
+                self._value = lambda x: _encode(self._digits(x.to_bytes(n, "little")), p)
+            self.spread = _Memo(lambda _, v: self._block(v).to_bytes(self.W // 8, "little"))
+            self.gather = _Memo(lambda _, raw: self._value(int.from_bytes(raw, "little")))
+
+    def element_ops(self):
+        """(add, neg, mul, inv) on the canonical ints of F_{p^k}, k > 1: a product is one
+        folded block and an inverse is _inverse's; add and neg stay XOR and identity
+        over F_2 and digit-wise over odd p, which is faster than through blocks."""
+        p, k, block, value = self.p, self.k, self._block, self._value
+        fold, mask = self.fold(1)
+        mul = lambda a, b: value(fold(block(a) * block(b), mask))
+        inv = lambda a: value(self._inverse(block(a))[0])
+        if p == 2:
+            return xor, pos, mul, inv
+        return (lambda a, b: _encode([(x + y) % p for x, y in zip(base_digits(a, p, k), base_digits(b, p, k))], p),
+                lambda a: _encode([-x % p for x in base_digits(a, p, k)], p), mul, inv)
 
     def wide(self, terms: int) -> "PackedKernel":
         """A kernel whose slots hold sums of the products of `terms` coefficient pairs."""

@@ -187,7 +187,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # The parser also accepts the unparenthesized trailing style "x + 2a+1" by
 # summing constant contributions term by term.
 
-def format_poly(p: Polynomial, var: str = "x", gen_symbol: str = "a") -> str:
+def format_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -195,12 +195,12 @@ def format_poly(p: Polynomial, var: str = "x", gen_symbol: str = "a") -> str:
         c = p.coeffs[i]
         if c.is_zero():
             continue
-        cs = format_element(c, gen_symbol)
+        cs = format_element(c)
         composite = "+" in cs or "-" in cs
         if i == 0:
             parts.append(f"({cs})" if composite else cs)
             continue
-        xpart = var if i == 1 else f"{var}^{i}"
+        xpart = "x" if i == 1 else f"x^{i}"
         if cs == "1":
             parts.append(xpart)
         elif composite:
@@ -234,7 +234,7 @@ def _x_degree(digits: str) -> int:
     return _decimal(digits)
 
 
-def _parse_coefficient(text: str, field: Field, gen_symbol: str) -> FieldElement:
+def _parse_coefficient(text: str, field: Field) -> FieldElement:
     """Parse a coefficient expression like '2a^2+a+1', '3', '' (meaning 1)."""
     text = text.strip().replace(" ", "")
     if text in ("", "+"):
@@ -246,7 +246,7 @@ def _parse_coefficient(text: str, field: Field, gen_symbol: str) -> FieldElement
     total = field.zero()
     for sign, term in re.findall(r"([+-]?)([^+-]+)", text):
         neg = sign == "-"
-        m = re.fullmatch(rf"(\d*)\*?(?:{re.escape(gen_symbol)})(?:\^(\d+))?", term)
+        m = re.fullmatch(r"(\d*)\*?a(?:\^(\d+))?", term)
         if m:
             exp = m.group(2) or "1"
             if field.extension_degree == 1 and any(map(int, exp)):
@@ -262,17 +262,15 @@ def _parse_coefficient(text: str, field: Field, gen_symbol: str) -> FieldElement
     return total
 
 
-def parse_poly(text: str, field: Field, var: str = "x", gen_symbol: str = "a") -> Polynomial:
+def parse_poly(text: str, field: Field) -> Polynomial:
     """Inverse of format_poly; accepts the looser unparenthesized table style.
 
     A constant tail like 'x^3 + x^2 + 2a + 2' sums term by term, so
     parentheses around composite coefficients are optional on input.
     """
-    s = text.strip().replace(" ", "")
+    s = text.strip().replace(" ", "").replace("X", "x")
     if not s:
         raise ValueError("empty polynomial text")
-    if var == var.lower():
-        s = s.replace(var.upper(), var)
     if s == "0":
         return Polynomial.zero(field)
     # split into top-level signed chunks, keeping parenthesized groups intact
@@ -308,7 +306,7 @@ def parse_poly(text: str, field: Field, var: str = "x", gen_symbol: str = "a") -
             c = -c
         coeff_acc[i] = coeff_acc.get(i, field.zero()) + c
 
-    vre = re.compile(rf"^(?P<coeff>.*?)\*?{re.escape(var)}(?:\^(?P<exp>\d+))?$")
+    vre = re.compile(r"^(?P<coeff>.*?)\*?x(?:\^(?P<exp>\d+))?$")
     for negate, chunk in chunks:
         m = vre.match(chunk)
         if m:
@@ -316,10 +314,10 @@ def parse_poly(text: str, field: Field, var: str = "x", gen_symbol: str = "a") -
             exp = _x_degree(m.group("exp") or "1")
             if coeff_text.startswith("(") and coeff_text.endswith(")"):
                 coeff_text = coeff_text[1:-1]
-            add(exp, _parse_coefficient(coeff_text, field, gen_symbol), negate)
+            add(exp, _parse_coefficient(coeff_text, field), negate)
         else:
             inner = chunk[1:-1] if chunk.startswith("(") and chunk.endswith(")") else chunk
-            add(0, _parse_coefficient(inner, field, gen_symbol), negate)
+            add(0, _parse_coefficient(inner, field), negate)
     top = max(coeff_acc) if coeff_acc else 0
     check_enumeration(top, "polynomial degree")  # before the dense list is built
     return Polynomial.make(field, [coeff_acc.get(i, field.zero()) for i in range(top + 1)])

@@ -82,15 +82,11 @@ def primitive_polys(field: Field, degree: int) -> list[Polynomial]:
 def _alpha_field(q: int, m: int, f: Polynomial):
     """F_q[X]/(f) together with alpha, the class of X (a root of f).
 
-    For prime q the quotient is built with f itself as the modulus, so alpha
-    is literally the generator.  For prime powers alpha is the least root of
-    f in the standard F_{q^m}, split out by fields.least_root.
+    For prime q and m > 1 the quotient is built with f itself as the modulus,
+    so alpha is literally the generator.  Otherwise alpha is the least root of
+    f in the standard F_{q^m}, split out by fields.least_root (-f(0) for m = 1).
     """
-    if m == 1:
-        field = f.field
-        alpha = -f.constant_term
-        return field, alpha, (lambda e: e)
-    if is_prime_int(q):
+    if m > 1 and is_prime_int(q):
         field = make_extension_field(q, m, modulus=f.ints)
         _, embed, _ = subfield_maps(field, q)
         return field, field.gen(), embed
@@ -261,7 +257,7 @@ def _direct_to_composition(q, m, n, g, lam):
     to land back in the conjecture's domain, and that can genuinely fail.
     """
     big = lam.owner
-    _, embed, descend = subfield_maps(big, q)
+    _, embed, _ = subfield_maps(big, q)
     c = g.leading
     c_big = embed(c)
     alpha2 = -(c_big.inverse() * lam)

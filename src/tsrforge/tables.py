@@ -106,12 +106,7 @@ _T4 = (
                               "x^3 + x + 2a^2+2a")),
 )
 
-_T5 = (
-    (2, 2, 2, (_CUBIC_111,), ("x^3 + x^2 + x + a", "x^3 + x^2 + x + a+1")),
-    (3, 3, 2, (_CUBIC_111,), ("x^3 + x^2 + x + a", "x^3 + x^2 + x + 2a+1")),
-    (5, 5, 2, (_CUBIC_111,), ("x^3 + x^2 + x + 3a", "x^3 + x^2 + x + 2a+3")),
-    (7, 7, 2, (_CUBIC_111,), ("x^3 + x^2 + x + 3a+1", "x^3 + x^2 + x + 3a+3",
-                              "x^3 + x^2 + x + 4a+4", "x^3 + x^2 + x + 4a+6")),
+_T5 = _T1[:4] + (  # t1's rows for q = 2, 3, 5, 7, then its own
     (11, 11, 2, (_CUBIC_111,), ("x^3 + x^2 + x + 9a+2", "x^3 + x^2 + x + 9a+6",
                                 "x^3 + x^2 + x + 6a+5", "x^3 + x^2 + x + 5a",
                                 "x^3 + x^2 + x + 6a+4", "x^3 + x^2 + x + 6a+9",

@@ -10,6 +10,8 @@ from tsrforge.fields import make_field
 from tsrforge.guards import ENV_VAR
 from tsrforge.polys import format_poly, parse_poly
 from tsrforge.primitivity import is_primitive_poly
+from tsrforge.search import search_primitive_tsr
+from tsrforge.tsr import tsr_period
 from tsrforge.verify import CheckResult
 
 
@@ -145,6 +147,29 @@ def test_search_tsr_provenance_alpha_over_prime_powers(capsys, q, m, n, alpha, l
     rec, prov = json_lines(out)
     assert (prov["alpha"], prov["lam"]) == (alpha, lam)
     assert prov["step8"] == rec["charpoly"]
+
+
+_M1_SEARCH = {  # q: (taps, block, charpoly, f, g, alpha, lam, h)
+    2: (["0", "1"], "1", "x^3 + x^2 + 1", "x + 1", "x^3 + x", "1", "1", "x + 1"),
+    3: (["0", "2"], "2", "x^3 + 2x^2 + 1", "x + 1", "x^3 + 2x", "2", "2", "x + 1"),
+    4: (["1", "1"], "a+1", "x^3 + (a+1)x^2 + (a+1)x + (a+1)", "x + a", "x^3 + x^2 + x", "a", "a+1",
+        "x + (a+1)"),
+    5: (["0", "3"], "2", "x^3 + 4x^2 + 3", "x + 2", "x^3 + 3x", "3", "2", "x + 3"),
+    9: (["0", "1"], "2a+1", "x^3 + (a+2)x^2 + (a+2)", "x + a", "x^3 + x", "2a", "2a+1", "x + (a+2)"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_M1_SEARCH))
+def test_search_tsr_at_m1_is_a_pinned_lfsr(capsys, q):
+    # m = 1: alpha is -f(0), the root of the linear f in F_q, and lam = 1/alpha is the block
+    taps, block, charpoly, f, g, alpha, lam, h = _M1_SEARCH[q]
+    code, out, err = run_cli(capsys, "search-tsr", str(q), "1", "3", "--emit", "provenance")
+    assert (code, err) == (0, "")
+    rec, prov = json_lines(out)
+    assert rec == {"q": q, "m": 1, "n": 3, "taps": taps, "block": [[block]], "charpoly": charpoly,
+                   "group_order": q ** 3 - 1}
+    assert prov == {"f": f, "g": g, "alpha": alpha, "lam": lam, "step5": charpoly, "h": h, "step8": charpoly}
+    assert tsr_period(search_primitive_tsr(q, 1, 3).spec) == q ** 3 - 1
 
 
 def test_search_tsr_budget_exhaustion_exits_3(capsys):
@@ -402,6 +427,22 @@ def test_bad_guard_bits_are_refused_by_name(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "enumerate", "P_qmn", "2", "2", "2")
         assert (code, out) == (2, "")
         assert err == f"bad arguments: TSRFORGE_GUARD_BITS = '{value}' must be an integer >= 0\n"
+
+
+def test_bad_guard_variable_is_refused_before_any_command_runs(capsys, monkeypatch):
+    # field 4 reads no guard, yet the variable is checked once, up front
+    for value in ("-3", "abc", "+3"):
+        monkeypatch.setenv(ENV_VAR, value)
+        for argv in (("field", "4"), ("bound", "2", "2", "2"), ("count-r",)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"bad arguments: TSRFORGE_GUARD_BITS = '{value}' must be an integer >= 0\n"
+        # --guard-bits overrides the variable for its call, and the bad value is back after it
+        code, out, _ = run_cli(capsys, "--guard-bits", "24", "field", "4")
+        assert code == 0 and json_lines(out)[0]["order"] == 4
+        assert os.environ[ENV_VAR] == value
+        code, _, err = run_cli(capsys, "--guard-bits", "-1", "field", "4")
+        assert (code, err) == (2, "bad arguments: --guard-bits -1 must be an integer >= 0\n")
 
 
 def test_enumerate_closed_forms_refuse_bad_arguments(capsys):

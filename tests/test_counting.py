@@ -212,6 +212,16 @@ def test_tsrp_theorem_consistency():
         tsrp_count_theorem(2, 2, 2, 3)  # 2 does not divide 3
 
 
+@pytest.mark.parametrize("q, n, count", [(3, 3, 4), (4, 3, 12), (2, 4, 2)])
+def test_tsrp_census_at_m1_counts_the_primitive_lfsrs(q, n, count):
+    # m = 1: a register is an LFSR over F_q
+    assert len(enumerate_tsrp_bruteforce(q, 1, n)) == closed_form_count("lfsr_prim", q, n=n) == count
+    # over F_3 with n odd the norm -lam of a monic g(X) + lam is 1 for the only
+    # primitive lam = 2, so P_mnq is empty and the theorem's count reads 0
+    p_count = len(enumerate_special_primitives(q, 1, n, "P_mnq"))
+    assert tsrp_count_theorem(q, 1, n, p_count) == (0 if q == 3 else count)
+
+
 def test_tsrp_upper_bound_values():
     # (q^(n-1) - 1) * phi(q^m - 1)/m * |GL_m|/(q^m - 1)
     assert tsrp_upper_bound(2, 2, 2) == 1 * 1 * 2

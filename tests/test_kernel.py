@@ -204,6 +204,34 @@ def test_bitmask_multiply_in_characteristic_2(k):
             assert _clmul_mod(x, field.ops.inv(x), mod) == 1
 
 
+def _ref_digits(v, p, k):
+    """The k little-endian base-p digits of v."""
+    return [v // p ** i % p for i in range(k)]
+
+
+def _ref_value(digits, p):
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("q", (3 ** 11, 5 ** 8, 7 ** 7))
+def test_vector_arithmetic_in_odd_characteristic(q):
+    # above 2^16 elements F_{p^k}, p odd, adds digit-wise and multiplies packed;
+    # the reference multiplies digit vectors mod p and reduces by the modulus
+    field = make_field(q)
+    p, k, ops = field.characteristic, field.extension_degree, field.ops
+    mod, rng = list(field.modulus_coeffs), random.Random(q)
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(8)]
+    for x in xs:
+        dx = _ref_digits(x, p, k)
+        assert ops.neg(x) == _ref_value([-d % p for d in dx], p)
+        for y in xs:
+            dy = _ref_digits(y, p, k)
+            assert ops.add(x, y) == _ref_value([(a + b) % p for a, b in zip(dx, dy)], p)
+            assert ops.mul(x, y) == _ref_value(_ref_divrem(_ref_mul(dx, dy, p), mod, p)[1], p)
+        if x:
+            assert _ref_divrem(_ref_mul(dx, _ref_digits(ops.inv(x), p, k), p), mod, p)[1] == [1]
+
+
 def _repeated(v, e, mul, one):
     r = one
     for _ in range(e):

@@ -195,6 +195,8 @@ def test_parse_flexible_spellings():
         assert parse_poly(text, f9) == want
     f2 = make_field(2)
     assert parse_poly("x^7+x^3+x", f2).degree == 7
+    assert parse_poly("X^7 + X^3 + X", f2) == parse_poly("x^7+x^3+x", f2)
+    assert parse_poly("X^2 + 2aX + (2a+2)", f9) == want
 
 
 def test_parse_rejects_garbage():

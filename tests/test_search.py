@@ -235,6 +235,18 @@ def test_direct_form_matches_the_per_candidate_scan(q, m, n, tried):
     assert w.found and w.candidates_tried == tried
 
 
+@pytest.mark.parametrize("q, direct, composition", [(2, 2, 2), (3, 4, 3), (4, 31, 6), (5, 15, 4), (9, 33, 2)])
+def test_conjecture_at_m1_converts_both_ways(q, direct, composition):
+    # m = 1: alpha is -f(0) in F_q itself, so -g + alpha is -f(g(X))
+    d = verify_conjecture(q, 1, 3, "direct")
+    assert (d.found, d.candidates_tried, d.conversion_ok) == (True, direct, True)
+    assert (d.witness, d.candidates_tried) == _first_direct_witness(q, 1, 3)
+    c = verify_conjecture(q, 1, 3, "composition")
+    assert (c.found, c.candidates_tried, c.conversion_ok) == (True, composition, True)
+    f, g = c.witness
+    assert c.converted == -f.compose(g)
+
+
 def test_conjecture_composition_definitive_empty():
     # full exhaustion without a hit is a definitive negative, not an error
     w = verify_conjecture(3, 3, 2, "composition")

@@ -40,7 +40,12 @@ every side the recorder writes:
   microseconds per ring product a*b mod f in the field kernel's ring
   F_q[X]/(f) (`ring.mul` on reduced residues) for a seeded monic f and
   SAMPLE seeded pairs, at F_4 degree 12, F_16 degree 4, F_9 degree 8, F_81
-  degree 2 and F_1024 degree 2; milliseconds per cold pass of
+  degree 2 and F_1024 degree 2; microseconds per element product
+  (`field_mul`, `Field.ops.mul`) and per inverse (`field_inv`,
+  `Field.ops.inv`) on FIELD_OP_SAMPLE seeded nonzero canonical ints of
+  F_{2^17}, F_{2^24}, F_{3^11} and F_{5^8}, fields above the exp/log table
+  bound whose elements multiply as one block of the field's packed
+  kernel (`PackedKernel.element_ops`); milliseconds per cold pass of
   `factor_integer.__wrapped__` (the function without its cache) over the 45
   distinct q^n - 1 that a `construct` request names (the ladder's q^(mn)
   and the (q, degree) of every certify pool), and microseconds per cold
@@ -96,6 +101,8 @@ MINPOLY_CASES = [(1 << 12, 2), (729, 9)]  # (field, base) orders of minimal_poly
 CONJUGATE_POINTS = [(16, 3, 3), (9, 2, 3)]  # conjugate_product on the search's step-5 polynomial
 RING_CASES = [(4, 12), (16, 4), (9, 8), (81, 2), (1024, 2)]  # (q, deg f) of ring products
 FACTOR_SAMPLE = 16  # seeded integers below 2^64, factored cold
+FIELD_OP_ORDERS = (1 << 17, 1 << 24, 3 ** 11, 5 ** 8)  # above the 2^16 table bound
+FIELD_OP_SAMPLE = 400  # element products and inverses per pass
 SIGNIFICANT = 4
 SEEDS = range(101, 111)  # perfbench seeds, one run per workload each
 WORKLOADS = ("construct", "count")
@@ -231,6 +238,11 @@ def layer_rows(src: str) -> dict:
         ring = make_field(q).ops.kernel.ring([rng.randrange(q) for _ in range(n)] + [1])
         xs = [ring.reduce([rng.randrange(q) for _ in range(n)]) for _ in range(SAMPLE + 1)]
         rows[f"ring_mul.F{q}.deg{n}_us"] = sig(per_call(lambda i: ring.mul(xs[i], xs[i + 1]), SAMPLE) * 1e6)
+    for order in FIELD_OP_ORDERS:
+        ops, rng = make_field(order).ops, random.Random(order)
+        xs = [rng.randrange(1, order) for _ in range(FIELD_OP_SAMPLE + 1)]
+        rows[f"field_mul.F{order}_us"] = sig(per_call(lambda i: ops.mul(xs[i], xs[i + 1]), FIELD_OP_SAMPLE) * 1e6)
+        rows[f"field_inv.F{order}_us"] = sig(per_call(lambda i: ops.inv(xs[i]), FIELD_OP_SAMPLE) * 1e6)
     sys.path.insert(0, str(Path(src) / "perfbench"))
     import workloads
 
