@@ -8,7 +8,7 @@ the other.
 from .errors import BadDegree, FiberSizeViolation, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
 from .fields import Field, base_digits, conjugates, make_field, prime_power, subfield_maps
-from .guards import check_enumeration, check_field
+from .guards import check_enumeration, check_field, guarded_power
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
 from .polys import Polynomial, format_poly
@@ -89,7 +89,7 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     prime_power(q)
     check_shape(m, n)
     # guard before the primitive-element scan; phi counts that scan's output
-    space = q ** (n - 1) * euler_phi(q ** m - 1)
+    space = guarded_power(q, n - 1, "candidate space") * euler_phi(guarded_power(q, m, "coefficient field") - 1)
     check_field(space, "candidate space")
     big = make_field(q ** m)
     base, embed, _ = subfield_maps(big, q)
@@ -168,7 +168,7 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[
     """
     check_shape(m, n)
     field = make_field(q)
-    space = q ** (n - 1) * gl_order(q, m)
+    space = guarded_power(q, n - 1, "candidate space", "enumeration") * gl_order(q, m)
     check_enumeration(space)
     # B is invertible iff Psi_B(0) = (-1)^m det B is nonzero
     pairs = [(B, psi) for B in _all_matrices(field, m) if (psi := matrix_charpoly(B)).ints[0]]

@@ -16,6 +16,9 @@ from .errors import FactorizationOverflow
 _LIMIT = 1 << 64
 _RHO_RETRY_CAP = 64
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # Miller-Rabin's bases and the trial divisors
+# (bound, k): below bound the first k bases decide (Pomerance, Selfridge & Wagstaff 1980; Jaeschke 1993)
+_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+             (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9))
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class Factorization:
 
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic primality for any n below 3.3e24 (Miller-Rabin base set)."""
+    """Deterministic primality for any n below 3.18e23, where the twelve bases stop being exact."""
     if n < 2:
         return False
     for p in _BASES:
@@ -56,7 +59,7 @@ def is_prime_int(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _BASES:
+    for a in _BASES[:next((k for bound, k in _PREFIXES if n < bound), len(_BASES))]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -126,8 +129,10 @@ def factor_integer(n: int) -> Factorization:
         while rest % p == 0:
             out[p] = out.get(p, 0) + 1
             rest //= p
-    if rest > 1:
+    if rest >= 41 * 41:  # no prime below 41 divides rest, so below 41^2 it is 1 or a prime
         _split(rest, out)
+    elif rest > 1:
+        out[rest] = 1
     return Factorization(n, tuple(sorted(out.items())))
 
 

@@ -374,41 +374,39 @@ def subfield_maps(field: Field, base_order: int):
 
     embed: base element -> its image in `field`.
     descend: image -> base element; BaseNotSubfield if the value is outside
-    the embedded copy.
+    the embedded copy.  Both wrap the int maps of _subfield_ints.
     """
-    p = field.characteristic
-    k = field.extension_degree
-    j = subfield_degree(field, base_order)
-    if j == k:
+    base, up, down = _subfield_ints(field, base_order)
+    if base is field:
         ident = lambda x: x
         return field, ident, ident
-    if j == 1:
-        base = make_prime_field(p)
+    return (base, lambda c: FieldElement(field, up(c.int_value)),
+            lambda x: FieldElement(base, down(x.int_value)))
 
-        # a prime-field scalar is an encoding below p in every extension
-        def embed1(c: FieldElement) -> FieldElement:
-            return field.element(c.int_value)
 
-        def descend1(x: FieldElement) -> FieldElement:
-            if x.int_value >= p:
-                raise BaseNotSubfield(f"{x.coeffs} is not a prime-field scalar")
-            return base.element(x.int_value)
+def _subfield_ints(field: Field, base_order: int):
+    """(base_field, up, down): subfield_maps on canonical ints, base -> field and back."""
+    p, k = field.characteristic, field.extension_degree
+    j = subfield_degree(field, base_order)
+    if j == k:
+        return field, pos, pos
+    if j == 1:  # a prime-field scalar is an encoding below p in every extension
+        def down1(v: int) -> int:
+            if v >= p:
+                raise BaseNotSubfield(f"{tuple(base_digits(v, p, k))} is not a prime-field scalar")
+            return v
 
-        return base, embed1, descend1
-
+        return make_prime_field(p), pos, down1
     base = make_extension_field(p, j)
     check_enumeration(base.order, "subfield table")
     up, down = _subfield_tables(field, base)
 
-    def embed_big(c: FieldElement) -> FieldElement:
-        return FieldElement(field, up[c.int_value])
+    def down_big(v: int) -> int:
+        if v not in down:
+            raise BaseNotSubfield(f"value {tuple(base_digits(v, p, k))} lies outside GF({base_order})")
+        return down[v]
 
-    def descend_big(x: FieldElement) -> FieldElement:
-        if x.int_value not in down:
-            raise BaseNotSubfield(f"value {x.coeffs} lies outside GF({base_order})")
-        return FieldElement(base, down[x.int_value])
-
-    return base, embed_big, descend_big
+    return base, up.__getitem__, down_big
 
 
 @lru_cache(maxsize=None)
@@ -457,16 +455,14 @@ def least_root(field: Field, coeffs: Sequence[int], base_order: int) -> Optional
 
 def format_element(x: FieldElement) -> str:
     """Render in the generator symbol a, e.g. '2a^2+a+1', '0', '3'."""
-    coeffs = x.coeffs
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            coeff = "" if c == 1 else str(c)
-            power = "a" if i == 1 else f"a^{i}"
-            terms.append(coeff + power)
-    return "+".join(terms) if terms else "0"
+    return _format_int(x.int_value, x.owner)
+
+
+def _format_int(v: int, field: Field) -> str:
+    """format_element of the canonical int v of field, without building the element."""
+    p = field.characteristic
+    if v < p:
+        return str(v)
+    digits = base_digits(v, p, field.extension_degree)
+    terms = [("" if c == 1 else str(c)) + ("a" if i == 1 else f"a^{i}") for i, c in enumerate(digits) if c and i]
+    return "+".join(terms[::-1] + ([str(digits[0])] if digits[0] else []))

@@ -10,6 +10,7 @@ from .errors import ScaleExceeded
 
 ENUMERATION_BITS = 22
 FIELD_BITS = 24
+POWER_BITS = 1 << 24  # a power q^e whose bit length alone passes this and the guard is not taken
 ENV_VAR = "TSRFORGE_GUARD_BITS"
 
 
@@ -37,3 +38,12 @@ def check_custom(size: int, bits: int, what: str) -> None:
         except ValueError:  # more digits than int-to-str conversion allows
             shown = f"a {size.bit_length()}-bit number"
         raise ScaleExceeded(f"{what} of {shown} exceeds the 2^{bits} guard")
+
+
+def guarded_power(q: int, e: int, what: str, kind: str = "field") -> int:
+    """q ** e; ScaleExceeded naming q^e, before it is taken, when e * (q.bit_length() - 1),
+    a lower bound of log2(q^e), passes both the guard and POWER_BITS."""
+    bits = guard_bits(kind)
+    if e * (q.bit_length() - 1) > max(bits, POWER_BITS):
+        raise ScaleExceeded(f"{what} of {q}^{e} exceeds the 2^{bits} guard")
+    return q ** e

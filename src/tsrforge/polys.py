@@ -16,8 +16,8 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import DivisionByZeroPoly, ScaleExceeded
-from .fields import Field, FieldElement, format_element, int_pow
-from .guards import check_enumeration, guard_bits
+from .fields import Field, FieldElement, _format_int, int_pow
+from .guards import check_custom, guard_bits
 from .kernel import _trim, power
 
 NEG_INF = float("-inf")
@@ -190,23 +190,17 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def format_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
-    parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
-        if c.is_zero():
+    parts, field = [], p.field
+    for i in range(len(p.ints) - 1, -1, -1):
+        if not p.ints[i]:
             continue
-        cs = format_element(c)
-        composite = "+" in cs or "-" in cs
+        cs = _format_int(p.ints[i], field)
+        if "+" in cs:  # a composite coefficient
+            cs = f"({cs})"
         if i == 0:
-            parts.append(f"({cs})" if composite else cs)
-            continue
-        xpart = "x" if i == 1 else f"x^{i}"
-        if cs == "1":
-            parts.append(xpart)
-        elif composite:
-            parts.append(f"({cs}){xpart}")
+            parts.append(cs)
         else:
-            parts.append(f"{cs}{xpart}")
+            parts.append(("" if cs == "1" else cs) + ("x" if i == 1 else f"x^{i}"))
     return " + ".join(parts)
 
 
@@ -224,41 +218,37 @@ def _decimal(digits: str, mod: int = 0) -> int:
     return out
 
 
-def _x_degree(digits: str) -> int:
+def _x_degree(digits: str, bits: int) -> int:
     """An exponent of x; one too long for int() whose digit count alone puts it
-    past the degree guard (10^(d-1) > 2^bits once d > bits/3 + 1) is refused by that count."""
+    past the degree guard of 2^bits (10^(d-1) > 2^bits once d > bits/3 + 1) is refused by that count."""
     digits = digits.lstrip("0") or "0"
-    bits = guard_bits("enumeration")
     if len(digits) > max(_INT_DIGITS, bits // 3 + 1):
         raise ScaleExceeded(f"polynomial degree of a {len(digits)}-digit number exceeds the 2^{bits} guard")
     return _decimal(digits)
 
 
-def _parse_coefficient(text: str, field: Field) -> FieldElement:
-    """Parse a coefficient expression like '2a^2+a+1', '3', '' (meaning 1)."""
+def _parse_coefficient(text: str, field: Field) -> int:
+    """The canonical int of a coefficient expression like '2a^2+a+1', '3', '' (meaning 1)."""
     text = text.strip().replace(" ", "")
-    if text in ("", "+"):
-        return field.one()
-    if text == "-":
-        return -field.one()
+    ops, p = field.ops, field.characteristic
+    if text in ("", "+", "-"):
+        return ops.neg(1) if text == "-" else 1
     if text[-1] in "+-":
         raise ValueError(f"sign with no term after it in coefficient {text!r}")
-    total = field.zero()
+    total = 0
     for sign, term in re.findall(r"([+-]?)([^+-]+)", text):
-        neg = sign == "-"
         m = re.fullmatch(r"(\d*)\*?a(?:\^(\d+))?", term)
         if m:
             exp = m.group(2) or "1"
             if field.extension_degree == 1 and any(map(int, exp)):
                 raise ValueError("coefficient vector too long")
             # a^(q-1) = 1, so a^N is a^(N mod (q - 1)); a multiplier acts mod p
-            a_exp = int_pow(field.characteristic, _decimal(exp, field.order - 1), field.ops)
-            contrib = field.element(a_exp).scale_int(_decimal(m.group(1) or "1", field.characteristic))
+            contrib = ops.mul(int_pow(p, _decimal(exp, field.order - 1), ops), _decimal(m.group(1) or "1", p))
         elif term.isdigit():
-            contrib = field.element(_decimal(term, field.characteristic))
+            contrib = _decimal(term, p)
         else:
             raise ValueError(f"cannot parse coefficient term {term!r}")
-        total = total - contrib if neg else total + contrib
+        total = ops.add(total, ops.neg(contrib) if sign == "-" else contrib)
     return total
 
 
@@ -299,25 +289,19 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     if not cur:
         raise ValueError(f"sign with no term after it in {text!r}")
     chunks.append((neg, cur))
-    coeff_acc: dict[int, FieldElement] = {}
-
-    def add(i: int, c: FieldElement, negate: bool) -> None:
-        if negate:
-            c = -c
-        coeff_acc[i] = coeff_acc.get(i, field.zero()) + c
-
+    ops, bits = field.ops, guard_bits("enumeration")
+    coeff_acc: dict[int, int] = {}
     vre = re.compile(r"^(?P<coeff>.*?)\*?x(?:\^(?P<exp>\d+))?$")
     for negate, chunk in chunks:
         m = vre.match(chunk)
         if m:
-            coeff_text = m.group("coeff")
-            exp = _x_degree(m.group("exp") or "1")
-            if coeff_text.startswith("(") and coeff_text.endswith(")"):
-                coeff_text = coeff_text[1:-1]
-            add(exp, _parse_coefficient(coeff_text, field), negate)
+            exp, coeff_text = _x_degree(m.group("exp") or "1", bits), m.group("coeff")
         else:
-            inner = chunk[1:-1] if chunk.startswith("(") and chunk.endswith(")") else chunk
-            add(0, _parse_coefficient(inner, field), negate)
+            exp, coeff_text = 0, chunk
+        if coeff_text.startswith("(") and coeff_text.endswith(")"):
+            coeff_text = coeff_text[1:-1]
+        c = _parse_coefficient(coeff_text, field)
+        coeff_acc[exp] = ops.add(coeff_acc.get(exp, 0), ops.neg(c) if negate else c)
     top = max(coeff_acc) if coeff_acc else 0
-    check_enumeration(top, "polynomial degree")  # before the dense list is built
-    return Polynomial.make(field, [coeff_acc.get(i, field.zero()) for i in range(top + 1)])
+    check_custom(top, bits, "polynomial degree")  # before the dense list is built
+    return Polynomial(field, tuple(_trim([coeff_acc.get(i, 0) for i in range(top + 1)])))

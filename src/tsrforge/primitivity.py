@@ -33,7 +33,8 @@ from operator import attrgetter
 from .errors import (BadDegree, BaseNotSubfield, CoefficientNotDescended, ZeroConstantTerm,
                      ZeroElement)
 from .factorint import Factorization, factor_integer
-from .fields import Field, FieldElement, conjugates, int_pow, subfield_degree, subfield_maps
+from .fields import (Field, FieldElement, _format_int, _subfield_ints, conjugates, int_pow,
+                     subfield_degree)
 from .kernel import FieldOps
 from .polys import Polynomial, format_poly
 
@@ -126,7 +127,7 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
     n = f.degree
     if not isinstance(n, int) or n < 1:
         raise BadDegree("primitivity is defined for degree >= 1")
-    if f.constant_term.is_zero():
+    if not f.ints[0]:
         raise ZeroConstantTerm("X divides f, so X mod f cannot generate")
     field = f.field
     q, ops = field.order, field.ops
@@ -186,13 +187,13 @@ def minimal_polynomial(x: FieldElement, base_order: int) -> Polynomial:
     a time on the field's ops, with the coefficients descended into the base field.
     """
     field = x.owner
-    base, _, descend = subfield_maps(field, base_order)
+    base, _, down = _subfield_ints(field, base_order)
     if x.is_zero():
         return Polynomial.x(base)
     ops, prod = field.ops, [1]
     for y in conjugates(x.int_value, base_order, ops, field.extension_degree):
         prod = [ops.add(a, ops.mul(ops.neg(y), b)) for a, b in zip([0] + prod, prod + [0])]  # (X - y) prod
-    return _descend_poly(Polynomial(field, tuple(prod)), base, descend)
+    return _descend_poly(Polynomial(field, tuple(prod)), base, down)
 
 
 def conjugate_product(f: Polynomial, base_order: int) -> Polynomial:
@@ -202,22 +203,22 @@ def conjugate_product(f: Polynomial, base_order: int) -> Polynomial:
     so every coefficient descends.
     """
     field = f.field
-    base, _, descend = subfield_maps(field, base_order)
+    base, _, down = _subfield_ints(field, base_order)
     m = field.extension_degree // subfield_degree(field, base_order)
     ops, prod, g = field.ops, f.ints, f.ints
     for _ in range(m - 1):
         g = [int_pow(c, base_order, ops) for c in g]
         prod = ops.kernel.mul(prod, g)
-    return _descend_poly(Polynomial(field, tuple(prod)), base, descend)
+    return _descend_poly(Polynomial(field, tuple(prod)), base, down)
 
 
-def _descend_poly(p: Polynomial, base: Field, descend) -> Polynomial:
+def _descend_poly(p: Polynomial, base: Field, down) -> Polynomial:
     out = []
-    for c in p.coeffs:
+    for v in p.ints:
         try:
-            out.append(descend(c))
+            out.append(down(v))
         except BaseNotSubfield as exc:
             raise CoefficientNotDescended(
-                f"coefficient {c} of {format_poly(p)} is outside GF({base.order})"
+                f"coefficient {_format_int(v, p.field)} of {format_poly(p)} is outside GF({base.order})"
             ) from exc
-    return Polynomial.make(base, out)
+    return Polynomial(base, tuple(out))

@@ -17,13 +17,13 @@ from .errors import (BadDegree, BudgetExhausted, ExistenceViolation,
                      InvalidParity, ZeroConstantTerm)
 from .counting import _fiber, _orbit_leads, check_shape
 from .factorint import is_prime_int
-from .fields import (Field, base_digits, least_root, make_extension_field, make_field,
-                     prime_power, subfield_maps)
-from .guards import check_field
+from .fields import (Field, _subfield_ints, base_digits, least_root, make_extension_field,
+                     make_field, prime_power, subfield_maps)
+from .guards import check_field, guarded_power
 from .matrices import Matrix, companion_matrix
 from .parallel import first_hit
 from .polys import Polynomial
-from .primitivity import (PrimitivityCertificate, conjugate_product,
+from .primitivity import (PrimitivityCertificate, _generates, conjugate_product,
                           is_primitive_element, is_primitive_poly,
                           minimal_polynomial, primitive_elements)
 from .tsr import TsrSpec, tsr_charpoly_formula
@@ -66,12 +66,11 @@ class ConjectureWitness:
 
 def reciprocal(k: Polynomial, degree_hint: int) -> Polynomial:
     """Monic reversal X^d * k(1/X) within ambient degree d = degree_hint."""
-    if k.is_zero() or k.constant_term.is_zero():
+    if k.is_zero() or not k.ints[0]:
         raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
     if degree_hint < k.degree:
         raise BadDegree(f"ambient degree {degree_hint} below deg k = {k.degree}")
-    rev = Polynomial.make(k.field, [k.coeff(degree_hint - i) for i in range(degree_hint + 1)])
-    return rev.monic()
+    return Polynomial(k.field, (0,) * (degree_hint - k.degree) + k.ints[::-1]).monic()
 
 
 def primitive_polys(field: Field, degree: int) -> list[Polynomial]:
@@ -80,7 +79,7 @@ def primitive_polys(field: Field, degree: int) -> list[Polynomial]:
 
 
 def _alpha_field(q: int, m: int, f: Polynomial):
-    """F_q[X]/(f) together with alpha, the class of X (a root of f).
+    """(F_q[X]/(f), alpha, up): alpha is the class of X (a root of f), up embeds canonical ints of F_q.
 
     For prime q and m > 1 the quotient is built with f itself as the modulus,
     so alpha is literally the generator.  Otherwise alpha is the least root of
@@ -88,14 +87,13 @@ def _alpha_field(q: int, m: int, f: Polynomial):
     """
     if m > 1 and is_prime_int(q):
         field = make_extension_field(q, m, modulus=f.ints)
-        _, embed, _ = subfield_maps(field, q)
-        return field, field.gen(), embed
+        return field, field.gen(), _subfield_ints(field, q)[1]
     field = make_field(q ** m)
-    _, embed, _ = subfield_maps(field, q)
-    alpha = least_root(field, Polynomial.make(field, map(embed, f.coeffs)).ints, q)
+    up = _subfield_ints(field, q)[1]
+    alpha = least_root(field, [up(c) for c in f.ints], q)
     if alpha is None:
         raise ExistenceViolation("a primitive polynomial must split in its splitting field")
-    return field, field.element(alpha), embed
+    return field, field.element(alpha), up
 
 
 def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
@@ -105,8 +103,8 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
     _check_budget(budget)
     if q >= 3 and n % 2 == 0 and not allow_even_n:
         raise InvalidParity(f"n = {n} even is out of scope for q = {q} >= 3")
-    check_field(q ** m, "block field")
-    check_field(q ** n, "tap space")
+    check_field(guarded_power(q, m, "block field"), "block field")
+    check_field(guarded_power(q, n, "tap space"), "tap space")
     base = make_field(q)
     hit, tried, _ = _composition_scan(base, m, n, budget, threads)
     if hit is None:
@@ -119,11 +117,12 @@ def _composition_scan(base: Field, m: int, n: int, budget: int | None, threads: 
 
     f runs over the monic primitive polynomials of degree m ascending and, for
     each f, g over the monic g of degree n with g(0) = 0 ascending, probed
-    through first_hit.  hit is (f, g) or None, tried counts the pairs tested,
-    and stopped is True when the budget ran out while untested pairs remained.
+    through first_hit.  A probe tests the monic reciprocal of f(g(X)), the
+    register's characteristic polynomial, primitive exactly when f(g(X)) is.
+    hit is (f, g, its certificate) or None, tried counts the pairs tested, and
+    stopped is True when the budget ran out while untested pairs remained.
     """
-    g_total = base.order ** (n - 1)
-    tried = 0
+    kernel, g_total, tried = base.ops.kernel, guarded_power(base.order, n - 1, "candidate space"), 0
     for f in _iter_primitive(base, m):
         remaining = g_total if budget is None else min(g_total, budget - tried)
         if remaining <= 0:
@@ -131,12 +130,13 @@ def _composition_scan(base: Field, m: int, n: int, budget: int | None, threads: 
 
         def probe(idx):
             # g is built when probed: the scan usually hits long before g_total
-            g = Polynomial.make(base, [0] + base_digits(idx, base.order, n - 1) + [1])
-            return g if is_primitive_poly(f.compose(g))[0] else None
+            g = (0, *base_digits(idx, base.order, n - 1), 1)
+            ok, cert = is_primitive_poly(reciprocal(Polynomial(base, tuple(kernel.compose(f.ints, g))), m * n))
+            return (Polynomial(base, g), cert) if ok else None
 
         hit = first_hit(probe, remaining, threads)
         if hit is not None:
-            return (f, hit[1]), tried + hit[0] + 1, False
+            return (f, *hit[1]), tried + hit[0] + 1, False
         tried += remaining
         if remaining < g_total:
             return None, tried, True
@@ -149,21 +149,27 @@ def _check_budget(budget: int | None) -> None:
 
 
 def _iter_primitive(field: Field, degree: int):
-    """Monic primitive polynomials of exact degree, ascending by coefficient encoding."""
-    for enc in range(field.order ** degree):
-        coeffs = base_digits(enc, field.order, degree) + [1]
-        if coeffs[0]:
-            f = Polynomial.make(field, coeffs)
+    """Monic primitive polynomials of exact degree, ascending by coefficient encoding; the constant
+    term c0, the lowest digit, runs over the c0 whose norm (-1)^degree c0 is primitive."""
+    if degree < 1:
+        raise BadDegree("primitivity is defined for degree >= 1")
+    q, ops = field.order, field.ops
+    c0s = [c for c in range(1, q) if _generates(ops.neg(c) if degree % 2 else c, q, ops)]
+    for enc in range(q ** (degree - 1)):
+        upper = (*base_digits(enc, q, degree - 1), 1)
+        for c0 in c0s:
+            f = Polynomial(field, (c0, *upper))
             if is_primitive_poly(f)[0]:
                 yield f
 
 
-def _assemble(q: int, m: int, n: int, base: Field, f: Polynomial, g: Polynomial) -> SearchResult:
-    big, alpha, embed = _alpha_field(q, m, f)
+def _assemble(q: int, m: int, n: int, base: Field, f: Polynomial, g: Polynomial,
+              cert: PrimitivityCertificate) -> SearchResult:
+    big, alpha, up = _alpha_field(q, m, f)
     lam = alpha.inverse()
-    g_big = Polynomial.make(big, [embed(c) for c in g.coeffs])
-    k = g_big - Polynomial.constant(big, alpha)
-    step5 = reciprocal(k, n)
+    k = [up(c) for c in g.ints]  # g - alpha over F_{q^m}
+    k[0] = big.ops.add(k[0], big.ops.neg(alpha.int_value))
+    step5 = reciprocal(Polynomial(big, tuple(k)), n)
     h = minimal_polynomial(lam, q)
     A = companion_matrix(h)
     # taps read from L = X^n g(1/X): L_i = g_{n-i}, L_0 = 1 since g is monic
@@ -173,11 +179,8 @@ def _assemble(q: int, m: int, n: int, base: Field, f: Polynomial, g: Polynomial)
     step8 = conjugate_product(step5, q)
     if step8 != charpoly:
         raise ExistenceViolation("conjugate-product replay must reproduce the characteristic polynomial")
-    if reciprocal(f.compose(g), m * n) != charpoly:
+    if cert.poly != charpoly:  # cert: the probe's test of the monic reciprocal of f(g(X))
         raise ExistenceViolation("characteristic polynomial must be the monic reciprocal of f(g(X))")
-    ok, cert = is_primitive_poly(charpoly)
-    if not ok:
-        raise ExistenceViolation("accepted composition must yield a primitive characteristic polynomial")
     prov = SearchProvenance(f, g, alpha, lam, step5, h, A, step8)
     return SearchResult(spec, charpoly, cert, prov)
 
@@ -202,13 +205,13 @@ def verify_conjecture(q: int, m: int, n: int, form: str, budget: int | None = No
 
 def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitness:
     """One first_hit over the flat index: g's middle digits, then its lead, then lam."""
-    check_field(q ** m, "witness field")
+    check_field(guarded_power(q, m, "witness field"), "witness field")
     big = make_field(q ** m)
     base, embed, _ = subfield_maps(big, q)
     lams = primitive_elements(big)
     orbit_leads = _orbit_leads(lams, q)
     per_shape = (q - 1) * len(lams)
-    total = q ** (n - 1) * per_shape
+    total = guarded_power(q, n - 1, "candidate space") * per_shape
     scan = total if budget is None else min(total, budget)
 
     def probe(i):
@@ -231,21 +234,20 @@ def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitn
 
 
 def _verify_composition(q: int, m: int, n: int, budget: int | None) -> ConjectureWitness:
-    check_field(q ** m, "root field")
+    check_field(guarded_power(q, m, "root field"), "root field")
     hit, tried, stopped = _composition_scan(make_field(q), m, n, budget)
     if stopped:
         raise BudgetExhausted(f"composition scan stopped after {tried} candidates", tried)
     if hit is None:
         return ConjectureWitness(q, m, n, None, False, tried, "composition")
-    converted, ok = _composition_to_direct(q, m, n, *hit)
-    return ConjectureWitness(q, m, n, hit, True, tried, "composition", converted, ok)
+    converted, ok = _composition_to_direct(q, m, n, *hit[:2])
+    return ConjectureWitness(q, m, n, hit[:2], True, tried, "composition", converted, ok)
 
 
 def _composition_to_direct(q, m, n, f, g):
     """f(g) primitive -> -g + alpha is a direct witness (lam = alpha primitive)."""
-    big, alpha, embed = _alpha_field(q, m, f)
-    g_big = Polynomial.make(big, [embed(c) for c in g.coeffs])
-    cand = -g_big + Polynomial.constant(big, alpha)
+    big, alpha, up = _alpha_field(q, m, f)
+    cand = -Polynomial(big, tuple(map(up, g.ints))) + Polynomial.constant(big, alpha)
     ok = is_primitive_element(alpha) and is_primitive_poly(cand)[0]
     return cand, ok
 

@@ -505,10 +505,22 @@ raise SystemExit(cli.main(sys.argv[1:]))
      "guard violation: polynomial degree of a 5000-digit number exceeds the 2^22 guard\n"),
     (["test-primitive", "4", "x+a^" + "9" * 5000], 1, "stdout",
      '{"certificate": null, "field_order": 4, "poly": "x + 1", "primitive": false}\n'),
+    # a power q^e whose bit length alone passes the guard and 2^24 bits is refused untaken
+    (["search-tsr", "2", "2", "99999999999"], 2, "stderr",
+     "guard violation: tap space of 2^99999999999 exceeds the 2^24 guard\n"),
+    (["search-tsr", "2", "99999999999", "1"], 2, "stderr",
+     "guard violation: block field of 2^99999999999 exceeds the 2^24 guard\n"),
+    (["enumerate", "P_mnq", "2", "99999999999", "3"], 2, "stderr",
+     "guard violation: coefficient field of 2^99999999999 exceeds the 2^24 guard\n"),
+    (["enumerate", "tsrp", "2", "2", "99999999999"], 2, "stderr",
+     "guard violation: candidate space of 2^99999999998 exceeds the 2^22 guard\n"),
+    # a smaller one is still taken, and refused by its size as before
+    (["search-tsr", "2", "2", "20000"], 2, "stderr",
+     "guard violation: tap space of a 20001-bit number exceeds the 2^24 guard\n"),
 ])
 def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
     # a child under a 512 MB address-space cap and a time limit: before the degree
-    # guard and a^N by a power, both ended in a MemoryError traceback
+    # guard, a^N by a power and the guarded powers q^e, each ended in a MemoryError traceback
     import subprocess
     import sys
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -124,3 +125,20 @@ def test_factorization_primes_sorted():
     fac = factor_integer(2 ** 24 - 1)
     assert list(fac.primes) == sorted(fac.primes)
     assert fac.n == 2 ** 24 - 1
+
+
+
+def test_each_base_prefix_refuses_the_strong_pseudoprime_at_its_bound():
+    # psi_k, the least odd composite that passes Miller-Rabin on the first k prime
+    # bases, is the bound of that prefix, so at psi_k itself a longer prefix decides
+    psi = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+           6: 3474749660383, 7: 341550071728321, 9: 3825123056546413051}
+    for k, n in psi.items():
+        assert not is_prime_int(n), k
+    # below the first four bounds, the short prefixes agree with trial division
+    for bound in (2047, 1373653, 25326001, 3215031751):
+        for n in range(bound - 60, bound, 2):
+            assert is_prime_int(n) == all(n % d for d in range(3, math.isqrt(n) + 1, 2)), n
+    # a cofactor below 41^2 left after the trial divisors is a prime
+    assert factor_integer(2 * 3 * 1667).factors == ((2, 1), (3, 1), (1667, 1))
+    assert factor_integer(37 * 41 * 41).factors == ((37, 1), (41, 2))

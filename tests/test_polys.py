@@ -188,6 +188,45 @@ def test_parse_format_round_trip_random():
             assert parse_poly(format_poly(p), field) == p
 
 
+def _element_text(c):
+    """An element as format_element wrote it from FieldElement.coeffs: 'a^2+2a+1'."""
+    terms = [("" if d == 1 else str(d)) + ("a" if i == 1 else f"a^{i}") if i else str(d)
+             for i, d in reversed(list(enumerate(c.coeffs))) if d]
+    return "+".join(terms) or "0"
+
+
+def _reference_format(p):
+    """format_poly through one FieldElement per coefficient, the route it replaced."""
+    parts = []
+    for i in range(len(p.coeffs) - 1, -1, -1):
+        cs = _element_text(p.coeffs[i])
+        if cs == "0":
+            continue
+        cs = f"({cs})" if "+" in cs else cs
+        xpart = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+        parts.append(xpart if cs == "1" and xpart else cs + xpart)
+    return " + ".join(parts) or "0"
+
+
+CODEC_FIELDS = [make_field(q) for q in (2, 3, 4, 9, 25, 1 << 17, 3 ** 11)]
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=lambda f: f"F{f.order}")
+def test_codec_round_trip_matches_the_element_route(field):
+    rng, q = random.Random(field.order), field.order
+    digits = [rng.choice((0, 0, 1, 2, rng.randrange(q), rng.randrange(q))) % q for _ in range(400)]
+    polys = [Polynomial.zero(field), Polynomial.one(field), Polynomial.x(field)]
+    polys += [Polynomial.make(field, [v]) for v in range(min(q, 30))]  # zero and the constants
+    polys += [Polynomial.make(field, [rng.randrange(q)] + [1]), Polynomial.make(field, [q - 1] * 5)]
+    polys += [Polynomial.make(field, rng.sample(digits, rng.randrange(1, 14))) for _ in range(60)]
+    if field.extension_degree > 1:  # composite coefficients: more than one power of a
+        assert any("+" in _element_text(c) for p in polys for c in p.coeffs)
+    for p in polys:
+        text = format_poly(p)
+        assert text == _reference_format(p)
+        assert parse_poly(text, field) == p
+
+
 def test_parse_flexible_spellings():
     f9 = make_field(9)
     want = parse_poly("x^2 + 2ax + (2a+2)", f9)

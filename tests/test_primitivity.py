@@ -15,7 +15,7 @@ import tsrforge
 from tsrforge import primitivity
 from tsrforge.errors import BadDegree, CoefficientNotDescended, ZeroConstantTerm
 from tsrforge.factorint import euler_phi, factor_integer
-from tsrforge.fields import base_digits, make_field, subfield_maps
+from tsrforge.fields import _subfield_ints, base_digits, make_field, subfield_maps
 from tsrforge.polys import (Polynomial, format_poly, parse_poly, poly_divrem, poly_gcd,
                             poly_modpow)
 from tsrforge.primitivity import (PrimitivityCertificate, conjugate_product, is_irreducible,
@@ -174,10 +174,10 @@ def test_conjugate_product_of_descended_is_power():
 
 def test_descend_poly_names_the_coefficient_outside_the_base():
     big = make_field(16)
-    base, _, descend = subfield_maps(big, 4)
+    base, _, down = _subfield_ints(big, 4)  # _descend_poly maps canonical ints
     outside = Polynomial.make(big, [big.gen(), big.one()])
-    with pytest.raises(CoefficientNotDescended, match="outside GF\\(4\\)"):
-        primitivity._descend_poly(outside, base, descend)
+    with pytest.raises(CoefficientNotDescended, match="coefficient a of x \\+ a is outside GF\\(4\\)"):
+        primitivity._descend_poly(outside, base, down)
 
 
 # --- the staged test against the plain route ---------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from tsrforge import cli
 from tsrforge.errors import (BadDegree, BudgetExhausted, CompositeCharacteristic,
-                             InvalidParity, SingularB, ZeroConstantTerm)
+                             InvalidParity, ScaleExceeded, SingularB, ZeroConstantTerm)
 from tsrforge.fields import base_digits, make_extension_field, make_field, subfield_maps
 from tsrforge.matrices import companion_matrix
 from tsrforge.polys import Polynomial, format_poly, parse_poly
@@ -61,6 +61,17 @@ def test_primitive_polys_ascending():
     f2 = make_field(2)
     polys = primitive_polys(f2, 4)
     assert [format_poly(p) for p in polys] == ["x^4 + x + 1", "x^4 + x^3 + 1"]
+
+
+@pytest.mark.parametrize("q, degree", [(2, 5), (3, 3), (3, 4), (4, 2), (4, 3), (5, 3), (9, 2), (13, 1)])
+def test_primitive_polys_match_a_scan_over_every_constant_term(q, degree):
+    # the scan skips constant terms whose norm (-1)^degree c0 is not primitive
+    field = make_field(q)
+    every = [Polynomial.make(field, [c0] + base_digits(enc, q, degree - 1) + [1])
+             for enc in range(q ** (degree - 1)) for c0 in range(1, q)]
+    assert primitive_polys(field, degree) == [f for f in every if is_primitive_poly(f)[0]]
+    with pytest.raises(BadDegree):
+        primitive_polys(field, 0)
 
 
 @pytest.mark.parametrize("p, k, modulus", [
@@ -201,6 +212,15 @@ def test_conjecture_refuses_a_bad_shape_as_the_search_does(form, m, n, message):
 
 
 @pytest.mark.parametrize("form", ["direct", "composition"])
+def test_conjecture_refuses_huge_powers_untaken(form):
+    field_name = {"direct": "witness field", "composition": "root field"}[form]
+    with pytest.raises(ScaleExceeded, match=f"^{field_name} of 2\\^99999999999 exceeds the 2\\^24 guard$"):
+        verify_conjecture(2, 99999999999, 3, form)
+    with pytest.raises(ScaleExceeded, match="^candidate space of 3\\^99999999998 exceeds the 2\\^24 guard$"):
+        verify_conjecture(3, 2, 99999999999, form)
+
+
+@pytest.mark.parametrize("form", ["direct", "composition"])
 def test_conjecture_names_a_composite_q_in_both_forms(form):
     with pytest.raises(CompositeCharacteristic, match="^6 is not a prime power$"):
         verify_conjecture(6, 2, 2, form)
@@ -293,3 +313,37 @@ def test_search_output_at_scale_is_pinned(capsys, q, m, n, alpha, digest):
     assert (code, err) == (0, "")
     assert json.loads(out.splitlines()[1])["alpha"] == alpha
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the (q, m, n) points of the search-tsr ladder that the construct benchmark runs
+LADDER = [(11, 2, 3), (13, 2, 3), (13, 3, 3), (2, 2, 11), (2, 2, 13), (2, 2, 7), (2, 2, 9),
+          (2, 3, 5), (2, 3, 7), (2, 3, 9), (2, 4, 5), (2, 5, 5), (3, 2, 5), (3, 2, 7), (3, 3, 3),
+          (3, 3, 5), (3, 4, 3), (3, 5, 3), (4, 2, 3), (4, 2, 5), (4, 3, 3), (5, 2, 3), (5, 2, 5),
+          (5, 3, 3), (7, 2, 3), (8, 2, 3), (9, 2, 3)]
+
+
+def test_ladder_certificate_is_the_test_of_the_charpoly():
+    # the probe certified the characteristic polynomial itself, so a second test reads the same
+    for q, m, n in LADDER:
+        res = search_primitive_tsr(q, m, n)
+        assert res.certificate.poly == res.charpoly
+        assert res.certificate.to_json() == is_primitive_poly(res.charpoly)[1].to_json()
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 3, 9), (4, 3, 3), (13, 3, 3), (3, 3, 5), (2, 2, 13)])
+def test_one_primitivity_test_per_candidate(q, m, n, monkeypatch):
+    from tsrforge import search
+
+    search_primitive_tsr(q, m, n)  # builds the fields, untimed and uncounted
+    calls, real = [], search.is_primitive_poly
+    monkeypatch.setattr(search, "is_primitive_poly", lambda f: calls.append(f) or real(f))
+    res = search_primitive_tsr(q, m, n)
+    made = len(calls)
+    calls.clear()
+    base = make_field(q)
+    for f in search._iter_primitive(base, m):  # the f stream up to the hit
+        if f == res.provenance.f:
+            break
+    f_tests = len(calls)
+    tried = search._composition_scan(base, m, n, None)[1]
+    assert made == f_tests + tried

@@ -52,7 +52,13 @@ every side the recorder writes:
   call on FACTOR_SAMPLE seeded integers below 2^64; and microseconds per
   `tsr._homogenize` call g^m h(X^n / g) on SAMPLE seeded (h, g) pairs,
   h monic of degree m with h(0) != 0 and g(0) = 1 of degree <= n - 1, at
-  each `tsrp` shape (q, m, n) of perfbench/expected/census.json;
+  each `tsrp` shape (q, m, n) of perfbench/expected/census.json; microseconds
+  per `format_poly` and per `parse_poly` of its text at the certify shapes,
+  as `test-primitive` formats them: x^63 + x + 1 over F_2 with the witnesses
+  of its certificate, and the pools of F_3 degree 20 and F_9 degree 8; and
+  microseconds per `search._assemble` call, the register built from the
+  first hit of `_composition_scan`, at the `search_primitive_tsr` shapes,
+  each on an emptied ring cache;
 - end-to-end rows: every end-to-end metric that `perfbench/run.py --trace 0`
   prints, for both workloads, per seed of SEEDS and as the median over them,
   each run as long as `run_seconds` of BENCHMARK.json.
@@ -92,7 +98,8 @@ SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
 ALPHA_POINTS = [(16, 3), (4, 5), (64, 2), (9, 3)]  # (q, m) of _alpha_field
 ROUND_TRIPS = 500
 WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
-SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]
+SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]  # also the shapes of the _assemble rows
+CODEC_CASES = ("F3.deg20", "F9.deg8")  # certify pools of the format_poly / parse_poly rows
 TSRP_POINTS = [(3, 2, 3), (5, 2, 1)]  # (q, m, n) of enumerate_tsrp_bruteforce
 COMPOSE_POINTS = [(4, 2, 3), (3, 3, 3)]  # compose f(g(X)) on the search's first hit
 FIBER_ROWS = [("t4", 4), ("t2", 6), ("t5", 13)]  # (table, key): F_81, F_64, F_169
@@ -134,11 +141,12 @@ def layer_rows(src: str) -> dict:
     from tsrforge.counting import enumerate_special_primitives, enumerate_tsrp_bruteforce
     from tsrforge.fields import base_digits, make_field, subfield_maps
     from tsrforge.matrices import Matrix, matrix_is_invertible
-    from tsrforge.polys import Polynomial, poly_modpow
+    from tsrforge.polys import Polynomial, format_poly, parse_poly, poly_modpow
     from tsrforge.primitivity import (conjugate_product, is_irreducible, is_primitive_poly,
                                       minimal_polynomial, primitive_elements)
     from tsrforge import fields, primitivity
-    from tsrforge.search import _alpha_field, _iter_primitive, search_primitive_tsr, verify_conjecture
+    from tsrforge.search import (_alpha_field, _assemble, _composition_scan, _iter_primitive,
+                                 search_primitive_tsr, verify_conjecture)
     from tsrforge.tables import TABLES, fiber_census, generate_table
     from tsrforge.factorint import factor_integer
     from tsrforge.tsr import TsrSpec, TsrState, _homogenize, tsr_period, tsr_step
@@ -267,6 +275,18 @@ def layer_rows(src: str) -> dict:
                   Polynomial.make(field, [1] + [rng.randrange(q) for _ in range(n - 1)])) for _ in range(SAMPLE)]
         rows[f"_homogenize.q{q}m{m}n{n}_us"] = sig(
             per_call(lambda i: _homogenize(pairs[i][0], pairs[i][1], m, n), SAMPLE) * 1e6)
+    trinomial = pools["F2.deg63"][0]
+    texts = {"F2.deg63w": [trinomial] + [w for _, w in is_primitive_poly(trinomial)[1].witnesses]}
+    texts.update((case, pools[case]) for case in CODEC_CASES)
+    for case, polys in texts.items():
+        field, strings = polys[0].field, [format_poly(p) for p in polys]
+        rows[f"format_poly.{case}_us"] = sig(per_call(lambda i: format_poly(polys[i]), len(polys)) * 1e6)
+        rows[f"parse_poly.{case}_us"] = sig(per_call(lambda i: parse_poly(strings[i], field), len(polys)) * 1e6)
+    for q, m, n in SEARCH_POINTS:
+        base = make_field(q)
+        hit = _composition_scan(base, m, n, None)[0]
+        rows[f"_assemble.q{q}m{m}n{n}_us"] = sig(
+            per_call(lambda _: uncache() or _assemble(q, m, n, base, *hit), 1) * 1e6)
     return rows
 
 
