@@ -111,7 +111,7 @@ def count_trace_one_classes(m: int) -> tuple[int, int]:
         # Tr(c) is the orbit sum taken m/size times: the sum when m/size is odd
         if (m // size) % 2 and total == 1:
             trace_one += size
-            if size == m and is_primitive_poly(Polynomial.make(field, [c, 1, 1]))[0]:
+            if size == m and is_primitive_poly(Polynomial(field, (c, 1, 1)))[0]:
                 r += 1
     if trace_one != field.order // 2:
         raise ExistenceViolation(f"trace-one tally {trace_one} != {field.order // 2}")

@@ -5,10 +5,11 @@ the enumerators rebuild the same numbers by brute force so each side checks
 the other.
 """
 
-from .errors import BadDegree, FiberSizeViolation, UnknownKind
+from .errors import BadDegree, FiberSizeViolation, ScaleExceeded, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
-from .fields import Field, base_digits, conjugates, make_field, prime_power, subfield_maps
-from .guards import check_enumeration, check_field, guarded_power
+from .fields import Field, _subfield_ints, base_digits, conjugates, make_field, prime_power
+from .guards import check_enumeration, check_field, guard_bits, guarded_power
+from .kernel import _trim
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
 from .polys import Polynomial, format_poly
@@ -92,18 +93,18 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
     space = guarded_power(q, n - 1, "candidate space") * euler_phi(guarded_power(q, m, "coefficient field") - 1)
     check_field(space, "candidate space")
     big = make_field(q ** m)
-    base, embed, _ = subfield_maps(big, q)
+    base, up, _ = _subfield_ints(big, q)
     prims = primitive_elements(big)
-    x_n = Polynomial.one(big).shift(n)
+    neg, mul = big.ops.neg, big.ops.mul
     candidates = []
     for enc in range(q ** (n - 1)):
         digits = base_digits(enc, q, n - 1)
         if form == "P_mnq":
-            candidates += _fiber(big, base, embed, [0] + digits + [1], prims)
+            candidates += _fiber(big, base, up, [0] + digits + [1], prims)
             continue
         # X^n - mu*g(X), g embedded with constant term 1 and degree <= n-1
-        g_emb = Polynomial.make(big, [big.one()] + [embed(base.element(d)) for d in digits])
-        candidates += [x_n - g_emb.scale(mu) for mu in prims]
+        g = [1] + [up(d) for d in digits]
+        candidates += [Polynomial(big, tuple([neg(mul(mu.int_value, c)) for c in g]) + (1,)) for mu in prims]
     flags = _orbit_flags(prims, q, candidates, threads)
     found = [f for f, ok in zip(candidates, flags) if ok]
     return sorted(found, key=format_poly)
@@ -135,17 +136,17 @@ def _orbit_flags(lams: list, q: int, cands: list[Polynomial], threads: int = 1) 
     return [verdict[t - t % width + leads[t % width]] for t in range(len(cands))]
 
 
-def _fiber(big: Field, base: Field, embed, shape, lams) -> list[Polynomial]:
+def _fiber(big: Field, base: Field, up, shape, lams) -> list[Polynomial]:
     """g(X) + lam over big for each lam in lams, in order.
 
-    shape lists the little-endian ints over base of g, with g(0) = 0, and
-    embed maps base into big; each candidate is the coefficient list
-    [lam] + the embedded tail of g.
+    shape lists the little-endian ints over base of g, with g(0) = 0, each
+    read mod |base|, and up maps the ints of base into big (_subfield_ints);
+    each candidate is the coefficient list [lam] + the embedded tail of g.
     """
     if shape[0]:
         raise ValueError(f"shape {tuple(shape)} must have g(0) = 0")
-    tail = [embed(base.element(c)) for c in shape[1:]]
-    return [Polynomial.make(big, [lam] + tail) for lam in lams]
+    tail = tuple(_trim([up(c % base.order) for c in shape[1:]]))
+    return [Polynomial(big, (lam.int_value,) + tail) for lam in lams]
 
 
 def _all_matrices(field: Field, m: int):
@@ -164,26 +165,45 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[
     """All primitive registers at (q, m, n), scanning (taps, B) ascending.
 
     A register's charpoly g^m Psi_B(X^n / g) depends on B only through Psi_B,
-    so each distinct charpoly is tested once.
+    so each distinct charpoly is tested once; the B are grouped by Psi_B and
+    every key is a tuple of canonical ints.
     """
     check_shape(m, n)
     field = make_field(q)
-    space = guarded_power(q, n - 1, "candidate space", "enumeration") * gl_order(q, m)
-    check_enumeration(space)
-    # B is invertible iff Psi_B(0) = (-1)^m det B is nonzero
-    pairs = [(B, psi) for B in _all_matrices(field, m) if (psi := matrix_charpoly(B)).ints[0]]
-    taps = [tuple(field.element(d) for d in base_digits(enc, q, n - 1))
-            for enc in range(q ** (n - 1))]
-    psis = dict.fromkeys(psi for _, psi in pairs)  # the distinct Psi_B
-    charpoly = {}  # (tap index, Psi_B) -> charpoly
-    for t, c in enumerate(taps):
-        g = Polynomial.make(field, (field.one(),) + c)
-        for psi in psis:
-            charpoly[t, psi] = _homogenize(psi, g, m, n)
-    distinct = list(dict.fromkeys(charpoly.values()))
-    primitive = dict(zip(distinct, deterministic_map(lambda f: is_primitive_poly(f)[0], distinct, threads)))
-    return [TsrSpec(field, m, n, c, B) for t, c in enumerate(taps)
-            for B, psi in pairs if primitive[charpoly[t, psi]]]
+    taps = guarded_power(q, n - 1, "candidate space", "enumeration")
+    _check_matrix_group(q, m)
+    check_enumeration(taps * gl_order(q, m))
+    pairs, psis = [], {}  # (B, Psi_B ints) per invertible B, ascending; the distinct Psi_B by ints
+    for B in _all_matrices(field, m):
+        psi = matrix_charpoly(B)
+        if psi.ints[0]:  # B is invertible iff Psi_B(0) = (-1)^m det B is nonzero
+            pairs.append((B, psi.ints))
+            psis.setdefault(psi.ints, psi)
+    charpoly, distinct = {}, {}  # (tap, Psi_B) -> charpoly ints; charpoly ints -> charpoly
+    for t in range(taps):
+        g = Polynomial(field, tuple(_trim([1] + base_digits(t, q, n - 1))))
+        for key, psi in psis.items():
+            f = _homogenize(psi, g, m, n)
+            charpoly[t, key] = f.ints
+            distinct.setdefault(f.ints, f)
+    verdicts = deterministic_map(lambda f: is_primitive_poly(f)[0], list(distinct.values()), threads)
+    primitive = dict(zip(distinct, verdicts))
+    specs = []
+    for t in range(taps):
+        hits = [B for B, key in pairs if primitive[charpoly[t, key]]]
+        if hits:
+            c = tuple(field.element(d) for d in base_digits(t, q, n - 1))
+            specs += [TsrSpec(field, m, n, c, B) for B in hits]
+    return specs
+
+
+def _check_matrix_group(q: int, m: int) -> None:
+    """ScaleExceeded naming GL_m(q) when m^2 log2 q - 2, a lower bound of log2 |GL_m(q)|,
+    passes the enumeration guard; checked before any product of gl_order(q, m) is taken."""
+    bits, low = guard_bits("enumeration"), m * m * (q.bit_length() - 1) - 2
+    if low > bits:
+        raise ScaleExceeded(f"matrix group GL_{m}({q}) of more than 2^{low} elements "
+                            f"exceeds the 2^{bits} guard")
 
 
 def check_shape(m: int, n: int) -> None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FactorizationOverflow
+from .guards import int_text
 
 _LIMIT = 1 << 64
 _RHO_RETRY_CAP = 64
@@ -122,7 +123,7 @@ def factor_integer(n: int) -> Factorization:
     if n < 1:
         raise ValueError("factor_integer needs n >= 1")
     if n > _LIMIT:
-        raise FactorizationOverflow(f"{n} exceeds the 2^64 factorization bound")
+        raise FactorizationOverflow(f"{int_text(n)} exceeds the 2^64 factorization bound")
     out: dict[int, int] = {}
     rest = n
     for p in _BASES:

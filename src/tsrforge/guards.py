@@ -33,11 +33,15 @@ def check_field(size: int, what: str = "state space") -> None:
 
 def check_custom(size: int, bits: int, what: str) -> None:
     if size > (1 << bits):
-        try:
-            shown = f"{size}"
-        except ValueError:  # more digits than int-to-str conversion allows
-            shown = f"a {size.bit_length()}-bit number"
-        raise ScaleExceeded(f"{what} of {shown} exceeds the 2^{bits} guard")
+        raise ScaleExceeded(f"{what} of {int_text(size)} exceeds the 2^{bits} guard")
+
+
+def int_text(n: int) -> str:
+    """n in decimal, or "a N-bit number" when it has more digits than int-to-str conversion allows."""
+    try:
+        return f"{n}"
+    except ValueError:
+        return f"a {n.bit_length()}-bit number"
 
 
 def guarded_power(q: int, e: int, what: str, kind: str = "field") -> int:

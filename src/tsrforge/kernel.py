@@ -109,6 +109,7 @@ class PackedKernel:
         self.p, self.k, self.q, self.bits, self.modulus = p, k, p ** k, bits, tuple(modulus)
         self.w, self.code = 8 * self.size, _ARRAY_CODES.get(self.size)
         self.W = (2 * k - 1) * self.w  # bits of a block
+        self.magic = m, s  # the norm's multiplier and shift, which _fold writes inline
         if p == 2:
             self.norm, slot = and_, 1
         else:
@@ -151,6 +152,8 @@ class PackedKernel:
         return self.folds[blocks.bit_length()]
 
     def _fold(self, blocks: int):
+        """(fold, mask) for `blocks` blocks; for k > 1 fold writes the norm inline, each
+        time, as a call to self.norm costs more than the norm itself."""
         norm, p, k, w, size = self.norm, self.p, self.k, self.w, self.size
         mask = int.from_bytes(self.pattern * (blocks * (2 * k - 1)), "little")  # the norm's, on every slot
         if k == 1:
@@ -163,13 +166,27 @@ class PackedKernel:
         kw, sw = k * w, (k - 2) * w
         lazy = (k - 1) ** 2 * (p - 1) + 2 < 1 << self.bits  # room for the last norm to take the quotient mod p
 
-        def fold(x: int, mask: int) -> int:
-            c = norm(x, mask)
+        if p == 2:
+            def fold(x: int, mask: int) -> int:
+                c = x & mask
+                h = c >> kw & high
+                if k > 2:
+                    h = (h * mu if lazy else h * mu & mask) >> sw & high
+                return c + h * neg_m & mask
+
+            return fold, mask
+        m, s = self.magic
+
+        def fold(x: int, mask: int) -> int:  # the norm v - p * floor(v * m / 2^s), inline
+            c = x - p * (x * m >> s & mask)
             h = c >> kw & high
             if k > 2:
-                h = h * mu if lazy else norm(h * mu, mask)
+                h *= mu
+                if not lazy:
+                    h -= p * (h * m >> s & mask)
                 h = h >> sw & high
-            return norm(c + h * neg_m, mask)
+            c += h * neg_m
+            return c - p * (c * m >> s & mask)
 
         return fold, mask
 

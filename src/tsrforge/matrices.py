@@ -6,7 +6,8 @@ wraps them as FieldElements, once, when first read.  All values are
 immutable after construction.  The characteristic polynomial uses
 Hessenberg reduction with field division followed by the
 leading-principal-minor recurrence, O(d^3) field operations and valid in
-any characteristic; the determinant and invertibility read its constant term.
+any characteristic.  A matrix computes it once, as its cached `charpoly`,
+and the determinant and invertibility read its constant term.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class Matrix:
     @cached_property
     def entries(self) -> tuple[FieldElement, ...]:
         return tuple([FieldElement(self.field, v) for v in self.ints])
+
+    @cached_property
+    def charpoly(self) -> Polynomial:
+        """Monic det(XI - M), by _hessenberg_charpoly on first read."""
+        if not self.is_square:
+            raise NonSquareMatrix("characteristic polynomial of a non-square matrix")
+        return _hessenberg_charpoly(self)
 
     def at(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.field, self.ints[i * self.cols + j])
@@ -141,19 +149,22 @@ def matrix_det(M: Matrix) -> FieldElement:
     """det M = (-1)^n chi_M(0), read off the characteristic polynomial."""
     if not M.is_square:
         raise NonSquareMatrix("determinant of a non-square matrix")
-    c = matrix_charpoly(M).ints[0]
+    c = M.charpoly.ints[0]
     return FieldElement(M.field, M.field.ops.neg(c) if M.rows % 2 else c)
 
 
 def matrix_is_invertible(M: Matrix) -> bool:
     """M is square and chi_M(0) = (-1)^n det M is nonzero."""
-    return M.is_square and matrix_charpoly(M).ints[0] != 0
+    return M.is_square and M.charpoly.ints[0] != 0
 
 
 def matrix_charpoly(M: Matrix) -> Polynomial:
-    """Monic det(XI - M) via Hessenberg reduction + minor recurrence."""
-    if not M.is_square:
-        raise NonSquareMatrix("characteristic polynomial of a non-square matrix")
+    """Monic det(XI - M), computed once per matrix (Matrix.charpoly)."""
+    return M.charpoly
+
+
+def _hessenberg_charpoly(M: Matrix) -> Polynomial:
+    """det(XI - M) of a square M via Hessenberg reduction + minor recurrence."""
     n = M.rows
     add, neg, mul, inv, _ = M.field.ops
     H = _int_rows(M)

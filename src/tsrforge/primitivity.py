@@ -5,7 +5,9 @@ class of X generates the full multiplicative group of order q^n - 1.  By
 Lidl & Niederreiter, *Finite Fields*, Thm 3.18, that holds iff the norm
 N = (-1)^n f(0) is primitive in F_q and X has order r = (q^n - 1)/(q - 1)
 modulo the constants F_q^*.  is_primitive_poly runs three stages on the
-monic int list of f and the field's ops; each stage only rejects:
+int list of f and the field's ops; each stage only rejects.  What a stage
+needs of (q, n) alone is memoised per (q, n): _plan holds stages 1-2's
+exponents, _order_plan stage 3's q^n - 1, its factorization and cofactors.
 
 1. norm: N must generate F_q^* (vacuous for q = 2); no polynomial arithmetic;
 2. is_irreducible: Rabin's test, X^(q^k) mod f by k q-power steps on X in a
@@ -90,14 +92,33 @@ class _LazyCertificate(PrimitivityCertificate):
 
 @lru_cache(maxsize=1)
 def _ring(kernel, f: tuple[int, ...]):
-    """The kernel's ring F_q[X]/(f) for a monic f.  The last one is kept, so
-    is_primitive_poly and its is_irreducible call build one ring."""
+    """The kernel's ring F_q[X]/(f), which divides f by its lead.  The last one
+    is kept, so is_primitive_poly and its is_irreducible call build one ring."""
     return kernel.ring(f)
+
+
+@lru_cache(maxsize=4096)
+def _plan(q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Stages 1-2 at (q, n), constants of the field and degree: the norm exponents
+    (q - 1)/l per prime l | q - 1, and Rabin's k = n/l per prime l | n, ascending."""
+    return (tuple((q - 1) // l for l in factor_integer(q - 1).primes),
+            tuple(sorted(n // l for l in factor_integer(n).primes)))
+
+
+@lru_cache(maxsize=4096)
+def _order_plan(q: int, n: int) -> tuple[int, Factorization, tuple[tuple[int, int], ...]]:
+    """Stage 3 at (q, n): q^n - 1, its factorization and (l, r/l) for r = (q^n - 1)/(q - 1)
+    and each prime l of r not dividing q - 1.  Read only once f is irreducible, so a
+    q^n - 1 past the factorization bound is refused only then."""
+    group_order = q ** n - 1
+    factors = factor_integer(group_order)
+    q1_primes, r = factor_integer(q - 1).primes, group_order // (q - 1)
+    return group_order, factors, tuple((l, r // l) for l in factors.primes if l not in q1_primes)
 
 
 def _generates(a: int, q: int, ops: FieldOps) -> bool:
     """True iff the nonzero encoding a generates F_q^*: a^((q-1)/l) != 1 per prime l | q - 1."""
-    return all(int_pow(a, (q - 1) // l, ops) != 1 for l in factor_integer(q - 1).primes)
+    return all(int_pow(a, e, ops) != 1 for e in _plan(q, 1)[0])
 
 
 def is_irreducible(f: Polynomial) -> bool:
@@ -110,9 +131,9 @@ def is_irreducible(f: Polynomial) -> bool:
         raise BadDegree("irreducibility is defined for degree >= 1")
     if n == 1:
         return True
-    ring = _ring(f.field.ops.kernel, f.monic().ints)
-    checks = {n // l for l in factor_integer(n).primes}
-    for k in sorted(checks):
+    field = f.field
+    ring = _ring(field.ops.kernel, f.ints)
+    for k in _plan(field.order, n)[1]:
         if ring.gcd(ring.conjugate(k), ring.x) != ring.one:  # gcd(X^(q^k) - X, f)
             return False
     return ring.conjugate(n) == ring.x
@@ -131,24 +152,22 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
         raise ZeroConstantTerm("X divides f, so X mod f cannot generate")
     field = f.field
     q, ops = field.order, field.ops
-    fm = f.monic().ints
-    norm = ops.neg(fm[0]) if n % 2 else fm[0]  # (-1)^n f(0) of the monic f
-    if not _generates(norm, q, ops):
+    c0, lead = f.ints[0], f.ints[-1]
+    if lead != 1:
+        c0 = ops.mul(c0, ops.inv(lead))  # f(0) of the monic f
+    norm = ops.neg(c0) if n % 2 else c0  # (-1)^n f(0)
+    if not all(int_pow(norm, e, ops) != 1 for e in _plan(q, n)[0]):
         return False, None
     if not is_irreducible(f):
         return False, None
-    group_order = q ** n - 1
-    factors = factor_integer(group_order)
-    q1_primes = factor_integer(q - 1).primes
-    r = group_order // (q - 1)
-    ring = _ring(ops.kernel, fm)
+    group_order, factors, cofactors = _order_plan(q, n)
+    ring = _ring(ops.kernel, f.ints)
     powers = {}  # prime l of r but not of q - 1 -> X^(r/l) mod f
-    for l in factors.primes:
-        if l not in q1_primes:
-            w = ring.xpow(r // l)
-            if len(ring.list(w)) == 1:
-                return False, None
-            powers[l] = w
+    for l, e in cofactors:
+        w = ring.xpow(e)
+        if len(ring.list(w)) == 1:
+            return False, None
+        powers[l] = w
     return True, _LazyCertificate(f, group_order, factors, inputs=(ring, norm, powers))
 
 

@@ -207,7 +207,7 @@ def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitn
     """One first_hit over the flat index: g's middle digits, then its lead, then lam."""
     check_field(guarded_power(q, m, "witness field"), "witness field")
     big = make_field(q ** m)
-    base, embed, _ = subfield_maps(big, q)
+    base, up, _ = _subfield_ints(big, q)
     lams = primitive_elements(big)
     orbit_leads = _orbit_leads(lams, q)
     per_shape = (q - 1) * len(lams)
@@ -220,7 +220,7 @@ def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitn
         if orbit_leads[k] != k:  # its conjugate, earlier in this shape, was no hit (_orbit_flags)
             return None
         shape = [0] + base_digits(enc, q, n - 1) + [lead + 1]
-        cand = _fiber(big, base, embed, shape, lams[k:k + 1])[0]
+        cand = _fiber(big, base, up, shape, lams[k:k + 1])[0]
         return (shape, lams[k], cand) if is_primitive_poly(cand)[0] else None
 
     hit = first_hit(probe, scan)

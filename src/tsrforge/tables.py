@@ -13,7 +13,7 @@ an arithmetic disagreement; counts do not depend on the generator.
 from .cosets import count_trace_one_classes
 from .counting import _fiber, _orbit_flags
 from .errors import TsrforgeError, UnknownKind
-from .fields import make_field, subfield_maps
+from .fields import _subfield_ints, make_field
 from .polys import Polynomial, format_poly, parse_poly
 from .primitivity import primitive_elements
 
@@ -128,9 +128,9 @@ TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "r_table")
 def fiber_census(q: int, ext: int, shape: tuple[int, ...], threads: int = 1) -> list[Polynomial]:
     """Primitive g(X) + lam over F_{q^ext} for the fixed shape g, lam ascending."""
     big = make_field(q ** ext)
-    base, embed, _ = subfield_maps(big, q)
+    base, up, _ = _subfield_ints(big, q)
     lams = primitive_elements(big)
-    cands = _fiber(big, base, embed, shape, lams)
+    cands = _fiber(big, base, up, shape, lams)
     return [f for f, ok in zip(cands, _orbit_flags(lams, q, cands, threads)) if ok]
 
 

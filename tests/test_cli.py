@@ -517,6 +517,19 @@ raise SystemExit(cli.main(sys.argv[1:]))
     # a smaller one is still taken, and refused by its size as before
     (["search-tsr", "2", "2", "20000"], 2, "stderr",
      "guard violation: tap space of a 20001-bit number exceeds the 2^24 guard\n"),
+    # q^n - 1 past int-to-str conversion's 4300 digits, named by its bit length
+    (["enumerate", "P_mnq", "2", "20000", "1"], 2, "stderr",
+     "scale limit: a 20000-bit number exceeds the 2^64 factorization bound\n"),
+    (["bound", "2", "99999", "99999"], 2, "stderr",
+     "scale limit: a 99999-bit number exceeds the 2^64 factorization bound\n"),
+    (["enumerate", "lfsr_prim", "2", "1", "99999999"], 2, "stderr",
+     "scale limit: a 99999999-bit number exceeds the 2^64 factorization bound\n"),
+    # the register census refuses GL_m(q) by m^2 log2 q - 2 before taking its order
+    (["enumerate", "tsrp", "2", "3000", "1"], 2, "stderr",
+     "guard violation: matrix group GL_3000(2) of more than 2^8999998 elements exceeds the 2^22 guard\n"),
+    (["enumerate", "tsrp", "2", "99999999999", "2"], 2, "stderr",
+     "guard violation: matrix group GL_99999999999(2) of more than 2^9999999999799999999999 elements "
+     "exceeds the 2^22 guard\n"),
 ])
 def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
     # a child under a 512 MB address-space cap and a time limit: before the degree

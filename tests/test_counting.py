@@ -180,6 +180,23 @@ def test_tsrp_bruteforce_tests_each_charpoly_once(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("q, m, n", [(2, 2, 3), (3, 2, 2), (4, 2, 1), (2, 3, 1), (2, 3, 2)])
+def test_tsrp_census_runs_one_hessenberg_pass_per_matrix(q, m, n, monkeypatch):
+    # a Matrix keeps its characteristic polynomial, so TsrSpec's invertibility
+    # check on a B the census already reduced runs no second pass
+    from tsrforge import matrices
+    from tsrforge.fields import base_digits
+    from tsrforge.tsr import TsrSpec
+    field = make_field(q)
+    taps = [tuple(field.element(d) for d in base_digits(enc, q, n - 1)) for enc in range(q ** (n - 1))]
+    specs = [TsrSpec(field, m, n, c, B) for c in taps for B in gl_matrices(field, m)]
+    want = [s for s in specs if is_primitive_tsr(s)]
+    passes, hessenberg = [], matrices._hessenberg_charpoly
+    monkeypatch.setattr(matrices, "_hessenberg_charpoly", lambda M: passes.append(M) or hessenberg(M))
+    assert enumerate_tsrp_bruteforce(q, m, n) == want and want
+    assert len(passes) == q ** (m * m)
+
+
 @pytest.mark.parametrize("form", ["P_mnq", "P_qmn"])
 @pytest.mark.parametrize("q, m, n", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (4, 2, 3), (2, 4, 3)])
 def test_special_census_tests_one_candidate_per_frobenius_orbit(q, m, n, form, monkeypatch):

@@ -364,6 +364,27 @@ def test_norm_stage_rejects_without_polynomial_arithmetic(monkeypatch):
     assert is_primitive_poly(f) == (False, None)
 
 
+def test_group_order_is_factored_only_after_rabin_passes(monkeypatch):
+    # stage 3's memo of q^n - 1 and its factorization fills only once Rabin's test
+    # has passed, so a norm reject or a Rabin reject never factors q^n - 1
+    factored = []
+    monkeypatch.setattr(primitivity, "factor_integer", lambda n: factored.append(n) or factor_integer(n))
+    primitivity._order_plan.cache_clear()
+    norm_reject = parse_poly("x^2 + x + 1", make_field(5))  # irreducible; its norm 1 is not primitive
+    f2 = make_field(2)
+    # reducible, of degree 70: 2^70 - 1 is past the 2^64 factorization bound
+    rabin_reject = parse_poly("x^70 + x + 1", f2)
+    assert not is_irreducible(rabin_reject)
+    for f in (norm_reject, rabin_reject):
+        assert is_primitive_poly(f) == (False, None), format_poly(f)
+    assert 5 ** 2 - 1 not in factored and 2 ** 70 - 1 not in factored
+    assert primitivity._order_plan.cache_info().currsize == 0
+    # an accept fills it once per (q, n)
+    assert is_primitive_poly(parse_poly("x^6 + x + 1", f2))[0]
+    assert is_primitive_poly(parse_poly("x^6 + x^5 + 1", f2))[0]
+    assert factored.count(2 ** 6 - 1) == 1 and primitivity._order_plan.cache_info().currsize == 1
+
+
 def test_one_ring_per_primitivity_test(monkeypatch):
     # Rabin's stage and the order stage run in one ring of the monic f
     from tsrforge.search import primitive_polys

@@ -14,8 +14,13 @@ every side the recorder writes:
   `is_primitive_poly` call on primitive inputs, where every stage runs:
   x^63 + x + 1 over F_2 and the pools of perfbench/expected/certify.json
   (F_3 degree 20, F_4 degree 12, F_9 degree 8), each call on an emptied
-  ring cache as a caller with a new f finds it; milliseconds per call of
-  the element tally `primitive_trace_one_count` at m = 8 and 10; and
+  ring cache as a caller with a new f finds it; microseconds per
+  `is_primitive_poly` call on SAMPLE seeded fiber candidates g(X) + lam of
+  the census shapes, g monic over F_q with g(0) = 0 and lam a primitive
+  element of F_{q^m}, at F_16 degree 3, F_121 degree 3 and F_1024
+  degree 2, each a new f to the ring cache as in a census; milliseconds
+  per call of the element tally `primitive_trace_one_count` at m = 8 and
+  10 and of the class count `count_trace_one_classes` at m = 10; and
   milliseconds per repeated `subfield_maps` call (`build`: a cache lookup
   where the tables are cached), to build the tables uncached
   (`_subfield_tables.__wrapped__`) and to run 500 `descend(embed(x))`
@@ -27,8 +32,8 @@ every side the recorder writes:
   and microseconds per `tsr_period` call on those four registers; and
   milliseconds per call of the candidate scans: `search_primitive_tsr` at
   (2, 3, 9), (4, 3, 3) and (13, 3, 3), the P_mnq and P_qmn censuses at
-  (4, 2, 3), the register census `enumerate_tsrp_bruteforce` at (3, 2, 3)
-  and (5, 2, 1), `generate_table("t3")`, `fiber_census` on the rows t4 key 4
+  (4, 2, 3), the register census `enumerate_tsrp_bruteforce` at (3, 2, 3),
+  (5, 2, 1) and (4, 2, 1), `generate_table("t3")`, `fiber_census` on the rows t4 key 4
   (F_81), t2 key 6 (F_64) and t5 key 13 (F_169), `primitive_elements` of
   F_{2^10} and F_121, and `verify_conjecture` in the composition form at
   (2, 2, 7) and the direct form at (5, 2, 3); microseconds per
@@ -94,13 +99,15 @@ INVERTIBLE_CASES = [(2, 2), (2, 3), (2, 5), (5, 2)]  # (q, m) of matrix_is_inver
 REPEATS = 9  # timed passes over each sample; the fastest pass is kept
 LAYER_ROUNDS = 16  # fresh interpreters per side, alternating; every round and each row's fastest are kept
 TALLY_M = (8, 10)  # element tally sizes, one call per pass
+CLASS_COUNT_M = (10,)  # count_trace_one_classes sizes, one call per pass
 SUBFIELD_CASES = [(729, 9), (1 << 20, 1 << 10)]  # (field, base) orders
 ALPHA_POINTS = [(16, 3), (4, 5), (64, 2), (9, 3)]  # (q, m) of _alpha_field
 ROUND_TRIPS = 500
 WALK_STRATA = ("prim_2_4_3", "prim_4_2_3", "prim_2_2_6", "prim_8_2_2")  # q^(mn) = 4096
 SEARCH_POINTS = [(2, 3, 9), (4, 3, 3), (13, 3, 3)]  # also the shapes of the _assemble rows
 CODEC_CASES = ("F3.deg20", "F9.deg8")  # certify pools of the format_poly / parse_poly rows
-TSRP_POINTS = [(3, 2, 3), (5, 2, 1)]  # (q, m, n) of enumerate_tsrp_bruteforce
+TSRP_POINTS = [(3, 2, 3), (5, 2, 1), (4, 2, 1)]  # (q, m, n) of enumerate_tsrp_bruteforce
+FIBER_CANDIDATES = [(2, 4, 3), (11, 2, 3), (2, 10, 2)]  # (q, m, degree): g(X) + lam over F_{q^m}
 COMPOSE_POINTS = [(4, 2, 3), (3, 3, 3)]  # compose f(g(X)) on the search's first hit
 FIBER_ROWS = [("t4", 4), ("t2", 6), ("t5", 13)]  # (table, key): F_81, F_64, F_169
 PRIMITIVE_ELEMENT_ORDERS = (1 << 10, 121)
@@ -137,7 +144,7 @@ def layer_rows(src: str) -> dict:
     sys.path.insert(0, str(Path(src) / "src"))
     import random
 
-    from tsrforge.cosets import primitive_trace_one_count
+    from tsrforge.cosets import count_trace_one_classes, primitive_trace_one_count
     from tsrforge.counting import enumerate_special_primitives, enumerate_tsrp_bruteforce
     from tsrforge.fields import base_digits, make_field, subfield_maps
     from tsrforge.matrices import Matrix, matrix_is_invertible
@@ -179,8 +186,19 @@ def layer_rows(src: str) -> dict:
     for case, pool in pools.items():
         rows[f"is_primitive_poly.primitive.{case}_us"] = sig(
             per_call(lambda i: uncache() or is_primitive_poly(pool[i]), len(pool)) * 1e6)
+    for q, m, n in FIBER_CANDIDATES:
+        big, rng = make_field(q ** m), random.Random(q * 100 + m * 10 + n)
+        base, embed, _ = subfield_maps(big, q)
+        lams = primitive_elements(big)
+        cands = [Polynomial.make(big, [rng.choice(lams)] + [embed(base.element(rng.randrange(q)))
+                                                            for _ in range(n - 1)] + [1])
+                 for _ in range(SAMPLE)]
+        rows[f"is_primitive_poly.fiber.F{q ** m}.deg{n}_us"] = sig(
+            per_call(lambda i: is_primitive_poly(cands[i]), SAMPLE) * 1e6)
     for m in TALLY_M:
         rows[f"primitive_trace_one_count.m{m}_ms"] = sig(per_call(lambda _: primitive_trace_one_count(m), 1) * 1e3)
+    for m in CLASS_COUNT_M:
+        rows[f"count_trace_one_classes.m{m}_ms"] = sig(per_call(lambda _: count_trace_one_classes(m), 1) * 1e3)
     for order, base_order in SUBFIELD_CASES:
         big = make_field(order)
         base, embed, descend = subfield_maps(big, base_order)  # also builds big.ops, untimed
