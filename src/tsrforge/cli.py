@@ -87,7 +87,7 @@ def cmd_test_primitive(args) -> int:
 
 def cmd_search_tsr(args) -> int:
     res = search_primitive_tsr(args.q, args.m, args.n, budget=args.budget,
-                               allow_even_n=args.allow_even_n, threads=args.threads)
+                               allow_even_n=args.allow_even_n)
     spec = res.spec
     _emit({
         "q": args.q,
@@ -121,13 +121,13 @@ def cmd_enumerate(args) -> int:
     if m is None or n is None:
         raise ValueError(f"kind {kind!r} requires both m and n")
     if kind in ("P_qmn", "P_mnq"):
-        polys = enumerate_special_primitives(q, m, n, kind, threads=args.threads)
+        polys = enumerate_special_primitives(q, m, n, kind)
         _emit({"kind": kind, "q": q, "m": m, "n": n, "count": len(polys)})
         if args.list:
             for p in polys:
                 _emit({"poly": format_poly(p)})
         return EXIT_OK
-    specs = enumerate_tsrp_bruteforce(q, m, n, threads=args.threads)
+    specs = enumerate_tsrp_bruteforce(q, m, n)
     _emit({"kind": "tsrp", "q": q, "m": m, "n": n, "count": len(specs)})
     if args.list:
         for spec in specs:
@@ -142,14 +142,14 @@ def cmd_count_r(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    text = generate_table(args.table, deep=args.deep, threads=args.threads)
+    text = generate_table(args.table, deep=args.deep)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     if args.report and args.table != "r_table":
-        for key, entry, ok, note in membership_report(args.table, threads=args.threads):
+        for key, entry, ok, note in membership_report(args.table):
             _emit({"key": key, "entry": entry, "accepted": ok, "note": note})
     return EXIT_OK
 

@@ -5,6 +5,8 @@ the enumerators rebuild the same numbers by brute force so each side checks
 the other.
 """
 
+import sys
+
 from .errors import BadDegree, FiberSizeViolation, ScaleExceeded, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
 from .fields import Field, _subfield_ints, base_digits, conjugates, make_field, prime_power
@@ -33,7 +35,9 @@ def closed_form_count(kind: str, q: int, m: int | None = None, n: int | None = N
     """Exact closed-form census for the named register family.
 
     A q that is not a prime power, or an m or n the kind reads that is
-    missing or below 1, is refused.
+    missing or below 1, is refused, and so is a count with more digits than
+    int-to-str conversion allows: by its bit size, or, for a count on |GL_m(q)|,
+    before that order is taken once m^2 (bit length of q - 1) - 2 passes them.
     """
     if kind not in _KIND_ARGS:
         raise UnknownKind(f"unknown census kind {kind!r}")
@@ -42,23 +46,23 @@ def closed_form_count(kind: str, q: int, m: int | None = None, n: int | None = N
     for name, value, label in (("m", m, "block size"), ("n", n, "register length")):
         if name in needs and value is None:
             raise BadDegree(f"kind {kind!r} requires the {label} {name}")
-    check_shape(m if "m" in needs else 1, n if "n" in needs else 1)
-    if kind == "lfsr_prim":
-        return _exact_div(euler_phi(q ** n - 1), n)
-    if kind == "lfsr_irr":
-        return _exact_div(sum(moebius(d) * q ** (n // d) for d in factor_integer(n).divisors()), n)
-    if kind == "sigma_prim":
-        return _exact_div(euler_phi(q ** (m * n) - 1), m * n) \
-            * q ** (m * (m - 1) * (n - 1)) * _exact_div(gl_order(q, m), q ** m - 1)
-    if kind == "sigma_irr":
-        mn = m * n
-        irr = _exact_div(sum(moebius(d) * q ** (mn // d) for d in factor_integer(mn).divisors()), mn)
-        return irr * q ** (m * (m - 1) * (n - 1)) * _exact_div(gl_order(q, m), q ** m - 1)
-    if kind == "gl_order":
-        return gl_order(q, m)
-    if kind == "tsr_order1":
-        return _exact_div(gl_order(q, m), q ** m - 1) * _exact_div(euler_phi(q ** m - 1), m)
-    return _exact_div(euler_phi(q ** n - 1), n)  # tsr_m1
+    m, n = m if "m" in needs else 1, n if "n" in needs else 1
+    check_shape(m, n)
+    k, digits = m * n, getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    past = f"exceeds the {digits}-digit limit of int-to-str conversion"
+    if kind.endswith("irr"):  # the monic irreducible polynomials of degree k
+        count = _exact_div(sum(moebius(d) * q ** (k // d) for d in factor_integer(k).divisors()), k)
+    elif kind != "gl_order":  # the monic primitive polynomials of degree k
+        count = _exact_div(euler_phi(q ** k - 1), k)
+    if "m" in needs:  # the kinds on |GL_m(q)|, which is taken after any factorization refusal
+        low = m * m * (q.bit_length() - 1) - 2  # below log2 |GL_m(q)|, as in _check_matrix_group
+        if digits and low >= (10 ** digits).bit_length():
+            raise ScaleExceeded(f"{kind} count over GL_{m}({q}) of more than 2^{low} elements {past}")
+        gl = gl_order(q, m)
+        count = gl if kind == "gl_order" else count * q ** (m * (m - 1) * (n - 1)) * _exact_div(gl, q ** m - 1)
+    if digits and count >= 10 ** digits:
+        raise ScaleExceeded(f"{kind} count of a {count.bit_length()}-bit number {past}")
+    return count
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -78,7 +82,7 @@ def count_matrices_with_charpoly(p: Polynomial, m: int) -> int:
     return sum(matrix_charpoly(M) == p for M in _all_matrices(field, m))
 
 
-def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int = 1) -> list[Polynomial]:
+def enumerate_special_primitives(q: int, m: int, n: int, form: str) -> list[Polynomial]:
     """Exhaustive primitive census in one of the two special shapes.
 
     P_qmn: X^n - mu*g(X) with g over F_q, g(0) = 1, deg g <= n-1, mu primitive
@@ -105,7 +109,7 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str, threads: int
         # X^n - mu*g(X), g embedded with constant term 1 and degree <= n-1
         g = [1] + [up(d) for d in digits]
         candidates += [Polynomial(big, tuple([neg(mul(mu.int_value, c)) for c in g]) + (1,)) for mu in prims]
-    flags = _orbit_flags(prims, q, candidates, threads)
+    flags = _orbit_flags(prims, q, candidates)
     found = [f for f, ok in zip(candidates, flags) if ok]
     return sorted(found, key=format_poly)
 
@@ -122,7 +126,7 @@ def _orbit_leads(lams: list, q: int) -> list[int]:
     return leads
 
 
-def _orbit_flags(lams: list, q: int, cands: list[Polynomial], threads: int = 1) -> list[bool]:
+def _orbit_flags(lams: list, q: int, cands: list[Polynomial]) -> list[bool]:
     """is_primitive_poly verdicts of cands, where cands[j * len(lams) + i] is
     built from lams[i] and coefficients in F_q, one test per orbit of lam -> lam^q.
 
@@ -132,7 +136,7 @@ def _orbit_flags(lams: list, q: int, cands: list[Polynomial], threads: int = 1) 
     """
     width, leads = len(lams), _orbit_leads(lams, q)
     tested = [t for t in range(len(cands)) if leads[t % width] == t % width]
-    verdict = dict(zip(tested, deterministic_map(lambda t: is_primitive_poly(cands[t])[0], tested, threads)))
+    verdict = dict(zip(tested, deterministic_map(lambda t: is_primitive_poly(cands[t])[0], tested)))
     return [verdict[t - t % width + leads[t % width]] for t in range(len(cands))]
 
 
@@ -161,7 +165,7 @@ def gl_matrices(field: Field, m: int):
     return (M for M in _all_matrices(field, m) if matrix_is_invertible(M))
 
 
-def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[TsrSpec]:
+def enumerate_tsrp_bruteforce(q: int, m: int, n: int) -> list[TsrSpec]:
     """All primitive registers at (q, m, n), scanning (taps, B) ascending.
 
     A register's charpoly g^m Psi_B(X^n / g) depends on B only through Psi_B,
@@ -186,7 +190,7 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int, threads: int = 1) -> list[
             f = _homogenize(psi, g, m, n)
             charpoly[t, key] = f.ints
             distinct.setdefault(f.ints, f)
-    verdicts = deterministic_map(lambda f: is_primitive_poly(f)[0], list(distinct.values()), threads)
+    verdicts = deterministic_map(lambda f: is_primitive_poly(f)[0], list(distinct.values()))
     primitive = dict(zip(distinct, verdicts))
     specs = []
     for t in range(taps):
@@ -235,5 +239,4 @@ def tsrp_upper_bound(q: int, m: int, n: int) -> int:
     prime_power(q)
     check_shape(m, n)
     taps = 1 if n == 1 else q ** (n - 1) - 1
-    return taps * _exact_div(euler_phi(q ** m - 1), m) \
-        * _exact_div(gl_order(q, m), q ** m - 1)
+    return taps * closed_form_count("tsr_order1", q, m=m)

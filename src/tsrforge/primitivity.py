@@ -156,7 +156,7 @@ def is_primitive_poly(f: Polynomial) -> tuple[bool, PrimitivityCertificate | Non
     if lead != 1:
         c0 = ops.mul(c0, ops.inv(lead))  # f(0) of the monic f
     norm = ops.neg(c0) if n % 2 else c0  # (-1)^n f(0)
-    if not all(int_pow(norm, e, ops) != 1 for e in _plan(q, n)[0]):
+    if not _generates(norm, q, ops):
         return False, None
     if not is_irreducible(f):
         return False, None

@@ -97,7 +97,7 @@ def _alpha_field(q: int, m: int, f: Polynomial):
 
 
 def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
-                         allow_even_n: bool = False, threads: int = 1) -> SearchResult:
+                         allow_even_n: bool = False) -> SearchResult:
     """First (f, g) hit in scan order, assembled into a primitive register."""
     check_shape(m, n)
     _check_budget(budget)
@@ -106,13 +106,13 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
     check_field(guarded_power(q, m, "block field"), "block field")
     check_field(guarded_power(q, n, "tap space"), "tap space")
     base = make_field(q)
-    hit, tried, _ = _composition_scan(base, m, n, budget, threads)
+    hit, tried, _ = _composition_scan(base, m, n, budget)
     if hit is None:
         raise BudgetExhausted(f"no primitive register found after {tried} candidate pairs", tried)
     return _assemble(q, m, n, base, *hit)
 
 
-def _composition_scan(base: Field, m: int, n: int, budget: int | None, threads: int = 1):
+def _composition_scan(base: Field, m: int, n: int, budget: int | None):
     """(hit, tried, stopped) for the first (f, g) in scan order with f(g(X)) primitive.
 
     f runs over the monic primitive polynomials of degree m ascending and, for
@@ -134,7 +134,7 @@ def _composition_scan(base: Field, m: int, n: int, budget: int | None, threads: 
             ok, cert = is_primitive_poly(reciprocal(Polynomial(base, tuple(kernel.compose(f.ints, g))), m * n))
             return (Polynomial(base, g), cert) if ok else None
 
-        hit = first_hit(probe, remaining, threads)
+        hit = first_hit(probe, remaining)
         if hit is not None:
             return (f, *hit[1]), tried + hit[0] + 1, False
         tried += remaining

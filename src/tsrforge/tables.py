@@ -125,25 +125,25 @@ TABLES = {"t1": _T1, "t2": _T2, "t3": _T3, "t4": _T4, "t5": _T5}
 TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "r_table")
 
 
-def fiber_census(q: int, ext: int, shape: tuple[int, ...], threads: int = 1) -> list[Polynomial]:
+def fiber_census(q: int, ext: int, shape: tuple[int, ...]) -> list[Polynomial]:
     """Primitive g(X) + lam over F_{q^ext} for the fixed shape g, lam ascending."""
     big = make_field(q ** ext)
     base, up, _ = _subfield_ints(big, q)
     lams = primitive_elements(big)
     cands = _fiber(big, base, up, shape, lams)
-    return [f for f, ok in zip(cands, _orbit_flags(lams, q, cands, threads)) if ok]
+    return [f for f, ok in zip(cands, _orbit_flags(lams, q, cands)) if ok]
 
 
-def regenerate_row(row, threads: int = 1) -> list[Polynomial]:
+def regenerate_row(row) -> list[Polynomial]:
     """Census union over the row's shapes, shape-major, lam ascending."""
     key, q, ext, shapes, _ = row
     out = []
     for shape in shapes:
-        out.extend(fiber_census(q, ext, shape, threads))
+        out.extend(fiber_census(q, ext, shape))
     return out
 
 
-def generate_table(table_id: str, deep: bool = False, threads: int = 1) -> str:
+def generate_table(table_id: str, deep: bool = False) -> str:
     """Deterministic CSV regeneration of the named reference table."""
     if table_id == "r_table":
         lines = ["# table r_table", "m,r,P2m2"]
@@ -153,13 +153,13 @@ def generate_table(table_id: str, deep: bool = False, threads: int = 1) -> str:
         return "\n".join(lines) + "\n"
     lines = [f"# table {table_id}", "key,count,entries"]
     for row in _rows(table_id):
-        census = regenerate_row(row, threads)
+        census = regenerate_row(row)
         entries = ";".join(format_poly(f) for f in census)
         lines.append(f"{row[0]},{len(census)},{entries}")
     return "\n".join(lines) + "\n"
 
 
-def membership_report(table_id: str, threads: int = 1) -> list[tuple]:
+def membership_report(table_id: str) -> list[tuple]:
     """(key, entry text, accepted, note) for every bundled entry of the table.
 
     An entry is accepted when it parses under our field construction and
@@ -169,7 +169,7 @@ def membership_report(table_id: str, threads: int = 1) -> list[tuple]:
     for row in _rows(table_id):
         key, q, ext, shapes, texts = row
         big = make_field(q ** ext)
-        census = set(regenerate_row(row, threads))
+        census = set(regenerate_row(row))
         for text in texts:
             try:
                 p = parse_poly(text, big)
@@ -183,9 +183,9 @@ def membership_report(table_id: str, threads: int = 1) -> list[tuple]:
     return report
 
 
-def row_counts(table_id: str, threads: int = 1) -> dict:
+def row_counts(table_id: str) -> dict:
     """key -> regenerated census size for the named table."""
-    return {row[0]: len(regenerate_row(row, threads)) for row in _rows(table_id)}
+    return {row[0]: len(regenerate_row(row)) for row in _rows(table_id)}
 
 
 def _rows(table_id: str) -> tuple:

@@ -19,7 +19,7 @@ from tsrforge.matrices import Matrix, matrix_is_invertible
 from tsrforge.polys import format_poly
 from tsrforge.primitivity import is_primitive_poly
 from tsrforge.search import primitive_polys, search_primitive_tsr, verify_conjecture
-from tsrforge.tables import TABLE_IDS, generate_table, membership_report, row_counts
+from tsrforge.tables import TABLE_IDS, membership_report, row_counts
 from tsrforge.tsr import (TsrSpec, TsrState, is_primitive_tsr, tsr_charpoly_direct,
                           tsr_charpoly_formula, tsr_period, tsr_step)
 
@@ -246,8 +246,12 @@ def test_criterion_10_bound_check():
 def test_criterion_11_determinism(tmp_path, capsys):
     bad = []
     for table_id in TABLE_IDS:
-        if generate_table(table_id, threads=1) != generate_table(table_id, threads=4):
-            bad.append(f"{table_id} differs across thread counts")
+        runs = []
+        for threads in ("1", "4"):
+            code = cli.main(["tables", table_id, "--threads", threads])
+            runs.append((code, *capsys.readouterr()))
+        if runs[0] != runs[1] or runs[0][0] != 0:
+            bad.append(f"{table_id} differs across --threads or fails")
     one = tmp_path / "one.csv"
     three = tmp_path / "three.csv"
     assert cli.main(["tables", "t1", "--out", str(one), "--threads", "1"]) == 0

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, JSON shape, determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -279,6 +280,18 @@ def test_tables_out_file_matches_stdout_and_threads(tmp_path, capsys):
     assert one.read_bytes() == four.read_bytes()
 
 
+@pytest.mark.parametrize("argv, threads", [
+    (["search-tsr", "2", "2", "7"], "4"),
+    (["enumerate", "P_mnq", "2", "2", "5", "--list"], "3"),
+    (["enumerate", "tsrp", "2", "2", "2", "--list"], "2"),
+])
+def test_threads_never_changes_output(argv, threads, capsys):
+    # --threads is parsed for compatibility and reaches no library call
+    plain = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--threads", threads) == plain
+    assert plain[0] == 0 and plain[1] and plain[2] == ""
+
+
 def test_tables_cells_are_comma_free(capsys):
     code, out, _ = run_cli(capsys, "tables", "t2")
     assert code == 0
@@ -530,6 +543,26 @@ raise SystemExit(cli.main(sys.argv[1:]))
     (["enumerate", "tsrp", "2", "99999999999", "2"], 2, "stderr",
      "guard violation: matrix group GL_99999999999(2) of more than 2^9999999999799999999999 elements "
      "exceeds the 2^22 guard\n"),
+    # closed-form counts past int-to-str conversion's 4300 digits, named by kind and bit size;
+    # one on |GL_m(q)| is refused before that order is taken when m^2 log2 q - 2 passes that limit
+    pytest.param(["enumerate", "gl_order", "2", "119", "1"], 0, "stdout",
+                 '{"count": %d, "kind": "gl_order", "m": 119, "n": 1, "q": 2}\n'
+                 % math.prod(2 ** 119 - 2 ** i for i in range(119)), id="gl_order-2-119-1-prints"),
+    (["enumerate", "gl_order", "2", "120", "1"], 2, "stderr",
+     "guard violation: gl_order count over GL_120(2) of more than 2^14398 elements "
+     "exceeds the 4300-digit limit of int-to-str conversion\n"),
+    (["enumerate", "gl_order", "3", "110", "1"], 2, "stderr",
+     "guard violation: gl_order count of a 19178-bit number exceeds the 4300-digit limit of int-to-str conversion\n"),
+    (["enumerate", "gl_order", "2", "3000", "1"], 2, "stderr",
+     "guard violation: gl_order count over GL_3000(2) of more than 2^8999998 elements "
+     "exceeds the 4300-digit limit of int-to-str conversion\n"),
+    (["enumerate", "gl_order", "2", "99999999999", "1"], 2, "stderr",
+     "guard violation: gl_order count over GL_99999999999(2) of more than 2^9999999999799999999999 elements "
+     "exceeds the 4300-digit limit of int-to-str conversion\n"),
+    # the factorization refusal of phi(2^3000 - 1) comes before |GL_3000(2)| is taken
+    pytest.param(["enumerate", "tsr_order1", "2", "3000", "1"], 2, "stderr",
+                 "scale limit: %d exceeds the 2^64 factorization bound\n" % (2 ** 3000 - 1),
+                 id="tsr_order1-2-3000-1-factorization-first"),
 ])
 def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
     # a child under a 512 MB address-space cap and a time limit: before the degree

@@ -146,12 +146,6 @@ def test_special_enumeration_counts_by_field():
     assert len(enumerate_special_primitives(3, 2, 3, "P_mnq")) == 12
 
 
-def test_special_enumeration_threads_deterministic():
-    a = enumerate_special_primitives(2, 2, 5, "P_mnq", threads=1)
-    b = enumerate_special_primitives(2, 2, 5, "P_mnq", threads=3)
-    assert [format_poly(p) for p in a] == [format_poly(p) for p in b]
-
-
 def test_tsrp_bruteforce_small():
     specs = enumerate_tsrp_bruteforce(2, 2, 2)
     assert len(specs) == 2

@@ -11,22 +11,19 @@ from tsrforge.parallel import deterministic_map, first_hit
 def test_deterministic_map_preserves_order():
     xs = list(range(5000))
     want = [x * x for x in xs]
-    assert deterministic_map(lambda x: x * x, xs, 1) == want
-    assert deterministic_map(lambda x: x * x, xs, 4) == want
-    assert deterministic_map(lambda x: x * x, [], 4) == []
+    assert deterministic_map(lambda x: x * x, xs) == want
+    assert deterministic_map(lambda x: x * x, []) == []
 
 
 def test_first_hit_minimal_in_scan_order():
     probe = lambda i: ("hit", i) if i % 997 == 5 else None
-    for threads in (1, 2, 8):
-        assert first_hit(probe, 10000, threads) == (5, ("hit", 5))
+    assert first_hit(probe, 10000) == (5, ("hit", 5))
 
 
 def test_first_hit_skips_earlier_blocks_without_hits():
     # the hit sits deep in a later block; earlier blocks must not mask it
     probe = lambda i: i if i == 4321 else None
-    for threads in (1, 3):
-        assert first_hit(probe, 5000, threads) == (4321, 4321)
+    assert first_hit(probe, 5000) == (4321, 4321)
 
 
 def test_first_hit_stops_at_the_first_hit():
@@ -36,13 +33,13 @@ def test_first_hit_stops_at_the_first_hit():
         calls.append(i)
         return i if i == 5 else None
 
-    assert first_hit(probe, 10000, threads=2) == (5, 5)
+    assert first_hit(probe, 10000) == (5, 5)
     assert len(calls) <= 6
 
 
 def test_first_hit_none():
-    assert first_hit(lambda i: None, 3000, 4) is None
-    assert first_hit(lambda i: None, 0, 2) is None
+    assert first_hit(lambda i: None, 3000) is None
+    assert first_hit(lambda i: None, 0) is None
 
 
 def test_guard_defaults():

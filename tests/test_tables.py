@@ -80,11 +80,6 @@ def test_generate_table_round_trips():
                 assert format_poly(parse_poly(text, big)) == text
 
 
-def test_generate_table_threads_identical():
-    for tid in ("t1", "t3", "r_table"):
-        assert generate_table(tid, threads=1) == generate_table(tid, threads=4)
-
-
 def test_generate_r_table():
     text = generate_table("r_table")
     lines = text.strip().splitlines()
