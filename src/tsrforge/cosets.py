@@ -24,7 +24,7 @@ from math import gcd
 
 from .errors import ExistenceViolation, ScaleExceeded
 from .fields import conjugates, int_pow, make_field, subfield_maps
-from .guards import check_field
+from .guards import check_field, checked_power, guarded_power
 from .polys import Polynomial
 from .primitivity import _generates, is_primitive_poly
 
@@ -90,8 +90,7 @@ def count_trace_one_classes(m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ScaleExceeded(f"m = {m} outside supported range")
-    check_field(1 << m, "census field")
-    field = make_field(1 << m)
+    field = make_field(checked_power(2, m, "census field"))
     seen = bytearray(field.order)
     r = 0
     trace_one = 0
@@ -130,7 +129,7 @@ def primitive_trace_one_count(m: int) -> int:
     """
     if m < 1:
         raise ScaleExceeded(f"m = {m} outside supported range")
-    check_field((1 << (2 * m)) - 1, "element tally space")
+    check_field(guarded_power(2, 2 * m, "element tally space") - 1, "element tally space")
     field = make_field(1 << (2 * m))
     ops, a, sub = field.ops, field.gen().int_value, 1 << m
     x0 = ops.mul(a, ops.inv(ops.add(a, int_pow(a, sub, ops))))

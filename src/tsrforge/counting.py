@@ -5,12 +5,10 @@ the enumerators rebuild the same numbers by brute force so each side checks
 the other.
 """
 
-import sys
-
-from .errors import BadDegree, FiberSizeViolation, ScaleExceeded, UnknownKind
+from .errors import BadDegree, FiberSizeViolation, UnknownKind
 from .factorint import euler_phi, factor_integer, moebius
 from .fields import Field, _subfield_ints, base_digits, conjugates, make_field, prime_power
-from .guards import check_enumeration, check_field, guard_bits, guarded_power
+from .guards import check_matrix_group, check_size, checked_power, factorable_power, guarded_power
 from .kernel import _trim
 from .matrices import Matrix, matrix_charpoly, matrix_is_invertible
 from .parallel import deterministic_map
@@ -34,10 +32,9 @@ _KIND_ARGS = {"lfsr_prim": "n", "lfsr_irr": "n", "sigma_prim": "mn", "sigma_irr"
 def closed_form_count(kind: str, q: int, m: int | None = None, n: int | None = None) -> int:
     """Exact closed-form census for the named register family.
 
-    A q that is not a prime power, or an m or n the kind reads that is
-    missing or below 1, is refused, and so is a count with more digits than
-    int-to-str conversion allows: by its bit size, or, for a count on |GL_m(q)|,
-    before that order is taken once m^2 (bit length of q - 1) - 2 passes them.
+    A q that is not a prime power, or an m or n the kind reads that is missing or below 1, is
+    refused, and so is a count with more digits than int-to-str conversion allows; guards.py
+    sizes each power, |GL_m(q)| and q^k - 1 before it is taken.
     """
     if kind not in _KIND_ARGS:
         raise UnknownKind(f"unknown census kind {kind!r}")
@@ -48,21 +45,17 @@ def closed_form_count(kind: str, q: int, m: int | None = None, n: int | None = N
             raise BadDegree(f"kind {kind!r} requires the {label} {name}")
     m, n = m if "m" in needs else 1, n if "n" in needs else 1
     check_shape(m, n)
-    k, digits = m * n, getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    past = f"exceeds the {digits}-digit limit of int-to-str conversion"
+    k, what = m * n, f"{kind} count"
     if kind.endswith("irr"):  # the monic irreducible polynomials of degree k
-        count = _exact_div(sum(moebius(d) * q ** (k // d) for d in factor_integer(k).divisors()), k)
+        terms = (moebius(d) * guarded_power(q, k // d, f"{what} term", "digits") for d in factor_integer(k).divisors())
+        count = _exact_div(sum(terms), k)
     elif kind != "gl_order":  # the monic primitive polynomials of degree k
-        count = _exact_div(euler_phi(q ** k - 1), k)
-    if "m" in needs:  # the kinds on |GL_m(q)|, which is taken after any factorization refusal
-        low = m * m * (q.bit_length() - 1) - 2  # below log2 |GL_m(q)|, as in _check_matrix_group
-        if digits and low >= (10 ** digits).bit_length():
-            raise ScaleExceeded(f"{kind} count over GL_{m}({q}) of more than 2^{low} elements {past}")
-        gl = gl_order(q, m)
-        count = gl if kind == "gl_order" else count * q ** (m * (m - 1) * (n - 1)) * _exact_div(gl, q ** m - 1)
-    if digits and count >= 10 ** digits:
-        raise ScaleExceeded(f"{kind} count of a {count.bit_length()}-bit number {past}")
-    return count
+        count = _exact_div(euler_phi(factorable_power(q, k)), k)
+    if "m" in needs:  # the kinds on |GL_m(q)|, which is sized after any factorization refusal
+        check_matrix_group(q, m, f"{what} over", "digits")
+        gl, rest = gl_order(q, m), guarded_power(q, m * (m - 1) * (n - 1), f"{what} term", "digits")
+        count = gl if kind == "gl_order" else count * rest * _exact_div(gl, q ** m - 1)
+    return check_size(count, what, "digits")
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -77,8 +70,7 @@ def count_matrices_with_charpoly(p: Polynomial, m: int) -> int:
     if p.degree != m:
         raise BadDegree(f"polynomial degree {p.degree} != m = {m}")
     field = p.field
-    q = field.order
-    check_enumeration(q ** (m * m), "matrix space")
+    checked_power(field.order, m * m, "matrix space", "enumeration")
     return sum(matrix_charpoly(M) == p for M in _all_matrices(field, m))
 
 
@@ -95,7 +87,7 @@ def enumerate_special_primitives(q: int, m: int, n: int, form: str) -> list[Poly
     check_shape(m, n)
     # guard before the primitive-element scan; phi counts that scan's output
     space = guarded_power(q, n - 1, "candidate space") * euler_phi(guarded_power(q, m, "coefficient field") - 1)
-    check_field(space, "candidate space")
+    check_size(space, "candidate space", "field")
     big = make_field(q ** m)
     base, up, _ = _subfield_ints(big, q)
     prims = primitive_elements(big)
@@ -175,8 +167,8 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int) -> list[TsrSpec]:
     check_shape(m, n)
     field = make_field(q)
     taps = guarded_power(q, n - 1, "candidate space", "enumeration")
-    _check_matrix_group(q, m)
-    check_enumeration(taps * gl_order(q, m))
+    check_matrix_group(q, m, "matrix group", "enumeration")
+    check_size(taps * gl_order(q, m), "candidate space", "enumeration")
     pairs, psis = [], {}  # (B, Psi_B ints) per invertible B, ascending; the distinct Psi_B by ints
     for B in _all_matrices(field, m):
         psi = matrix_charpoly(B)
@@ -199,15 +191,6 @@ def enumerate_tsrp_bruteforce(q: int, m: int, n: int) -> list[TsrSpec]:
             c = tuple(field.element(d) for d in base_digits(t, q, n - 1))
             specs += [TsrSpec(field, m, n, c, B) for B in hits]
     return specs
-
-
-def _check_matrix_group(q: int, m: int) -> None:
-    """ScaleExceeded naming GL_m(q) when m^2 log2 q - 2, a lower bound of log2 |GL_m(q)|,
-    passes the enumeration guard; checked before any product of gl_order(q, m) is taken."""
-    bits, low = guard_bits("enumeration"), m * m * (q.bit_length() - 1) - 2
-    if low > bits:
-        raise ScaleExceeded(f"matrix group GL_{m}({q}) of more than 2^{low} elements "
-                            f"exceeds the 2^{bits} guard")
 
 
 def check_shape(m: int, n: int) -> None:
@@ -238,5 +221,5 @@ def tsrp_upper_bound(q: int, m: int, n: int) -> int:
     """
     prime_power(q)
     check_shape(m, n)
-    taps = 1 if n == 1 else q ** (n - 1) - 1
-    return taps * closed_form_count("tsr_order1", q, m=m)
+    taps = 1 if n == 1 else guarded_power(q, n - 1, "tsrp_upper_bound over a tap space", "digits") - 1
+    return check_size(taps * closed_form_count("tsr_order1", q, m=m), "tsrp_upper_bound", "digits")

@@ -1,16 +1,18 @@
-"""Brute-force scale guards.
+"""Size guards: the one module that decides whether a size is refused and how the refusal names it.
 
-Exceeding a guard raises ScaleExceeded with the offending bound; nothing is
-ever silently truncated.  TSRFORGE_GUARD_BITS overrides both default bounds.
+The limits: the enumeration and field guards (2^22, 2^24; TSRFORGE_GUARD_BITS overrides both), the
+digit limit of int-to-str conversion and the 2^64 factorization bound.  A power is sized before it is taken.
 """
 
 import os
+import sys
 
-from .errors import ScaleExceeded
+from .errors import FactorizationOverflow, ScaleExceeded
 
 ENUMERATION_BITS = 22
 FIELD_BITS = 24
-POWER_BITS = 1 << 24  # a power q^e whose bit length alone passes this and the guard is not taken
+POWER_BITS = 1 << 24  # a power q^e whose bit length alone passes this and the limit is not taken
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()  # int-to-str conversion's digit limit; 0: none
 ENV_VAR = "TSRFORGE_GUARD_BITS"
 
 
@@ -24,11 +26,11 @@ def guard_bits(kind: str) -> int:
 
 
 def check_enumeration(size: int, what: str = "candidate space") -> None:
-    check_custom(size, guard_bits("enumeration"), what)
+    check_size(size, what, "enumeration")
 
 
 def check_field(size: int, what: str = "state space") -> None:
-    check_custom(size, guard_bits("field"), what)
+    check_size(size, what, "field")
 
 
 def check_custom(size: int, bits: int, what: str) -> None:
@@ -44,10 +46,37 @@ def int_text(n: int) -> str:
         return f"a {n.bit_length()}-bit number"
 
 
+def check_size(size: int, what: str, kind: str, low: int = -1) -> int:
+    """size; ScaleExceeded naming it when it passes the limit of kind ("enumeration", "field" or "digits").
+    A size too large to take is passed as 0 with low >= 0, a lower bound of its log2, and named by what."""
+    top = (10 ** INT_DIGITS - 1 if INT_DIGITS else 0) if kind == "digits" else 1 << guard_bits(kind)
+    if top and (low >= top.bit_length() or size > top):
+        limit = (f"the {INT_DIGITS}-digit limit of int-to-str conversion" if kind == "digits"
+                 else f"the 2^{top.bit_length() - 1} guard")
+        raise ScaleExceeded(f"{what} exceeds {limit}" if low >= 0 else f"{what} of {int_text(size)} exceeds {limit}")
+    return size
+
+
 def guarded_power(q: int, e: int, what: str, kind: str = "field") -> int:
     """q ** e; ScaleExceeded naming q^e, before it is taken, when e * (q.bit_length() - 1),
-    a lower bound of log2(q^e), passes both the guard and POWER_BITS."""
-    bits = guard_bits(kind)
-    if e * (q.bit_length() - 1) > max(bits, POWER_BITS):
-        raise ScaleExceeded(f"{what} of {q}^{e} exceeds the 2^{bits} guard")
+    a lower bound of log2(q^e), passes both the limit of kind and POWER_BITS."""
+    if (low := e * (q.bit_length() - 1)) > POWER_BITS:
+        check_size(0, f"{what} of {q}^{e}", kind, low)
     return q ** e
+
+
+def checked_power(q: int, e: int, what: str, kind: str = "field") -> int:
+    return check_size(guarded_power(q, e, what, kind), what, kind)
+
+
+def check_matrix_group(q: int, m: int, what: str, kind: str) -> None:
+    low = m * m * (q.bit_length() - 1) - 2  # below log2 |GL_m(q)|
+    check_size(0, f"{what} GL_{m}({q}) of more than 2^{low} elements", kind, low)
+
+
+def factorable_power(q: int, e: int) -> int:
+    """q ** e - 1; untaken past POWER_BITS, refused by its bit length when q is a power of two, else as q^e - 1."""
+    if (low := e * (q.bit_length() - 1)) > POWER_BITS:
+        text = f"a {low}-bit number" if q & (q - 1) == 0 else f"{q}^{e} - 1"
+        raise FactorizationOverflow(f"{text} exceeds the 2^64 factorization bound")
+    return q ** e - 1

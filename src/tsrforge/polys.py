@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
-from .errors import DivisionByZeroPoly, ScaleExceeded
+from .errors import DivisionByZeroPoly
 from .fields import Field, FieldElement, _format_int, int_pow
-from .guards import check_custom, guard_bits
+from .guards import INT_DIGITS, check_size
 from .kernel import _trim, power
 
 NEG_INF = float("-inf")
@@ -204,26 +204,22 @@ def format_poly(p: Polynomial) -> str:
     return " + ".join(parts)
 
 
-_INT_DIGITS = 4300  # the most digits int() converts from a str, by default
-
-
 def _decimal(digits: str, mod: int = 0) -> int:
-    """int(digits), or int(digits) % mod when mod is given, read _INT_DIGITS digits at a time."""
-    out = 0
-    for i in range(0, len(digits), _INT_DIGITS):
-        chunk = digits[i:i + _INT_DIGITS]
+    """int(digits), or int(digits) % mod when mod is given, read as many digits at a time as int() converts."""
+    out, step = 0, INT_DIGITS or len(digits) + 1
+    for i in range(0, len(digits), step):
+        chunk = digits[i:i + step]
         out = out * 10 ** len(chunk) + int(chunk)
         if mod:
             out %= mod
     return out
 
 
-def _x_degree(digits: str, bits: int) -> int:
-    """An exponent of x; one too long for int() whose digit count alone puts it
-    past the degree guard of 2^bits (10^(d-1) > 2^bits once d > bits/3 + 1) is refused by that count."""
+def _x_degree(digits: str) -> int:
+    """An exponent of x; one too long for int() is refused by its digit count d once 3(d - 1) passes the guard."""
     digits = digits.lstrip("0") or "0"
-    if len(digits) > max(_INT_DIGITS, bits // 3 + 1):
-        raise ScaleExceeded(f"polynomial degree of a {len(digits)}-digit number exceeds the 2^{bits} guard")
+    if len(digits) > INT_DIGITS:  # a d-digit number is at least 10^(d - 1) >= 2^(3(d - 1))
+        check_size(0, f"polynomial degree of a {len(digits)}-digit number", "enumeration", 3 * (len(digits) - 1))
     return _decimal(digits)
 
 
@@ -289,13 +285,13 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     if not cur:
         raise ValueError(f"sign with no term after it in {text!r}")
     chunks.append((neg, cur))
-    ops, bits = field.ops, guard_bits("enumeration")
+    ops = field.ops
     coeff_acc: dict[int, int] = {}
     vre = re.compile(r"^(?P<coeff>.*?)\*?x(?:\^(?P<exp>\d+))?$")
     for negate, chunk in chunks:
         m = vre.match(chunk)
         if m:
-            exp, coeff_text = _x_degree(m.group("exp") or "1", bits), m.group("coeff")
+            exp, coeff_text = _x_degree(m.group("exp") or "1"), m.group("coeff")
         else:
             exp, coeff_text = 0, chunk
         if coeff_text.startswith("(") and coeff_text.endswith(")"):
@@ -303,5 +299,5 @@ def parse_poly(text: str, field: Field) -> Polynomial:
         c = _parse_coefficient(coeff_text, field)
         coeff_acc[exp] = ops.add(coeff_acc.get(exp, 0), ops.neg(c) if negate else c)
     top = max(coeff_acc) if coeff_acc else 0
-    check_custom(top, bits, "polynomial degree")  # before the dense list is built
+    check_size(top, "polynomial degree", "enumeration")  # before the dense list is built
     return Polynomial(field, tuple(_trim([coeff_acc.get(i, 0) for i in range(top + 1)])))

@@ -19,7 +19,7 @@ from .counting import _fiber, _orbit_leads, check_shape
 from .factorint import is_prime_int
 from .fields import (Field, _subfield_ints, base_digits, least_root, make_extension_field,
                      make_field, prime_power, subfield_maps)
-from .guards import check_field, guarded_power
+from .guards import checked_power, guarded_power
 from .matrices import Matrix, companion_matrix
 from .parallel import first_hit
 from .polys import Polynomial
@@ -103,8 +103,8 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
     _check_budget(budget)
     if q >= 3 and n % 2 == 0 and not allow_even_n:
         raise InvalidParity(f"n = {n} even is out of scope for q = {q} >= 3")
-    check_field(guarded_power(q, m, "block field"), "block field")
-    check_field(guarded_power(q, n, "tap space"), "tap space")
+    checked_power(q, m, "block field")
+    checked_power(q, n, "tap space")
     base = make_field(q)
     hit, tried, _ = _composition_scan(base, m, n, budget)
     if hit is None:
@@ -155,7 +155,7 @@ def _iter_primitive(field: Field, degree: int):
         raise BadDegree("primitivity is defined for degree >= 1")
     q, ops = field.order, field.ops
     c0s = [c for c in range(1, q) if _generates(ops.neg(c) if degree % 2 else c, q, ops)]
-    for enc in range(q ** (degree - 1)):
+    for enc in range(guarded_power(q, degree - 1, "candidate space")):
         upper = (*base_digits(enc, q, degree - 1), 1)
         for c0 in c0s:
             f = Polynomial(field, (c0, *upper))
@@ -205,8 +205,7 @@ def verify_conjecture(q: int, m: int, n: int, form: str, budget: int | None = No
 
 def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitness:
     """One first_hit over the flat index: g's middle digits, then its lead, then lam."""
-    check_field(guarded_power(q, m, "witness field"), "witness field")
-    big = make_field(q ** m)
+    big = make_field(checked_power(q, m, "witness field"))
     base, up, _ = _subfield_ints(big, q)
     lams = primitive_elements(big)
     orbit_leads = _orbit_leads(lams, q)
@@ -234,7 +233,7 @@ def _verify_direct(q: int, m: int, n: int, budget: int | None) -> ConjectureWitn
 
 
 def _verify_composition(q: int, m: int, n: int, budget: int | None) -> ConjectureWitness:
-    check_field(guarded_power(q, m, "root field"), "root field")
+    checked_power(q, m, "root field")
     hit, tried, stopped = _composition_scan(make_field(q), m, n, budget)
     if stopped:
         raise BudgetExhausted(f"composition scan stopped after {tried} candidates", tried)
@@ -275,7 +274,7 @@ def _direct_to_composition(q, m, n, g, lam):
 
 def find_trace_one_quadratic(m: int) -> Polynomial:
     """Least primitive X^2 + lam*X + lam over F_{2^m}, lam primitive."""
-    check_field(2 ** (2 * m), "quadratic splitting field")
+    checked_power(2, 2 * m, "quadratic splitting field")
     field = make_field(2 ** m)
     one = field.one()
     for lam in primitive_elements(field):

@@ -17,7 +17,7 @@ from .errors import (BadDegree, DimensionMismatch, ExistenceViolation, SingularB
                      ZeroConstantTerm)
 from .factorint import merged_factorization, multiplicative_order_from
 from .fields import Field, FieldElement, base_digits, make_field
-from .guards import check_field
+from .guards import checked_power
 from .kernel import _Memo
 from .matrices import (Matrix, _int_rows, matrix_charpoly, matrix_is_invertible,
                        matrix_minpoly)
@@ -225,7 +225,7 @@ def tsr_period(spec: TsrSpec) -> int:
     Thm 3.8).
     """
     q, mn, p = spec.q, spec.m * spec.n, spec.field.characteristic
-    check_field(q ** mn)
+    checked_power(q, mn, "state space")
     mu_B = matrix_minpoly(spec.B)
     mu = _homogenize(mu_B, tap_polynomial(spec), mu_B.degree, spec.n)
     D = mu.degree
@@ -250,9 +250,8 @@ def mn_decompose(f: Polynomial, m: int, n: int):
     if f.constant_term.is_zero():
         raise ZeroConstantTerm("f(0) = 0 admits no invertible register")
     field = f.field
-    q = field.order
-    one = field.one()
-    for enc in range(q ** (n - 1)):
+    q, one = field.order, field.one()
+    for enc in range(checked_power(q, n - 1, "tap space", "enumeration")):
         g = Polynomial.make(field, [one] + [field.element(d) for d in base_digits(enc, q, n - 1)])
         dec = _peel(f, g, m, n)
         if dec is not None:

@@ -14,7 +14,7 @@ from .counting import (closed_form_count, count_matrices_with_charpoly,
 from .errors import ScaleExceeded
 from .factorint import euler_phi
 from .fields import make_field, subfield_maps
-from .guards import check_enumeration
+from .guards import checked_power
 from .polys import Polynomial, format_poly, parse_poly
 from .primitivity import conjugate_product, is_primitive_poly, minimal_polynomial
 from .search import reciprocal, search_primitive_tsr, verify_conjecture
@@ -195,7 +195,7 @@ def _check_tables_quick():
 
 def _check_guards():
     try:
-        check_enumeration(1 << 40)
+        checked_power(2, 40, "candidate space", "enumeration")
     except ScaleExceeded:
         return "enumeration guard rejects 2^40 states"
     raise AssertionError("enumeration guard accepted 2^40 states")

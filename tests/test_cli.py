@@ -563,6 +563,37 @@ raise SystemExit(cli.main(sys.argv[1:]))
     pytest.param(["enumerate", "tsr_order1", "2", "3000", "1"], 2, "stderr",
                  "scale limit: %d exceeds the 2^64 factorization bound\n" % (2 ** 3000 - 1),
                  id="tsr_order1-2-3000-1-factorization-first"),
+    # q^k - 1 past 2^24 bits is refused untaken: by its bit length over a power of two, else as q^k - 1
+    (["enumerate", "lfsr_prim", "2", "1", "99999999999"], 2, "stderr",
+     "scale limit: a 99999999999-bit number exceeds the 2^64 factorization bound\n"),
+    (["enumerate", "tsr_m1", "2", "1", "99999999999"], 2, "stderr",
+     "scale limit: a 99999999999-bit number exceeds the 2^64 factorization bound\n"),
+    (["enumerate", "sigma_prim", "2", "2", "99999999999"], 2, "stderr",
+     "scale limit: a 199999999998-bit number exceeds the 2^64 factorization bound\n"),
+    (["enumerate", "tsr_order1", "2", "99999999999"], 2, "stderr",
+     "scale limit: a 99999999999-bit number exceeds the 2^64 factorization bound\n"),
+    (["bound", "2", "99999999999", "1"], 2, "stderr",
+     "scale limit: a 99999999999-bit number exceeds the 2^64 factorization bound\n"),
+    (["enumerate", "lfsr_prim", "3", "1", "99999999"], 2, "stderr",
+     "scale limit: 3^99999999 - 1 exceeds the 2^64 factorization bound\n"),
+    # a power in a count or bound past 2^24 bits is refused untaken by the digit limit it would pass
+    (["enumerate", "lfsr_irr", "2", "1", "99999999999"], 2, "stderr",
+     "guard violation: lfsr_irr count term of 2^99999999999 exceeds the 4300-digit limit of int-to-str conversion\n"),
+    (["enumerate", "sigma_irr", "2", "2", "99999999999"], 2, "stderr",
+     "guard violation: sigma_irr count term of 2^199999999998 exceeds the 4300-digit limit of int-to-str conversion\n"),
+    (["enumerate", "sigma_irr", "3", "2", "9999999"], 2, "stderr",
+     "guard violation: sigma_irr count term of 3^19999998 exceeds the 4300-digit limit of int-to-str conversion\n"),
+    (["enumerate", "sigma_irr", "2", "119", "140000"], 2, "stderr",
+     "guard violation: sigma_irr count term of 2^1965865958 exceeds the 4300-digit limit of int-to-str conversion\n"),
+    (["bound", "3", "1", "99999999999"], 2, "stderr",
+     "guard violation: tsrp_upper_bound over a tap space of 3^99999999998 exceeds the 4300-digit limit "
+     "of int-to-str conversion\n"),
+    (["bound", "2", "2", "99999999999"], 2, "stderr",
+     "guard violation: tsrp_upper_bound over a tap space of 2^99999999998 exceeds the 4300-digit limit "
+     "of int-to-str conversion\n"),
+    # a bound too long to print is named by its bit length
+    (["bound", "2", "2", "20000"], 2, "stderr",
+     "guard violation: tsrp_upper_bound of a 20000-bit number exceeds the 4300-digit limit of int-to-str conversion\n"),
 ])
 def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
     # a child under a 512 MB address-space cap and a time limit: before the degree
