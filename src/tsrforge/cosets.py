@@ -24,11 +24,9 @@ from math import gcd
 
 from .errors import ExistenceViolation, ScaleExceeded
 from .fields import conjugates, int_pow, make_field, subfield_maps
-from .guards import check_field, checked_power, guarded_power
+from .guards import check_field, check_size, checked_power, guarded_power
 from .polys import Polynomial
 from .primitivity import _generates, is_primitive_poly
-
-MAX_PARTITION_M = 14
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,9 @@ def cyclotomic_partition(m: int) -> CosetPartition:
 
     Cosets are sorted internally; leaders (the minima) come out ascending.
     """
-    if m < 1 or m > MAX_PARTITION_M:
-        raise ScaleExceeded(f"m = {m} outside supported range 1..{MAX_PARTITION_M}")
-    group = (1 << (2 * m)) - 1
+    if m < 1:
+        raise ScaleExceeded(f"m = {m} outside supported range")
+    group = check_size(guarded_power(2, 2 * m, "exponent space") - 1, "exponent space", "field")
     visited = bytearray(group)
     cosets = []
     leaders = []

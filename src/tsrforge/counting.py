@@ -202,10 +202,11 @@ def check_shape(m: int, n: int) -> None:
 
 
 def tsrp_count_theorem(q: int, m: int, n: int, p_count: int) -> int:
-    """Register count implied by a special-primitive census of size p_count."""
+    """Register count implied by a special-primitive census of size p_count; guards.py sizes |GL_m(q)| first."""
     if p_count % m:
         raise FiberSizeViolation(f"census size {p_count} is not a multiple of m = {m}")
-    return (p_count // m) * _exact_div(gl_order(q, m), q ** m - 1)
+    check_matrix_group(q, m, "tsrp_count_theorem over", "digits")
+    return (p_count // m) * _exact_div(gl_order(q, m), guarded_power(q, m, "tsrp_count_theorem term", "digits") - 1)
 
 
 def tsrp_upper_bound(q: int, m: int, n: int) -> int:

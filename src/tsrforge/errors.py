@@ -66,7 +66,7 @@ class FactorizationOverflow(TsrforgeError):
 
 
 class InvalidParity(TsrforgeError):
-    """Search over F_q with q >= 3 requires odd order n."""
+    """Search over F_q with q odd requires odd order n; characteristic 2 is exempt."""
 
 
 class BudgetExhausted(TsrforgeError):

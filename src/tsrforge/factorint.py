@@ -2,7 +2,7 @@
 
 Trial division by the twelve Miller-Rabin bases 2..37 strips the smallest
 primes; Pollard rho with Brent cycling splits the cofactor, with deterministic
-Miller-Rabin (exact below 2^64) certifying primality of every reported prime.
+Miller-Rabin (exact below 3.18e23) certifying primality of every reported prime.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FactorizationOverflow
-from .guards import int_text
+from .guards import check_factorable
 
-_LIMIT = 1 << 64
 _RHO_RETRY_CAP = 64
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # Miller-Rabin's bases and the trial divisors
 # (bound, k): below bound the first k bases decide (Pomerance, Selfridge & Wagstaff 1980; Jaeschke 1993)
@@ -122,8 +121,7 @@ def _split(n: int, out: dict[int, int]) -> None:
 def factor_integer(n: int) -> Factorization:
     if n < 1:
         raise ValueError("factor_integer needs n >= 1")
-    if n > _LIMIT:
-        raise FactorizationOverflow(f"{int_text(n)} exceeds the 2^64 factorization bound")
+    check_factorable(n)
     out: dict[int, int] = {}
     rest = n
     for p in _BASES:
@@ -158,7 +156,7 @@ def moebius(n: int) -> int:
 def merged_factorization(values) -> dict[int, int]:
     """Prime factorization of lcm(values), each value factored independently.
 
-    Lets the lcm exceed 2^64 as long as every individual value stays below it.
+    Lets the lcm pass the factorization bound as long as every individual value stays within it.
     """
     merged: dict[int, int] = {}
     for v in values:

@@ -101,7 +101,7 @@ def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
     """First (f, g) hit in scan order, assembled into a primitive register."""
     check_shape(m, n)
     _check_budget(budget)
-    if q >= 3 and n % 2 == 0 and not allow_even_n:
+    if q % 2 and n % 2 == 0 and not allow_even_n:
         raise InvalidParity(f"n = {n} even is out of scope for q = {q} >= 3")
     checked_power(q, m, "block field")
     checked_power(q, n, "tap space")

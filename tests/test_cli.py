@@ -504,6 +504,22 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 from tsrforge import cli
 raise SystemExit(cli.main(sys.argv[1:]))
 """
+_R_TABLE = "# table r_table\nm,r,P2m2\n2,1,2\n3,1,3\n4,1,4\n5,2,10\n6,3,18\n7,6,42\n8,7,56\n9,16,144\n10,25,250\n"
+# guard bit counts past any int that could be built: 2^63 - 1 and 10^20
+_HUGE_GUARD_BITS = ("9223372036854775807", "99999999999999999999")
+
+
+def _run_capped(argv, guard_env=None):
+    """cli.main(argv) in a child under a 512 MB address-space cap, with TSRFORGE_GUARD_BITS = guard_env."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop(ENV_VAR, None)
+    if guard_env is not None:
+        env[ENV_VAR] = guard_env
+    return subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("argv, code, stream, text", [
@@ -594,19 +610,25 @@ raise SystemExit(cli.main(sys.argv[1:]))
     # a bound too long to print is named by its bit length
     (["bound", "2", "2", "20000"], 2, "stderr",
      "guard violation: tsrp_upper_bound of a 20000-bit number exceeds the 4300-digit limit of int-to-str conversion\n"),
+    # a guard is compared by its bit count, never built: 2^(2^63 - 1) was a MemoryError, 2^(10^20) an OverflowError
+    *[pytest.param(["--guard-bits", bits, "count-r"], 0, "stdout", _R_TABLE, id=f"guard-bits-{bits}-count-r")
+      for bits in _HUGE_GUARD_BITS],
 ])
 def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
     # a child under a 512 MB address-space cap and a time limit: before the degree
     # guard, a^N by a power and the guarded powers q^e, each ended in a MemoryError traceback
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    env.pop(ENV_VAR, None)
-    res = subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
-                         capture_output=True, text=True, timeout=60)
+    res = _run_capped(argv)
     assert res.returncode == code and getattr(res, stream) == text, res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("bits", _HUGE_GUARD_BITS)
+@pytest.mark.parametrize("argv", [["count-r"], ["search-tsr", "2", "3", "5"]])
+def test_huge_guard_bits_in_the_environment_change_no_output(argv, bits):
+    # TSRFORGE_GUARD_BITS takes the same rule as --guard-bits: the default-guard answer, no traceback
+    default, res = _run_capped(argv), _run_capped(argv, bits)
+    assert (default.returncode, res.returncode, res.stderr) == (0, 0, ""), res.stderr
+    assert res.stdout == default.stdout and default.stdout
 
 
 def test_long_constants_and_multipliers_are_read_mod_p(capsys):

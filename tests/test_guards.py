@@ -4,13 +4,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from tsrforge import guards
+from tsrforge.cosets import cyclotomic_partition
 from tsrforge.errors import FactorizationOverflow, ScaleExceeded
+from tsrforge.factorint import factor_integer
 from tsrforge.fields import make_field
-from tsrforge.guards import (ENV_VAR, INT_DIGITS, POWER_BITS, check_matrix_group, check_size,
+from tsrforge.guards import (ENV_VAR, INT_DIGITS, POWER_BITS, check_custom, check_matrix_group, check_size,
                              checked_power, factorable_power, guarded_power, int_text)
 from tsrforge.polys import parse_poly
 from tsrforge.tsr import mn_decompose
@@ -22,6 +25,28 @@ DIGITS = f"the {INT_DIGITS}-digit limit of int-to-str conversion"
 @pytest.fixture(autouse=True)
 def _default_guards(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
+
+
+@pytest.mark.parametrize("b", [0, 22, 10 ** 20])
+def test_a_guard_of_2_to_the_b_takes_2_to_the_b_and_refuses_one_more(monkeypatch, b):
+    # compared by bit count: 2^b is never built, so b = 10^20 takes the rule of b = 0 within a few KB
+    monkeypatch.setenv(ENV_VAR, str(b))
+    exact = 1 << min(b, 4096)  # past 4096, 2^4096 stands in for 2^b, which no memory holds
+    tracemalloc.start()
+    try:
+        for check in (lambda size: check_size(size, "sample space", "field"),
+                      lambda size: check_custom(size, b, "sample space")):
+            assert check(exact) in (exact, None)
+            if b <= 4096:
+                with pytest.raises(ScaleExceeded, match=rf"^sample space of {exact + 1} exceeds the 2\^{b} guard$"):
+                    check(exact + 1)
+        # a size named by a lower bound of its log2: 2^b passes, anything more does not
+        assert check_size(0, "sample space", "field", b) == 0
+        with pytest.raises(ScaleExceeded, match=rf"^sample space exceeds the 2\^{b} guard$"):
+            check_size(0, "sample space", "field", b + 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("q, e", [(2, POWER_BITS), (4, POWER_BITS // 2), (3, 3)])
@@ -99,15 +124,32 @@ def test_int_text_both_forms():
     assert int_text(-12) == "-12"
 
 
+BOUND = r"exceeds the 2\^64 factorization bound$"
+
+
 def test_factorable_power_names_an_untaken_number():
     assert factorable_power(3, 40) == 3 ** 40 - 1
     assert factorable_power(2, POWER_BITS).bit_length() == POWER_BITS
-    with pytest.raises(FactorizationOverflow, match=rf"^a {POWER_BITS + 1}-bit number exceeds the 2\^64"):
+    with pytest.raises(FactorizationOverflow, match=rf"^a {POWER_BITS + 1}-bit number {BOUND}"):
         factorable_power(2, POWER_BITS + 1)
-    with pytest.raises(FactorizationOverflow, match=r"^a 200000000000-bit number exceeds the 2\^64"):
+    with pytest.raises(FactorizationOverflow, match=rf"^a 200000000000-bit number {BOUND}"):
         factorable_power(4, 10 ** 11)
-    with pytest.raises(FactorizationOverflow, match=rf"^3\^{POWER_BITS + 1} - 1 exceeds the 2\^64"):
+    with pytest.raises(FactorizationOverflow, match=rf"^3\^{POWER_BITS + 1} - 1 {BOUND}"):
         factorable_power(3, POWER_BITS + 1)
+
+
+def test_factor_integer_takes_2_to_the_64_and_names_one_more():
+    assert factor_integer(2 ** 64).factors == ((2, 64),)
+    with pytest.raises(FactorizationOverflow, match=rf"^18446744073709551617 {BOUND}"):
+        factor_integer(2 ** 64 + 1)
+
+
+def test_cyclotomic_partition_is_sized_by_the_field_guard(monkeypatch):
+    # it walks the 2^(2m) - 1 exponents: 63 for m = 3 passes a 2^6 guard, 255 for m = 4 does not
+    monkeypatch.setenv(ENV_VAR, "6")
+    assert cyclotomic_partition(3).modulus == 63
+    with pytest.raises(ScaleExceeded, match=r"^exponent space of 255 exceeds the 2\^6 guard$"):
+        cyclotomic_partition(4)
 
 
 def test_mn_decompose_walk_is_bounded_by_the_enumeration_guard():
@@ -121,8 +163,9 @@ _LIBRARY = """
 import resource, sys, time
 from types import SimpleNamespace
 resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-from tsrforge import (ScaleExceeded, count_matrices_with_charpoly, count_trace_one_classes,
-                      find_trace_one_quadratic, make_field, primitive_trace_one_count, tsr_period)
+from tsrforge import (ScaleExceeded, count_matrices_with_charpoly, count_trace_one_classes, cyclotomic_partition,
+                      find_trace_one_quadratic, make_field, primitive_trace_one_count, tsr_period,
+                      tsrp_count_theorem)
 big, f2 = 10 ** 11, make_field(2)
 calls = [
     lambda: tsr_period(SimpleNamespace(q=2, m=1, n=big, field=f2)),
@@ -130,6 +173,8 @@ calls = [
     lambda: find_trace_one_quadratic(big),
     lambda: count_trace_one_classes(big),
     lambda: primitive_trace_one_count(big),
+    lambda: cyclotomic_partition(big),
+    lambda: tsrp_count_theorem(2, 100000, 1, 100000),
 ]
 for call in calls:
     start = time.perf_counter()
@@ -153,4 +198,7 @@ def test_power_sites_refuse_a_huge_exponent_untaken():
         "True quadratic splitting field of 2^200000000000 exceeds the 2^24 guard",
         "True census field of 2^100000000000 exceeds the 2^24 guard",
         "True element tally space of 2^200000000000 exceeds the 2^24 guard",
+        "True exponent space of 2^200000000000 exceeds the 2^24 guard",
+        "True tsrp_count_theorem over GL_100000(2) of more than 2^9999999998 elements "
+        "exceeds the 4300-digit limit of int-to-str conversion",
     ]

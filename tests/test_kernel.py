@@ -306,18 +306,24 @@ def test_negative_exponents_are_refused():
 # --- F_{p^k}: the packed kernel against a schoolbook on the field's modulus alone ---
 
 class _RefField:
-    """F_{p^k} on canonical ints by digit lists mod p, reduced by the modulus; no tsrforge arithmetic."""
+    """F_{p^k} on canonical ints by digit lists mod p, reduced by the modulus; no tsrforge arithmetic.
+
+    Digit lists, products and inverses are memoised: the reference stays a schoolbook, computed once per operand.
+    """
 
     def __init__(self, field):
         self.p, self.k, self.q = field.characteristic, field.extension_degree, field.order
         self.mod = field.modulus_coeffs
+        self._digits, self._products, self._inverses = {}, {}, {}
 
     def digits(self, v):
-        out = []
-        for _ in range(self.k):
-            v, d = divmod(v, self.p)
-            out.append(d)
-        return out
+        if v not in self._digits:
+            out, rest = [], v
+            for _ in range(self.k):
+                rest, d = divmod(rest, self.p)
+                out.append(d)
+            self._digits[v] = tuple(out)
+        return self._digits[v]
 
     def encode(self, digits):
         return sum(d * self.p ** i for i, d in enumerate(digits))
@@ -329,6 +335,8 @@ class _RefField:
         return self.encode([-x % self.p for x in self.digits(a)])
 
     def mul(self, a, b):
+        if (a, b) in self._products:
+            return self._products[a, b]
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(self.digits(a)):
@@ -338,15 +346,18 @@ class _RefField:
             c = prod[top]
             for i, m in enumerate(self.mod):
                 prod[top - k + i] = (prod[top - k + i] - c * m) % p
-        return self.encode(prod[:k])
+        self._products[a, b] = self._products[b, a] = self.encode(prod[:k])
+        return self._products[a, b]
 
     def inv(self, a):
-        r, e = 1, self.q - 2
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a, e = self.mul(a, a), e >> 1
-        return r
+        if a not in self._inverses:
+            r, x, e = 1, a, self.q - 2
+            while e:
+                if e & 1:
+                    r = self.mul(r, x)
+                x, e = self.mul(x, x), e >> 1
+            self._inverses[a] = r
+        return self._inverses[a]
 
     def poly_mul(self, a, b):
         if not a or not b:

@@ -127,16 +127,22 @@ def _over(p, field):
 
 
 def test_search_even_n_gate():
-    with pytest.raises(InvalidParity):
+    with pytest.raises(InvalidParity, match=r"^n = 2 even is out of scope for q = 3 >= 3$"):
         search_primitive_tsr(3, 2, 2)
-    # q = 2 is exempt
-    res = search_primitive_tsr(2, 2, 2)
-    assert tsr_period(res.spec) == 15
+    # characteristic 2 is exempt
+    assert tsr_period(search_primitive_tsr(2, 2, 2).spec) == 15
+    assert tsr_period(search_primitive_tsr(4, 2, 2).spec) == 255
     # escape hatch runs the scan, but the (3,3,2) candidate family is empty,
     # so the full 12-pair space exhausts
     with pytest.raises(BudgetExhausted) as info:
         search_primitive_tsr(3, 3, 2, allow_even_n=True)
     assert info.value.candidates_tried == 12
+
+
+@pytest.mark.parametrize("q, m, n", [(4, 2, 2), (8, 2, 2), (16, 2, 2), (4, 3, 2), (4, 2, 4)])
+def test_even_n_searches_answer_in_characteristic_2(q, m, n):
+    res = search_primitive_tsr(q, m, n)
+    assert is_primitive_poly(res.charpoly)[0] and res.certificate.group_order == q ** (m * n) - 1
 
 
 @pytest.mark.parametrize("q, m, n, budget, tried", [
