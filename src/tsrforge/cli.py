@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments, a guard
-violation or the 2^64 factorization bound (the offending bound is printed),
-3 budget exhausted.  All JSON output is one object per line; CSV and JSON
-output are byte-identical across runs and across --threads values.
+Exit codes: 0 success, 1 verification failure, 2 bad arguments, a guard violation, the 2^64
+factorization bound (the offending bound is printed) or memory run out under a raised guard, 3 budget
+exhausted.  All JSON output is one object per line; CSV and JSON output are byte-identical across runs
+and across --threads and --allow-even-n values, which are accepted for compatibility and ignored.
 """
 
 import argparse
@@ -40,7 +40,7 @@ _BAD_INPUT = (BadDegree, ZeroConstantTerm, UnknownKind, InvalidParity,
 
 _COUNT_KINDS = tuple(_KIND_ARGS)
 _ENUM_KINDS = _COUNT_KINDS + ("P_qmn", "P_mnq", "tsrp")
-_THREADS_HELP = "accepted for compatibility; work runs serially and output never changes"
+_IGNORED_HELP = "accepted for compatibility and ignored; output never changes"
 
 
 def _emit(obj) -> None:
@@ -86,8 +86,7 @@ def cmd_test_primitive(args) -> int:
 
 
 def cmd_search_tsr(args) -> int:
-    res = search_primitive_tsr(args.q, args.m, args.n, budget=args.budget,
-                               allow_even_n=args.allow_even_n)
+    res = search_primitive_tsr(args.q, args.m, args.n, budget=args.budget)
     spec = res.spec
     _emit({
         "q": args.q,
@@ -201,9 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--budget", type=int, default=None,
                    help="candidate ceiling; exit 3 when exhausted")
-    p.add_argument("--allow-even-n", action="store_true",
-                   help="permit even n for odd q (the search may be hopeless)")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--allow-even-n", action="store_true", help=_IGNORED_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_IGNORED_HELP)
     p.add_argument("--emit", choices=("result", "provenance"), default="result",
                    help="also emit the construction trace")
     p.set_defaults(fn=cmd_search_tsr)
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int, nargs="?", default=None)
     p.add_argument("n", type=int, nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="emit each member, one per line")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_IGNORED_HELP)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("count-r", help="trace-one conjugacy class counts over F_{2^m}")
@@ -225,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", choices=TABLE_IDS)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.add_argument("--deep", action="store_true", help="r_table only: extend to m = 12")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_IGNORED_HELP)
     p.add_argument("--report", action="store_true",
                    help="also re-validate each bundled entry, one JSON line each")
     p.set_defaults(fn=cmd_tables)
@@ -259,6 +257,9 @@ def main(argv=None) -> int:
         return EXIT_ARGS
     except FactorizationOverflow as exc:
         print(f"scale limit: {exc}", file=sys.stderr)
+        return EXIT_ARGS
+    except MemoryError:
+        print("out of memory: memory ran out under a raised guard", file=sys.stderr)
         return EXIT_ARGS
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

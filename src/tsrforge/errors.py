@@ -66,7 +66,7 @@ class FactorizationOverflow(TsrforgeError):
 
 
 class InvalidParity(TsrforgeError):
-    """Search over F_q with q odd requires odd order n; characteristic 2 is exempt."""
+    """Even n with q^m = 3 (mod 4): the norm f(0) of f(g(X)) is not primitive (Lidl & Niederreiter, Thm 3.18)."""
 
 
 class BudgetExhausted(TsrforgeError):

@@ -96,13 +96,14 @@ def _alpha_field(q: int, m: int, f: Polynomial):
     return field, field.element(alpha), up
 
 
-def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None,
-                         allow_even_n: bool = False) -> SearchResult:
-    """First (f, g) hit in scan order, assembled into a primitive register."""
+def search_primitive_tsr(q: int, m: int, n: int, budget: int | None = None) -> SearchResult:
+    """First (f, g) hit in scan order, assembled into a primitive register; InvalidParity where the family is empty."""
     check_shape(m, n)
     _check_budget(budget)
-    if q % 2 and n % 2 == 0 and not allow_even_n:
-        raise InvalidParity(f"n = {n} even is out of scope for q = {q} >= 3")
+    prime_power(q)
+    if n % 2 == 0 and pow(q, m, 4) == 3:
+        raise InvalidParity(f"n = {n} even and q^m = {q}^{m} = 3 (mod 4): the norm f(0) of f(g(X)) "
+                            "is never primitive, so the f(g(X)) family is empty")
     checked_power(q, m, "block field")
     checked_power(q, n, "tap space")
     base = make_field(q)
@@ -264,9 +265,7 @@ def _direct_to_composition(q, m, n, g, lam):
     alpha2 = -(c_big.inverse() * lam)
     if not is_primitive_element(alpha2):
         return None, False
-    f2 = minimal_polynomial(alpha2, q)
-    if f2.degree != m:
-        return None, False
+    f2 = minimal_polynomial(alpha2, q)  # of degree m: alpha2 is primitive in F_{q^m}
     g2 = g.scale(c.inverse())
     ok = is_primitive_poly(f2.compose(g2))[0]
     return (f2, g2), ok

@@ -174,10 +174,10 @@ def test_search_tsr_at_m1_is_a_pinned_lfsr(capsys, q):
 
 
 def test_search_tsr_budget_exhaustion_exits_3(capsys):
-    code, _, err = run_cli(capsys, "search-tsr", "3", "3", "2",
-                           "--allow-even-n", "--budget", "5")
+    # (2, 2, 7) first hits at pair 6
+    code, _, err = run_cli(capsys, "search-tsr", "2", "2", "7", "--budget", "5")
     assert code == 3
-    assert "budget exhausted" in err
+    assert err == "budget exhausted: no primitive register found after 5 candidate pairs\n"
 
 
 def test_search_tsr_rejects_negative_budget(capsys):
@@ -192,9 +192,13 @@ def test_search_tsr_rejects_negative_budget(capsys):
 
 
 def test_search_tsr_rejects_even_n_for_odd_q(capsys):
-    code, _, err = run_cli(capsys, "search-tsr", "3", "2", "2")
-    assert code == 2
-    assert "bad arguments" in err
+    # refused only where q^m = 3 (mod 4) empties the f(g(X)) family, in no time whatever the scan's size
+    for q, n in (("3", "14"), ("7", "8")):
+        assert run_cli(capsys, "search-tsr", q, "1", n) == (2, "", (
+            f"bad arguments: n = {n} even and q^m = {q}^1 = 3 (mod 4): the norm f(0) of f(g(X)) "
+            "is never primitive, so the f(g(X)) family is empty\n"))
+    code, out, err = run_cli(capsys, "search-tsr", "3", "2", "2")
+    assert (code, err) == (0, "") and json_lines(out)[0]["group_order"] == 80
 
 
 def test_enumerate_closed_forms(capsys):
@@ -290,6 +294,14 @@ def test_threads_never_changes_output(argv, threads, capsys):
     plain = run_cli(capsys, *argv)
     assert run_cli(capsys, *argv, "--threads", threads) == plain
     assert plain[0] == 0 and plain[1] and plain[2] == ""
+
+
+@pytest.mark.parametrize("argv", [["search-tsr", "3", "2", "2"], ["search-tsr", "3", "3", "2"],
+                                  ["search-tsr", "5", "3", "2", "--emit", "provenance"], ["search-tsr", "2", "2", "3"],
+                                  ["search-tsr", "2", "2", "7", "--budget", "5"]])
+def test_allow_even_n_never_changes_output(argv, capsys):
+    # --allow-even-n is parsed for compatibility and reaches no library call
+    assert run_cli(capsys, *argv, "--allow-even-n") == run_cli(capsys, *argv)
 
 
 def test_tables_cells_are_comma_free(capsys):
@@ -507,6 +519,9 @@ raise SystemExit(cli.main(sys.argv[1:]))
 _R_TABLE = "# table r_table\nm,r,P2m2\n2,1,2\n3,1,3\n4,1,4\n5,2,10\n6,3,18\n7,6,42\n8,7,56\n9,16,144\n10,25,250\n"
 # guard bit counts past any int that could be built: 2^63 - 1 and 10^20
 _HUGE_GUARD_BITS = ("9223372036854775807", "99999999999999999999")
+# inputs that such a guard passes and 512 MB cannot hold: a 2^99999999998 tap space, a degree-99999999999 list
+_PAST_MEMORY = (["search-tsr", "2", "2", "99999999999"], ["test-primitive", "2", "x^99999999999"])
+_OUT_OF_MEMORY = "out of memory: memory ran out under a raised guard\n"
 
 
 def _run_capped(argv, guard_env=None):
@@ -613,6 +628,9 @@ def _run_capped(argv, guard_env=None):
     # a guard is compared by its bit count, never built: 2^(2^63 - 1) was a MemoryError, 2^(10^20) an OverflowError
     *[pytest.param(["--guard-bits", bits, "count-r"], 0, "stdout", _R_TABLE, id=f"guard-bits-{bits}-count-r")
       for bits in _HUGE_GUARD_BITS],
+    # a guard raised past what memory holds lets the work start; the MemoryError is named
+    *[pytest.param(["--guard-bits", _HUGE_GUARD_BITS[1], *argv], 2, "stderr", _OUT_OF_MEMORY,
+                   id=f"guard-bits-{_HUGE_GUARD_BITS[1]}-{argv[0]}-out-of-memory") for argv in _PAST_MEMORY],
 ])
 def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text):
     # a child under a 512 MB address-space cap and a time limit: before the degree
@@ -620,6 +638,12 @@ def test_huge_exponents_are_settled_without_allocating(argv, code, stream, text)
     res = _run_capped(argv)
     assert res.returncode == code and getattr(res, stream) == text, res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", _PAST_MEMORY)
+def test_memory_past_a_raised_guard_in_the_environment_is_named(argv):
+    res = _run_capped(argv, _HUGE_GUARD_BITS[1])
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", _OUT_OF_MEMORY)
 
 
 @pytest.mark.parametrize("bits", _HUGE_GUARD_BITS)

@@ -127,16 +127,33 @@ def _over(p, field):
 
 
 def test_search_even_n_gate():
-    with pytest.raises(InvalidParity, match=r"^n = 2 even is out of scope for q = 3 >= 3$"):
-        search_primitive_tsr(3, 2, 2)
+    # even n is refused only where the norm theorem empties the f(g(X)) family: q^m = 3 (mod 4)
+    with pytest.raises(InvalidParity, match=r"^n = 2 even and q\^m = 3\^3 = 3 \(mod 4\): the norm f\(0\) of "
+                                            r"f\(g\(X\)\) is never primitive, so the f\(g\(X\)\) family is empty$"):
+        search_primitive_tsr(3, 3, 2)
+    assert tsr_period(search_primitive_tsr(3, 2, 2).spec) == 80
     # characteristic 2 is exempt
     assert tsr_period(search_primitive_tsr(2, 2, 2).spec) == 15
     assert tsr_period(search_primitive_tsr(4, 2, 2).spec) == 255
-    # escape hatch runs the scan, but the (3,3,2) candidate family is empty,
-    # so the full 12-pair space exhausts
-    with pytest.raises(BudgetExhausted) as info:
+    # a composite q is named before the parity rule reads it
+    with pytest.raises(CompositeCharacteristic, match="^15 is not a prime power$"):
+        search_primitive_tsr(15, 1, 2)
+    with pytest.raises(TypeError, match="allow_even_n"):
         search_primitive_tsr(3, 3, 2, allow_even_n=True)
-    assert info.value.candidates_tried == 12
+
+
+_EVEN_N_GRID = [(q, m, n) for q in (3, 5, 7, 9, 11, 13) for m in (1, 2, 3) for n in (2, 4) if q ** (m * n) < 1 << 24]
+
+
+@pytest.mark.parametrize("q, m, n", _EVEN_N_GRID)
+def test_even_n_is_refused_exactly_where_the_family_is_empty(q, m, n):
+    # the exhaustive composition scan checks the norm theorem independently of the refusal
+    if pow(q, m, 4) == 3:
+        with pytest.raises(InvalidParity, match=f"^n = {n} even and q\\^m = {q}\\^{m} = 3 "):
+            search_primitive_tsr(q, m, n)
+        assert verify_conjecture(q, m, n, "composition").found is False
+    else:
+        assert tsr_period(search_primitive_tsr(q, m, n).spec) == q ** (m * n) - 1
 
 
 @pytest.mark.parametrize("q, m, n", [(4, 2, 2), (8, 2, 2), (16, 2, 2), (4, 3, 2), (4, 2, 4)])
@@ -146,19 +163,32 @@ def test_even_n_searches_answer_in_characteristic_2(q, m, n):
 
 
 @pytest.mark.parametrize("q, m, n, budget, tried", [
-    (3, 3, 2, 0, 0), (3, 3, 2, 5, 5), (3, 3, 2, 11, 11), (3, 3, 2, 12, 12), (3, 3, 2, 13, 12),
-    (2, 2, 7, 5, 5), (2, 2, 7, 6, None), (3, 2, 3, 50, None)])
+    (2, 2, 7, 0, 0), (2, 2, 7, 3, 3), (2, 2, 7, 5, 5), (2, 2, 7, 6, None), (3, 2, 3, 50, None)])
 def test_search_budget_exhaustion(q, m, n, budget, tried):
-    # a budget below the first hit trips mid-scan with the tally preserved, and
-    # one that reaches it (pair 6 at (2, 2, 7)) does not interfere; (3, 3, 2)
-    # has no hit among its 12 pairs, so every budget ends in a refusal
+    # a budget below the first hit (pair 6 at (2, 2, 7)) trips mid-scan with
+    # the tally preserved, and one that reaches it does not interfere
     if tried is None:
         res = search_primitive_tsr(q, m, n, budget=budget)
         assert is_primitive_poly(res.charpoly)[0]
         return
     with pytest.raises(BudgetExhausted, match=f"no primitive register found after {tried} candidate pairs$") as info:
-        search_primitive_tsr(q, m, n, allow_even_n=True, budget=budget)
+        search_primitive_tsr(q, m, n, budget=budget)
     assert info.value.candidates_tried == tried
+
+
+@pytest.mark.parametrize("budget, tried", [(0, 0), (5, 5), (11, 11), (12, 12), (13, 12)])
+def test_empty_family_at_332_is_refused_and_exhausted_by_the_scan(budget, tried):
+    # the search refuses (3, 3, 2) whatever the budget; the composition scan walks
+    # its 12 pairs, stops mid-scan below 12 and finds no witness from 12 on
+    with pytest.raises(InvalidParity):
+        search_primitive_tsr(3, 3, 2, budget=budget)
+    if budget < 12:
+        with pytest.raises(BudgetExhausted, match=f"composition scan stopped after {tried} candidates$") as info:
+            verify_conjecture(3, 3, 2, "composition", budget=budget)
+        assert info.value.candidates_tried == tried
+        return
+    w = verify_conjecture(3, 3, 2, "composition", budget=budget)
+    assert (w.found, w.witness, w.candidates_tried) == (False, None, tried)
 
 
 def test_conjecture_both_forms_at_222():
